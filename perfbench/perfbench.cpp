@@ -8,7 +8,8 @@
 // Each workload loads one serving layer heavily and leaves the others idle:
 //
 //   net-serve       rtz3 on random n=4096, saved and mapped (native arena),
-//                   served by an in-process RouteServer over loopback to two
+//                   served by an in-process RouteServer over loopback to
+//                   closed-loop clients on the server's one CPU and to two
 //                   open-loop rtr-wire/1 connections.  Loads `server`.
 //   churn-repair    rtz3 on random n=4096 + 5% shadowed links under an
 //                   EpochManager with incremental repair: a seeded churn
@@ -17,8 +18,9 @@
 //                   while one closed-loop reader queries by name.  Loads
 //                   `serve`, `rtz`, `rt`, `graph`.
 //   snapshot-batch  polystretch on scale-free n=1024: build, save (a v1
-//                   blob inside v2), map, then single-worker batch passes.
-//                   Loads `io` and `net`/`core` forwarding.
+//                   blob inside v2), map, then single-worker batch passes
+//                   and QueryEngine::serve calls.  Loads `io` and
+//                   `net`/`core` forwarding.
 //
 // Every layer is timed from outside, around calls into its public
 // functions.  Progress (the config, then one line per phase with its
@@ -34,7 +36,8 @@
 // seconds at a time.  So set-up repeats, batch and open-loop phases are cut
 // into slices interleaved over the run, and each figure is a median, or,
 // where interference can only slow the work, the best slice (see
-// BatchPasses, BlockSummary and the churn reader).
+// BatchPasses, BlockSummary and PassFloor).
+#include <sched.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -82,7 +85,7 @@ constexpr int kServerBatchThreads = 1;  ///< RouteServerOptions::batch_threads
 constexpr int kEpochQueryThreads = 1;   ///< EpochManagerOptions::query_threads
 constexpr int kNetConnections = 2;      ///< open-loop rtr-wire/1 sessions
 
-constexpr int kSetupRepeats = 3;  ///< set-ups per run; setup_s is the median
+constexpr int kSetupRepeats = 5;  ///< set-ups per run; setup_s is the median
 constexpr int kRounds = 6;        ///< interleaved measurement slices per run
 constexpr rtr::Weight kMaxWeight = 8;
 /// Graph, naming and scheme randomness.  The instance is the same on every
@@ -97,9 +100,45 @@ constexpr std::int64_t kQualityPairs = 2000;  ///< pairs of the stretch check
 /// figure is the median block (see report_open_loop); in process a block is
 /// short and the figure is the quietest block.
 constexpr double kNetBlockSeconds = 0.25;
-constexpr double kInProcessBlockSeconds = 0.02;
+constexpr double kInProcessBlockSeconds = 0.05;
 /// Request-span sampling: one request in kSpanSampleEvery carries spans.
 constexpr std::uint64_t kSpanSampleEvery = 8;
+
+/// The highest-numbered CPU this process may run on: net-serve's serving
+/// side and its closed-loop clients share it (CpuPin).
+int serving_cpu() {
+  cpu_set_t allowed;
+  if (::sched_getaffinity(0, sizeof(allowed), &allowed) != 0) {
+    throw std::runtime_error("sched_getaffinity failed");
+  }
+  for (int cpu = CPU_SETSIZE - 1; cpu >= 0; --cpu) {
+    if (CPU_ISSET(cpu, &allowed)) return cpu;
+  }
+  throw std::runtime_error("no CPU to run on");
+}
+
+/// Confines the calling thread to one CPU while it lives, then gives back
+/// its previous CPU set.  Threads started meanwhile keep the one CPU.
+class CpuPin {
+ public:
+  explicit CpuPin(int cpu) {
+    if (::sched_getaffinity(0, sizeof(saved_), &saved_) != 0) {
+      throw std::runtime_error("sched_getaffinity failed");
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (::sched_setaffinity(0, sizeof(one), &one) != 0) {
+      throw std::runtime_error("sched_setaffinity failed");
+    }
+  }
+  ~CpuPin() { (void)::sched_setaffinity(0, sizeof(saved_), &saved_); }
+  CpuPin(const CpuPin&) = delete;
+  CpuPin& operator=(const CpuPin&) = delete;
+
+ private:
+  cpu_set_t saved_;
+};
 
 struct Args {
   std::string workload;
@@ -467,7 +506,7 @@ class BatchPasses {
   std::vector<double> pass_s_;
 };
 
-/// How query_p50/p90 summarize the blocks of an open-loop phase.
+/// How net.p50_us/net.p90_us summarize the blocks of an open-loop phase.
 ///   kMedianBlock: the median block.  For network round trips, which are
 ///     mostly thread wake-ups: a busier host wakes threads faster, so the
 ///     host moves these both ways and only a median is steady.
@@ -477,14 +516,12 @@ class BatchPasses {
 ///     short quiet block occurs in every run.
 enum class BlockSummary { kMedianBlock, kQuietestBlock };
 
-/// An open-loop phase: p50/p90 summarized from its blocks (returned, in us,
-/// and reported under `prefix`), the pooled tail with its sample count, and
-/// how late the generator ran.
-std::pair<double, double> report_open_loop(Report& report,
-                                           const std::string& prefix,
-                                           const LoadStats& s,
-                                           BlockSummary summary,
-                                           double block_seconds) {
+/// An open-loop phase: p50/p90 summarized from its blocks and reported
+/// under `prefix`, the pooled tail with its sample count, and how late the
+/// generator ran.
+void report_open_loop(Report& report, const std::string& prefix,
+                      const LoadStats& s, BlockSummary summary,
+                      double block_seconds) {
   // A block counts when it holds most of its share of the schedule.
   const auto min_count =
       static_cast<std::int64_t>(0.8 * s.offered_qps * block_seconds);
@@ -494,9 +531,8 @@ std::pair<double, double> report_open_loop(Report& report,
                 : s.block_best(p, min_count)) /
            1e3;
   };
-  const std::pair<double, double> p50_p90{at(0.50), at(0.90)};
-  report.layer(prefix + "p50_us", p50_p90.first, "us");
-  report.layer(prefix + "p90_us", p50_p90.second, "us");
+  report.layer(prefix + "p50_us", at(0.50), "us");
+  report.layer(prefix + "p90_us", at(0.90), "us");
   report.layer(prefix + "p99_us", us(s.latency.percentile(0.99)), "us");
   report.layer(prefix + "p999_us", us(s.latency.percentile(0.999)), "us");
   report.layer(prefix + "samples", static_cast<double>(s.latency.count()),
@@ -507,7 +543,6 @@ std::pair<double, double> report_open_loop(Report& report,
   report.layer("gen.lateness_p99_us", us(s.lateness.percentile(0.99)), "us");
   report.layer("gen.lateness_samples", static_cast<double>(s.lateness.count()),
                "count");
-  return p50_p90;
 }
 
 /// The lowest p50 and p90 over passes of closed-loop calls, and every call
@@ -540,8 +575,10 @@ class PassFloor {
   std::int64_t p90_ = std::numeric_limits<std::int64_t>::max();
 };
 
-/// Calls per closed-loop pass (PassFloor).
+/// Calls per closed-loop pass (PassFloor): round trips over the network,
+/// and in-process reads under churn, a few ms either way.
 constexpr int kPassCalls = 256;
+constexpr int kReaderPassCalls = 1024;
 
 /// Median of `count` closed-loop calls of `call(i)`, in us; each call is a
 /// sampled request span named `span_name`.
@@ -625,6 +662,14 @@ void run_net_serve(const Args& args, Report& report, Phases& phases) {
                                        33178, 39813, 47776, 57331};
   constexpr double kSloP90Us = 250;
   constexpr int kClosedRequests = 3000;
+  // The server's threads and the echo's run on one CPU, and so does every
+  // closed-loop client: each round trip then costs the program's syscalls,
+  // loopback TCP, locking and hand-offs between its threads.  Spread over
+  // CPUs, a round trip was mostly the wake-up of an idle virtual CPU, which
+  // moved by up to a third between runs with the load on the host.
+  const int cpu = serving_cpu();
+  report.config("serving_cpu", cpu);
+  std::printf("serving_cpu: %d\n", cpu);
 
   const std::string path = args.work_dir + "/net-serve.rtrsnap";
   std::unique_ptr<NetServeState> st;
@@ -660,6 +705,7 @@ void run_net_serve(const Args& args, Report& report, Phases& phases) {
           std::make_unique<rtr::StaticServingSource>(std::move(epoch), "rtz3");
       rtr::RouteServerOptions so;
       so.batch_threads = kServerBatchThreads;
+      const CpuPin pin(cpu);
       s->server = std::make_unique<rtr::RouteServer>(*s->source, so);
     });
     st = std::move(s);
@@ -692,6 +738,7 @@ void run_net_serve(const Args& args, Report& report, Phases& phases) {
   double echo_floor_us = 0;
   double closed_rtt_us = 0;
   phases.run("server.echo", [&] {
+    const CpuPin pin(cpu);
     const EchoServer echo;
     WireClient client(echo.port());
     echo_floor_us =
@@ -704,6 +751,7 @@ void run_net_serve(const Args& args, Report& report, Phases& phases) {
   // Full depth, closed loop: every answer is compared with the engine's on
   // the same epoch.
   phases.run("server.closed", [&] {
+    const CpuPin pin(cpu);
     WireClient client(port);
     std::int64_t delivered = 0;
     closed_rtt_us = closed_loop_median_us(
@@ -727,6 +775,7 @@ void run_net_serve(const Args& args, Report& report, Phases& phases) {
   });
 
   phases.run("server.http", [&] {
+    const CpuPin pin(cpu);
     HttpClient client(port);
     std::int64_t delivered = 0;
     report.layer(
@@ -774,15 +823,15 @@ void run_net_serve(const Args& args, Report& report, Phases& phases) {
     return s;
   };
 
-  // Closed-loop rtr-wire/1 passes on one session.  Round trips over this
-  // host's loopback moved by 20% from run to run, and a few minutes of
-  // stolen CPU tipped the open loop into a backlog of hundreds of ms, so
-  // query_p50/p90 are pass floors (PassFloor); the open loop's figures are
-  // per-layer.
+  // Closed-loop rtr-wire/1 passes on one session, on the server's CPU.  A
+  // few minutes of stolen CPU tipped the open loop into a backlog of
+  // hundreds of ms, so query_p50/p90 are pass floors (PassFloor); the open
+  // loop's figures are per-layer.
   PassFloor floor;
   WireClient pass_client(port);
   rtr::Rng pass_rng(args.seed + 5);
   auto closed_passes = [&](double seconds) {
+    const CpuPin pin(cpu);
     const auto t0 = Clock::now();
     do {
       rtr::LatencyHistogram pass;
@@ -813,8 +862,8 @@ void run_net_serve(const Args& args, Report& report, Phases& phases) {
   }
   batch.report(report);
   floor.report(report, "server.pass_");
-  (void)report_open_loop(report, "net.", fixed, BlockSummary::kMedianBlock,
-                         kNetBlockSeconds);
+  report_open_loop(report, "net.", fixed, BlockSummary::kMedianBlock,
+                   kNetBlockSeconds);
   report.layer("server.loopback_floor_us", echo_floor_us, "us");
   report.layer("server.rtt_closed_p50_us", closed_rtt_us, "us");
   report.layer("server.overhead_us",
@@ -851,6 +900,7 @@ void run_net_serve(const Args& args, Report& report, Phases& phases) {
   });
 
   phases.run("trace.overhead", [&] {
+    const CpuPin pin(cpu);
     WireClient client(port);
     measure_trace_overhead(report, args.trace, [&] {
       return closed_loop_median_us(
@@ -965,7 +1015,15 @@ void run_churn_repair(const Args& args, Report& report, Phases& phases) {
   // One reader queries by name throughout, closed loop, in passes.  Its
   // latency while epochs build and swap moved by 20-40% from run to run,
   // open loop or closed, whatever the blocks, so query_p50/p90 are pass
-  // floors (PassFloor).
+  // floors (PassFloor).  Every pass replays the same pairs, so passes
+  // differ only in the epoch they read and what the host did meanwhile.
+  std::vector<std::pair<NodeName, NodeName>> reader_pairs;
+  {
+    rtr::Rng rng(args.seed + 4);
+    for (int j = 0; j < kReaderPassCalls; ++j) {
+      reader_pairs.push_back(random_names(rng, kNodes));
+    }
+  }
   phases.run("serve.churn", [&] {
     std::atomic<bool> stop{false};
     std::uint64_t last_epoch = 0;
@@ -974,15 +1032,13 @@ void run_churn_repair(const Args& args, Report& report, Phases& phases) {
     std::int64_t delivered = 0;
     PassFloor floor;
     std::exception_ptr reader_error;
-    rtr::Rng rng(args.seed + 4);
     const std::uint64_t parent = t_open_span;
     std::thread reader_thread([&] {
       try {
         const AdoptParent adopt(parent);
         while (!stop.load(std::memory_order_relaxed)) {
           rtr::LatencyHistogram pass;
-          for (int j = 0; j < kPassCalls; ++j) {
-            const auto [src, dst] = random_names(rng, kNodes);
+          for (const auto& [src, dst] : reader_pairs) {
             const auto idx = static_cast<std::uint64_t>(attempted);
             const auto t0 = Clock::now();
             rtr::ServingResult r;
@@ -1130,22 +1186,49 @@ void run_snapshot_batch(const Args& args, Report& report, Phases& phases) {
     check_quality(phases, report, *engine, *inst.metric, sample, *mapped);
   });
 
-  // Batch slices and in-process open-loop slices, interleaved.
-  rtr::Rng rng(args.seed + 4);
+  // Batch slices, in-process open-loop slices and closed-loop passes,
+  // interleaved.  Every block of the open loop, and every pass, replays the
+  // same pairs in the same order, so they differ only in what the host did
+  // meanwhile.  Idle between requests, the open loop's figures moved by
+  // 10-15% between runs with the load on the host, so query_p50/p90 are
+  // pass floors of back-to-back calls (PassFloor), and the open loop's are
+  // per-layer.
+  const auto pairs_per_block =
+      static_cast<std::int64_t>(kServeQps * kInProcessBlockSeconds);
+  if (pairs_per_block > static_cast<std::int64_t>(sample.size())) {
+    throw std::logic_error("fewer sampled pairs than requests in a block");
+  }
+  PassFloor floor;
+  auto closed_passes = [&](double seconds) {
+    const auto t0 = Clock::now();
+    do {
+      rtr::LatencyHistogram pass;
+      std::int64_t delivered = 0;
+      for (std::int64_t j = 0; j < pairs_per_block; ++j) {
+        const auto& q = sample[static_cast<std::size_t>(j)];
+        const auto t = Clock::now();
+        if (engine->serve(q.src, q.dst).ok()) ++delivered;
+        pass.record((Clock::now() - t).count());
+      }
+      phases.count(pairs_per_block, delivered);
+      floor.add(pass);
+    } while (seconds_since(t0) < seconds);
+  };
   std::uint64_t base = 0;
   LoadStats serve;
   for (int round = 0; round < kRounds; ++round) {
     phases.run("net.batch",
-               [&] { batch.run_for(0.4 * args.seconds / kRounds); });
+               [&] { batch.run_for(0.3 * args.seconds / kRounds); });
+    phases.run("net.passes",
+               [&] { closed_passes(0.2 * args.seconds / kRounds); });
     phases.run("net.openloop", [&] {
       OpenLoopPlan plan;
       plan.total_qps = kServeQps;
-      plan.seconds = 0.35 * args.seconds / kRounds;
+      plan.seconds = 0.25 * args.seconds / kRounds;
       plan.block_seconds = kInProcessBlockSeconds;
       plan.busy_wait = true;
       const LoadStats s = run_open_loop(plan, [&](int, std::int64_t k) {
-        const auto& q = sample[static_cast<std::size_t>(
-            rng.index(static_cast<std::int64_t>(sample.size())))];
+        const auto& q = sample[static_cast<std::size_t>(k % pairs_per_block)];
         const auto idx = base + static_cast<std::uint64_t>(k);
         const Span span(request_span(args.seed, idx, "net.serve"), idx + 1,
                         static_cast<double>(kSpanSampleEvery));
@@ -1157,11 +1240,9 @@ void run_snapshot_batch(const Args& args, Report& report, Phases& phases) {
     });
   }
   batch.report(report);
-  const auto [p50, p90] = report_open_loop(
-      report, "net.", serve, BlockSummary::kQuietestBlock,
-      kInProcessBlockSeconds);
-  report.e2e("query_p50_us", p50, "us");
-  report.e2e("query_p90_us", p90, "us");
+  floor.report(report, "net.pass_");
+  report_open_loop(report, "net.", serve, BlockSummary::kQuietestBlock,
+                   kInProcessBlockSeconds);
 
   phases.run("trace.overhead", [&] {
     measure_trace_overhead(report, args.trace, [&] {
