@@ -45,7 +45,7 @@ void run() {
   }
   std::cout << table.render();
 
-  TableStats stats = hierarchy_node_stats(hierarchy, inst.n(), inst.n(),
+  TableStats stats = hierarchy_node_stats(CoverTable(hierarchy), inst.n(),
                                           inst.graph().port_space());
   std::cout << "\nper-node membership storage: " << stats.brief() << "\n";
 }

@@ -26,13 +26,13 @@ int main() {
   PolyStretchScheme::Options opts;
   opts.k = 3;
   PolyStretchScheme scheme(graph, metric, names, opts);
-  const CoverHierarchy& hierarchy = scheme.hierarchy();
+  const CoverTable& cover = scheme.cover();
 
   // Collect every cluster center in the hierarchy for display.
   std::vector<char> is_center(static_cast<std::size_t>(graph.node_count()), 0);
-  for (std::int32_t level = 0; level < hierarchy.level_count(); ++level) {
-    for (const DoubleTree& t : hierarchy.level(level).trees) {
-      is_center[static_cast<std::size_t>(t.center())] = 1;
+  for (NodeId v = 0; v < graph.node_count(); ++v) {
+    for (std::int64_t i = cover.begin(v); i < cover.end(v); ++i) {
+      if (cover.at(i).is_center != 0) is_center[static_cast<std::size_t>(v)] = 1;
     }
   }
 
@@ -55,6 +55,6 @@ int main() {
             << static_cast<double>(result.roundtrip_length()) /
                    static_cast<double>(metric.r(src, dst))
             << " (bound " << scheme.stretch_bound() << ")\n"
-            << "hierarchy levels: " << hierarchy.level_count() << "\n";
+            << "hierarchy levels: " << cover.level_count() << "\n";
   return result.ok() ? 0 : 1;
 }

@@ -1,84 +1,30 @@
 // Snapshot-file audit: framing, per-section CRC, and cross-section
 // referential integrity, all without constructing the scheme (the scheme
-// section's payload is validated by its CRC here and decoded only by a real
-// load).  Corruption never throws -- it becomes failed report entries, so
+// sections' payloads are validated by their CRCs here and viewed only by a
+// real load).  Corruption never throws -- it becomes failed report entries, so
 // one damaged section does not hide the health of the others.
 //
-// v1 files are probed and decoded section by section (owned buffers -- the
-// streamed format cannot be viewed in place).  v2 files are mmap(2)'d and
-// audited entirely through FlatVec views over the mapping: CRCs recompute
-// against the mapped bytes and the graph/names structural audits run on
-// view-backed structures, so the auditor never materializes an owning copy
-// of the arena.
+// The file is mmap(2)'d and audited entirely through FlatVec views over the
+// mapping: CRCs recompute against the mapped bytes and the graph/names
+// structural audits run on view-backed structures, so the auditor never
+// materializes an owning copy of the arena.  A file of another format
+// version fails the "framing" entry.
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "audit/audit.h"
 #include "core/names.h"
 #include "graph/digraph.h"
 #include "io/arena.h"
-#include "io/snapshot.h"
 
 namespace rtr {
 
 namespace {
 
-/// Decodes one CRC-valid section payload into a structure, translating any
-/// decode exception into a failed entry.  Empty optional on failure.
-template <typename F>
-auto decode_section(AuditReport& report, const std::string& section_name,
-                    const std::vector<std::uint8_t>& payload, F decode)
-    -> std::optional<decltype(decode(std::declval<SnapshotReader&>()))> {
-  try {
-    SnapshotReader r(payload.data(), payload.size());
-    auto out = decode(r);
-    r.expect_exhausted(section_name + " section");
-    report.check("decodes", true);
-    return out;
-  } catch (const std::exception& e) {
-    report.check("decodes", false, e.what());
-    return std::nullopt;
-  }
-}
-
-/// Re-reads one section's payload bytes at the offset the probe recorded.
-/// Empty optional-style return: `ok` false when the file shrank or the read
-/// failed (a racing writer) -- the caller records that, not an exception.
-bool read_payload(const std::string& path, const SnapshotSectionStatus& s,
-                  std::vector<std::uint8_t>& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out.resize(static_cast<std::size_t>(s.bytes));
-  in.seekg(static_cast<std::streamoff>(s.payload_offset));
-  in.read(reinterpret_cast<char*>(out.data()),
-          static_cast<std::streamsize>(out.size()));
-  return static_cast<bool>(in);
-}
-
-/// Reads the version field of the file's prologue, or 0 when the file is
-/// unreadable, too short, or does not start with the snapshot magic (those
-/// all fall through to the v1 probe path, which reports the exact problem).
-std::uint32_t peek_file_version(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 0;
-  std::uint8_t buf[kArenaMagicSize + 4];
-  in.read(reinterpret_cast<char*>(buf), sizeof(buf));
-  if (!in) return 0;
-  if (std::memcmp(buf, snapshot_magic(), kArenaMagicSize) != 0) return 0;
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | buf[kArenaMagicSize + static_cast<std::size_t>(i)];
-  }
-  return v;
-}
-
-/// The v2 branch: audits the arena through the file mapping alone.  Every
-/// CRC recomputes against the mapped bytes and the graph/names structural
-/// audits run on from_arena views -- no owned copy of any section is made.
+/// Audits the arena through the file mapping alone.  Every CRC recomputes
+/// against the mapped bytes and the graph/names structural audits run on
+/// from_arena views -- no owned copy of any section is made.
 void audit_arena_snapshot(const std::string& path, AuditReport& report) {
   std::shared_ptr<const ArenaStorage> storage;
   try {
@@ -109,9 +55,8 @@ void audit_arena_snapshot(const std::string& path, AuditReport& report) {
                      std::to_string(actual));
   }
 
-  // A v2 snapshot carries the graph arrays, the name permutation, and at
-  // least one scheme-owned section (arena tables or the "scheme/blob"
-  // v1-encoded fallback).
+  // A snapshot carries the graph arrays, the name permutation, and at least
+  // one scheme-owned section.
   bool has_scheme = false;
   for (const ArenaDirEntry& e : view.entries()) {
     if (e.name_str().rfind("scheme/", 0) == 0) has_scheme = true;
@@ -119,11 +64,10 @@ void audit_arena_snapshot(const std::string& path, AuditReport& report) {
   report.check(
       "sections-complete",
       view.has("graph/offset") && view.has("names/name_of") && has_scheme,
-      "a v2 snapshot carries graph/*, names/*, and scheme/* sections");
+      "a snapshot carries graph/*, names/*, and scheme/* sections");
 
   // Structural audits over zero-copy views.  from_arena validates counts
-  // against the header, so "decodes" here also covers the v1 path's
-  // header-counts-match-graph cross-check.
+  // against the header.
   std::optional<Digraph> graph;
   {
     auto sec_scope = report.scope("graph");
@@ -172,93 +116,7 @@ void audit_arena_snapshot(const std::string& path, AuditReport& report) {
 
 void audit_snapshot_file(const std::string& path, AuditReport& report) {
   auto scope = report.scope("snapshot");
-
-  if (peek_file_version(path) == kSnapshotVersionV2) {
-    audit_arena_snapshot(path, report);
-    return;
-  }
-
-  SnapshotFileStatus status;
-  try {
-    status = probe_snapshot(path);
-  } catch (const SnapshotError& e) {
-    report.check("readable", false, e.what());
-    return;
-  }
-  report.check("readable", true);
-  report.check("framing", status.framing_ok, status.framing_error);
-
-  // Per-section CRC entries even when framing died mid-walk: whatever the
-  // probe reached is reported.
-  for (const auto& s : status.sections) {
-    auto sec = report.scope(s.name);
-    report.check("crc", s.crc_ok,
-                 s.crc_ok ? ""
-                          : "stored " + std::to_string(s.stored_crc) +
-                                " != actual " + std::to_string(s.actual_crc));
-  }
-  if (!status.framing_ok) return;
-
-  const SnapshotSectionStatus* graph_sec = nullptr;
-  const SnapshotSectionStatus* names_sec = nullptr;
-  const SnapshotSectionStatus* scheme_sec = nullptr;
-  for (const auto& s : status.sections) {
-    if (s.name == "graph") graph_sec = &s;
-    if (s.name == "names") names_sec = &s;
-    if (s.name == "scheme") scheme_sec = &s;
-  }
-  report.check("sections-complete",
-               graph_sec != nullptr && names_sec != nullptr &&
-                   scheme_sec != nullptr,
-               "a v1 snapshot carries graph, names, and scheme sections");
-
-  // Cross-section integrity: decode the graph and names sections (cheap
-  // relative to scheme construction), run their own structural audits, and
-  // cross-check the header's advertised counts.
-  std::optional<Digraph> graph;
-  if (graph_sec != nullptr && graph_sec->crc_ok) {
-    std::vector<std::uint8_t> payload;
-    if (read_payload(path, *graph_sec, payload)) {
-      auto sec_scope = report.scope("graph");
-      graph = decode_section(report, graph_sec->name, payload,
-                             [](SnapshotReader& r) { return load_digraph(r); });
-    } else {
-      auto sec_scope = report.scope("graph");
-      report.check("decodes", false, "file changed while auditing");
-    }
-    // Digraph::audit scopes itself as "graph", so run it un-nested.
-    if (graph) graph->audit(report);
-  }
-
-  std::optional<NameAssignment> names;
-  if (names_sec != nullptr && names_sec->crc_ok) {
-    auto sec_scope = report.scope("names");
-    std::vector<std::uint8_t> payload;
-    if (read_payload(path, *names_sec, payload)) {
-      names = decode_section(
-          report, names_sec->name, payload,
-          [](SnapshotReader& r) { return NameAssignment::load(r); });
-      if (names) names->audit(report);
-    } else {
-      report.check("decodes", false, "file changed while auditing");
-    }
-  }
-
-  if (graph) {
-    report.check(
-        "header-counts-match-graph",
-        graph->node_count() == status.node_count &&
-            graph->edge_count() == status.edge_count,
-        "header advertises n=" + std::to_string(status.node_count) + " m=" +
-            std::to_string(status.edge_count) + ", graph section holds n=" +
-            std::to_string(graph->node_count()) + " m=" +
-            std::to_string(graph->edge_count()));
-  }
-  if (graph && names) {
-    report.check("names-match-graph",
-                 names->node_count() == graph->node_count(),
-                 "name permutation size vs graph section node count");
-  }
+  audit_arena_snapshot(path, report);
 }
 
 }  // namespace rtr

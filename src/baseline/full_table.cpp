@@ -6,38 +6,33 @@
 
 #include "audit/audit.h"
 #include "graph/dijkstra.h"
-#include "io/snapshot_format.h"
+#include "io/arena.h"
 #include "rt/repair_oracle.h"
 #include "util/bit_cost.h"
 
 namespace rtr {
 
-void FullTableScheme::save(SnapshotWriter& w) const {
-  names_.save(w);
-  w.vec(next_port_, [](SnapshotWriter& ww, const std::vector<Port>& row) {
-    ww.vec_i32(row);
-  });
-  w.i64(node_space_);
-  w.i64(port_space_);
+void FullTableScheme::save_arena(ArenaWriter& w,
+                                 const std::string& prefix) const {
+  w.add(prefix + "next_port", next_port_);
+  SnapshotWriter meta;
+  meta.i64(node_space_);
+  meta.i64(port_space_);
+  w.add_bytes(prefix + "meta", meta.bytes().data(), meta.size());
 }
 
-FullTableScheme::FullTableScheme(SnapshotReader& r)
-    : names_(NameAssignment::load(r)) {
-  next_port_ = r.vec<std::vector<Port>>(
-      [](SnapshotReader& rr) { return rr.vec_i32(); }, 8);
-  const auto n = static_cast<std::size_t>(names_.node_count());
-  if (next_port_.size() != n) {
-    throw std::invalid_argument(
-        "fulltable snapshot: table count does not match the naming");
-  }
-  for (const auto& row : next_port_) {
-    if (row.size() != n) {
-      throw std::invalid_argument(
-          "fulltable snapshot: row size does not match the naming");
-    }
-  }
-  node_space_ = r.i64();
-  port_space_ = r.i64();
+FullTableScheme FullTableScheme::from_arena(const ArenaView& a,
+                                            const std::string& prefix,
+                                            const NameAssignment& names) {
+  FullTableScheme s(names);
+  const auto n = static_cast<std::uint64_t>(names.node_count());
+  s.next_port_ = a.vec<Port>(prefix + "next_port", n * n);
+  SnapshotReader meta = a.reader(prefix + "meta");
+  s.node_space_ = meta.i64();
+  s.port_space_ = meta.i64();
+  meta.expect_exhausted("fulltable arena meta");
+  s.arena_ = a.storage();
+  return s;
 }
 
 FullTableScheme::FullTableScheme(const Digraph& g, const NameAssignment& names)
@@ -45,9 +40,9 @@ FullTableScheme::FullTableScheme(const Digraph& g, const NameAssignment& names)
       node_space_(g.node_count()),
       port_space_(g.port_space()) {
   const NodeId n = g.node_count();
+  const auto nz = static_cast<std::size_t>(n);
   const Digraph reversed = g.reversed();
-  next_port_.assign(static_cast<std::size_t>(n),
-                    std::vector<Port>(static_cast<std::size_t>(n), kNoPort));
+  std::vector<Port> next_port(nz * nz, kNoPort);
   // One in-tree per destination: every node's next hop toward it.
   DijkstraWorkspace ws;
   for (NodeId dest = 0; dest < n; ++dest) {
@@ -58,10 +53,12 @@ FullTableScheme::FullTableScheme(const Digraph& g, const NameAssignment& names)
       if (in.next_port[static_cast<std::size_t>(v)] == kNoPort) {
         throw std::invalid_argument("FullTableScheme: graph not strongly connected");
       }
-      next_port_[static_cast<std::size_t>(v)][static_cast<std::size_t>(dest_name)] =
+      next_port[static_cast<std::size_t>(v) * nz +
+                static_cast<std::size_t>(dest_name)] =
           in.next_port[static_cast<std::size_t>(v)];
     }
   }
+  next_port_ = std::move(next_port);
 }
 
 std::shared_ptr<const FullTableScheme> FullTableScheme::repair(
@@ -69,9 +66,10 @@ std::shared_ptr<const FullTableScheme> FullTableScheme::repair(
     const Digraph& new_graph, const NameAssignment& names,
     const ChurnDelta& delta) {
   const NodeId n = new_graph.node_count();
+  const auto nz = static_cast<std::size_t>(n);
   if (old_graph.node_count() != n || names.node_count() != n ||
       old_scheme.names_.node_count() != n ||
-      old_scheme.next_port_.size() != static_cast<std::size_t>(n)) {
+      old_scheme.next_port_.size() != nz * nz) {
     return nullptr;
   }
   for (NodeId v = 0; v < n; ++v) {
@@ -81,12 +79,10 @@ std::shared_ptr<const FullTableScheme> FullTableScheme::repair(
   const std::vector<char> dirty =
       dirty_in_tree_destinations(old_graph, new_graph, delta);
 
-  std::shared_ptr<FullTableScheme> s(new FullTableScheme());
-  s->names_ = names;
+  std::shared_ptr<FullTableScheme> s(new FullTableScheme(names));
   s->node_space_ = n;
   s->port_space_ = new_graph.port_space();
-  s->next_port_.assign(static_cast<std::size_t>(n),
-                       std::vector<Port>(static_cast<std::size_t>(n), kNoPort));
+  std::vector<Port> next_port(nz * nz, kNoPort);
   const Digraph reversed = new_graph.reversed();
   DijkstraWorkspace ws;
   for (NodeId dest = 0; dest < n; ++dest) {
@@ -94,9 +90,8 @@ std::shared_ptr<const FullTableScheme> FullTableScheme::repair(
     if (dirty[static_cast<std::size_t>(dest)] == 0) {
       // Every changed edge is strictly slack toward dest on its own sides:
       // the in-tree -- hence this next-hop column -- is provably unchanged.
-      for (NodeId v = 0; v < n; ++v) {
-        s->next_port_[static_cast<std::size_t>(v)][dn] =
-            old_scheme.next_port_[static_cast<std::size_t>(v)][dn];
+      for (std::size_t v = 0; v < nz; ++v) {
+        next_port[v * nz + dn] = old_scheme.next_port_[v * nz + dn];
       }
       continue;
     }
@@ -106,10 +101,11 @@ std::shared_ptr<const FullTableScheme> FullTableScheme::repair(
       if (in.next_port[static_cast<std::size_t>(v)] == kNoPort) {
         return nullptr;  // churn broke strong connectivity; rebuild decides
       }
-      s->next_port_[static_cast<std::size_t>(v)][dn] =
+      next_port[static_cast<std::size_t>(v) * nz + dn] =
           in.next_port[static_cast<std::size_t>(v)];
     }
   }
+  s->next_port_ = std::move(next_port);
   return s;
 }
 
@@ -122,16 +118,14 @@ Decision FullTableScheme::forward(NodeId at, Header& h) const {
       [[fallthrough]];
     case Mode::kOutbound: {
       if (at_name == h.dest) return Decision::deliver_here();
-      return Decision::forward_on(
-          next_port_[static_cast<std::size_t>(at)][static_cast<std::size_t>(h.dest)]);
+      return Decision::forward_on(next_port(at, h.dest));
     }
     case Mode::kReturn:
       h.mode = Mode::kInbound;
       [[fallthrough]];
     case Mode::kInbound: {
       if (at_name == h.src) return Decision::deliver_here();
-      return Decision::forward_on(
-          next_port_[static_cast<std::size_t>(at)][static_cast<std::size_t>(h.src)]);
+      return Decision::forward_on(next_port(at, h.src));
     }
   }
   throw std::logic_error("full-table: bad mode");
@@ -149,20 +143,14 @@ void FullTableScheme::audit(AuditReport& report) const {
     names_.audit(report);
   }
   const auto n = static_cast<std::size_t>(names_.node_count());
-  report.check("tables-sized", next_port_.size() == n,
-               "one next-hop row per node");
-  if (next_port_.size() != n) return;
+  report.check("tables-sized", next_port_.size() == n * n,
+               "one next-hop row per node, one entry per destination name");
+  if (next_port_.size() != n * n) return;
 
   bool rows_ok = true;
   std::string detail;
   for (std::size_t u = 0; rows_ok && u < n; ++u) {
-    const auto& row = next_port_[u];
-    if (row.size() != n) {
-      rows_ok = false;
-      detail = "row of node " + std::to_string(u) +
-               " does not cover every destination name";
-      break;
-    }
+    const Port* row = next_port_.data() + u * n;
     for (std::size_t dest = 0; dest < n; ++dest) {
       const bool self = names_.id_of(static_cast<NodeName>(dest)) ==
                         static_cast<NodeId>(u);
@@ -179,7 +167,7 @@ void FullTableScheme::audit(AuditReport& report) const {
 }
 
 TableStats FullTableScheme::table_stats() const {
-  const auto n = static_cast<NodeId>(next_port_.size());
+  const NodeId n = names_.node_count();
   TableStats stats(n);
   const std::int64_t per_entry = bits_for(node_space_) + bits_for(port_space_);
   for (NodeId v = 0; v < n; ++v) {

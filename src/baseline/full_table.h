@@ -18,10 +18,14 @@
 #include "core/names.h"
 #include "net/simulator.h"
 #include "rt/metric.h"
+#include "util/flat_vec.h"
 
 namespace rtr {
 
 struct ChurnDelta;  // graph/churn_delta.h
+class ArenaStorage;  // io/arena.h
+class ArenaView;
+class ArenaWriter;
 
 class FullTableScheme {
  public:
@@ -39,9 +43,15 @@ class FullTableScheme {
       const Digraph& new_graph, const NameAssignment& names,
       const ChurnDelta& delta);
 
-  /// Snapshot path: rehydrates the next-hop tables saved with save().
-  explicit FullTableScheme(SnapshotReader& r);
-  void save(SnapshotWriter& w) const;
+  /// Appends the next-hop rows as one flat section plus a meta section
+  /// under `prefix`.
+  void save_arena(ArenaWriter& w, const std::string& prefix) const;
+
+  /// Rebuilds a scheme whose rows are a zero-copy view into an arena;
+  /// `names` are the snapshot's own name sections.
+  [[nodiscard]] static FullTableScheme from_arena(const ArenaView& a,
+                                                  const std::string& prefix,
+                                                  const NameAssignment& names);
 
   enum class Mode : std::uint8_t { kNew, kOutbound, kReturn, kInbound };
 
@@ -72,11 +82,21 @@ class FullTableScheme {
 
  private:
   friend struct AuditTestPeer;
-  /// Repair path: members are filled in by repair() after construction.
-  FullTableScheme() : names_(NameAssignment::identity(0)) {}
+  /// Repair and arena paths: members are filled in after construction.
+  explicit FullTableScheme(const NameAssignment& names) : names_(names) {}
+
+  [[nodiscard]] Port next_port(NodeId u, NodeName dest) const {
+    return next_port_[static_cast<std::size_t>(u) *
+                          static_cast<std::size_t>(names_.node_count()) +
+                      static_cast<std::size_t>(dest)];
+  }
+
   NameAssignment names_;
-  // next_port_[u][dest_name]: port of the first edge on a shortest u->dest path.
-  std::vector<std::vector<Port>> next_port_;
+  // Row-major n x n: entry (u, dest_name) is the port of the first edge on
+  // a shortest u->dest path (kNoPort on the diagonal).
+  FlatVec<Port> next_port_;
+  /// Keepalive when the rows are a view into a mapped arena.
+  std::shared_ptr<const ArenaStorage> arena_;
   std::int64_t node_space_ = 0;
   std::int64_t port_space_ = 0;
 };

@@ -299,9 +299,13 @@ CellResult run_cell(const Instance& inst, const std::string& scheme_name,
       const auto t1 = Clock::now();
       SchemeHandle mapped = map_snapshot(path.string(), scheme_name);
       cell.snapshot_map_ms = ms_since(t1);
-    } catch (const std::exception&) {
-      // Phase skipped; the cell still stands.  Whichever of the two columns
-      // was not reached keeps its -1 sentinel, which the gates never compare.
+    } catch (const SnapshotError& e) {
+      // A scheme with hooks must save, load, and map: a failure fails the
+      // cell (and the run) like a failed query, with the reason attached.
+      cell.failures += 1;
+      if (cell.first_error.empty()) {
+        cell.first_error = std::string("snapshot phase: ") + e.what();
+      }
     }
     std::error_code ec;
     fs::remove(path, ec);
@@ -578,79 +582,6 @@ HotPathDelta measure_rtz3_dict_delta(const Instance& inst, Family family,
   return d;
 }
 
-/// Before/after for snapshot warm-start: the v1 streamed deserialization
-/// (decode every table into owning buffers, full payload CRC) vs the v2
-/// arena mmap load-in-place (open + header/directory check + offset fixup;
-/// tables are served straight off the mapping).  Both files freeze the SAME
-/// built stretch6 scheme, and both loaded handles are asserted to answer an
-/// identical query sample, so the delta measures the load path alone.  The
-/// gap is the tentpole claim -- O(tables) decode vs O(ms) at any n -- so the
-/// caller hands in the big (n >= 4096) instance where the decode cost shows.
-HotPathDelta measure_snapshot_map_delta(const Instance& inst, Family family,
-                                        std::uint64_t seed) {
-  namespace fs = std::filesystem;
-  BuildContext ctx =
-      BuildContext::wrap(inst.graph, inst.metric, inst.names, seed);
-  auto scheme = SchemeRegistry::global().build("stretch6", ctx);
-  SchemeHandle built(inst.graph, inst.names, scheme);
-  const fs::path dir = fs::temp_directory_path();
-  const std::string v1_path = (dir / "rtr_bench_mapdelta_v1.rtrsnap").string();
-  const std::string v2_path = (dir / "rtr_bench_mapdelta_v2.rtrsnap").string();
-  save_snapshot(v1_path, "stretch6", built, SchemeRegistry::global(),
-                kSnapshotVersionV1);
-  save_snapshot(v2_path, "stretch6", built, SchemeRegistry::global(),
-                kSnapshotVersionV2);
-
-  const auto run_v1_load = [&] {
-    SchemeHandle loaded = load_snapshot(v1_path, "stretch6");
-    volatile NodeId sink = loaded.graph().node_count();
-    (void)sink;
-  };
-  const auto run_v2_map = [&] {
-    SchemeHandle mapped = map_snapshot(v2_path, "stretch6");
-    volatile NodeId sink = mapped.graph().node_count();
-    (void)sink;
-  };
-
-  HotPathDelta d;
-  d.name = "snapshot-arena-map";
-  d.metric = "snapshot_load_ms";
-  d.scheme = "stretch6";
-  d.family = family_name(family);
-  d.n = inst.graph->node_count();
-  d.before = run_timed(delta_policy(), run_v1_load).best_ms;
-  d.after = run_timed(delta_policy(), run_v2_map).best_ms;
-
-  // Route-for-route equivalence of the two load paths on a query sample; a
-  // divergence invalidates the measurement (and the format).
-  {
-    SchemeHandle v1_handle = load_snapshot(v1_path, "stretch6");
-    SchemeHandle v2_handle = map_snapshot(v2_path, "stretch6");
-    QueryEngineOptions opts;
-    opts.threads = 1;
-    const auto pairs =
-        QueryEngine::sample_pairs(inst.graph->node_count(), 512, seed + 1);
-    QueryEngine v1_engine(v1_handle.graph_ptr(), inst.metric, v1_handle.names(),
-                          v1_handle.scheme_ptr(), opts);
-    QueryEngine v2_engine(v2_handle.graph_ptr(), inst.metric, v2_handle.names(),
-                          v2_handle.scheme_ptr(), opts);
-    const StretchReport v1_rep = v1_engine.run_batch(pairs);
-    const StretchReport v2_rep = v2_engine.run_batch(pairs);
-    if (v1_rep.mean_stretch != v2_rep.mean_stretch ||
-        v1_rep.failures != v2_rep.failures ||
-        v1_rep.max_header_bits != v2_rep.max_header_bits) {
-      throw std::logic_error(
-          "bench_harness: mapped v2 snapshot diverged from the v1 load");
-    }
-  }
-  std::error_code ec;
-  fs::remove(v1_path, ec);
-  fs::remove(v2_path, ec);
-  d.improvement_pct =
-      d.before > 0 ? 100.0 * (d.before - d.after) / d.before : 0;
-  return d;
-}
-
 /// Before/after for the batch query path: the seed reference loop
 /// (array-of-structs, per-hop type-erased Packet walk, per-hop header
 /// re-measurement) vs run_batch's structure-of-arrays fast path.  Identical
@@ -814,7 +745,10 @@ SuiteResult run_suite(const BenchConfig& config, std::ostream* progress) {
           *progress << cell.scheme << " " << cell.family << " n=" << cell.n
                     << " build_ms=" << cell.build_ms << " qps=" << cell.qps
                     << " mean_stretch=" << cell.mean_stretch
-                    << " failures=" << cell.failures << "\n";
+                    << " failures=" << cell.failures
+                    << (cell.first_error.empty() ? ""
+                                                 : " error=" + cell.first_error)
+                    << "\n";
         }
         result.cells.push_back(std::move(cell));
       }
@@ -860,10 +794,6 @@ SuiteResult run_suite(const BenchConfig& config, std::ostream* progress) {
                                      config.metric_mode, config.threads);
     result.deltas.push_back(
         measure_rtz3_dict_delta(dict_inst, family, config.seed));
-    // The map delta needs the same big-instance treatment: v1 decode cost is
-    // O(tables), so small n would understate (or noise out) the gap.
-    result.deltas.push_back(
-        measure_snapshot_map_delta(dict_inst, family, config.seed));
     for (const std::string& scheme :
          {std::string("stretch6"), std::string("rtz3")}) {
       if (SchemeRegistry::global().contains(scheme)) {
@@ -1205,11 +1135,12 @@ std::vector<std::string> check_growth_budgets(const Json& doc,
           violations.emplace_back(buf);
         }
       }
-      // Owned snapshot deserialization decodes the same O~(n sqrt n) table
-      // bytes, so it shares the build budget.  A negative value at either
-      // endpoint is the "phase skipped" sentinel (scheme without snapshot
-      // hooks, failed save, old document) -- explicitly skipped, never fed
-      // into a ratio; the min_build_ms floor then drops sub-noise times.
+      // An owned snapshot load reads and checksums the same O~(n sqrt n)
+      // table bytes, so it shares the build budget.  A negative value at
+      // either endpoint is the "phase skipped" sentinel (scheme without
+      // snapshot hooks, phase disabled, old document) -- explicitly skipped,
+      // never fed into a ratio; the min_build_ms floor then drops sub-noise
+      // times.
       if (lo.snapshot_load_ms >= 0 && hi.snapshot_load_ms >= 0 &&
           lo.snapshot_load_ms > options.min_build_ms &&
           hi.snapshot_load_ms > options.min_build_ms) {

@@ -4,63 +4,86 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 
 #include "audit/audit.h"
 #include "graph/apsp.h"
-#include "io/snapshot_format.h"
+#include "io/arena.h"
 #include "util/bit_cost.h"
 #include "util/parallel.h"
 
 namespace rtr {
 
-void ExStretchScheme::save(SnapshotWriter& w) const {
-  names_.save(w);
-  alphabet_.save(w);
-  hierarchy_->save(w);
-  save_block_assignment(w, assignment_);
-  w.u64(tables_.size());
-  for (const NodeTables& t : tables_) {
-    w.sorted_map(
-        t.nbr_r2, [](SnapshotWriter& ww, NodeName k) { ww.i32(k); },
-        [](SnapshotWriter& ww, const R2Label& v) { save_r2_label(ww, v); });
-    w.sorted_map(
-        t.dict, [](SnapshotWriter& ww, std::int64_t k) { ww.i64(k); },
-        [](SnapshotWriter& ww, const DictEntry& v) {
-          ww.i32(v.node);
-          save_r2_label(ww, v.r2);
-        });
-  }
-  w.i64(node_space_);
-  w.i64(port_space_);
+namespace {
+
+/// Per-node build staging; flattened into the CSR arrays in sorted-key order.
+struct DictEntry {
+  NodeName node = kNoNode;
+  R2Label r2;
+};
+struct NodeStaging {
+  std::unordered_map<NodeName, R2Label> nbr_r2;
+  std::unordered_map<std::int64_t, DictEntry> dict;
+};
+
+template <typename Map>
+std::vector<typename Map::key_type> sorted_keys(const Map& m) {
+  std::vector<typename Map::key_type> keys;
+  keys.reserve(m.size());
+  for (const auto& [k, v] : m) keys.push_back(k);
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
-ExStretchScheme::ExStretchScheme(SnapshotReader& r)
-    : names_(NameAssignment::load(r)), alphabet_(Alphabet::load(r)) {
-  hierarchy_ = std::make_shared<const CoverHierarchy>(r);
-  assignment_ = load_block_assignment(r);
-  const std::uint64_t n = r.u64();
-  if (n != static_cast<std::uint64_t>(names_.node_count())) {
-    throw std::invalid_argument(
-        "exstretch snapshot: table count does not match the naming");
-  }
-  tables_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    NodeTables t;
-    t.nbr_r2 = r.map<std::unordered_map<NodeName, R2Label>>(
-        [](SnapshotReader& rr) { return rr.i32(); }, load_r2_label, 8);
-    t.dict = r.map<std::unordered_map<std::int64_t, DictEntry>>(
-        [](SnapshotReader& rr) { return rr.i64(); },
-        [](SnapshotReader& rr) {
-          DictEntry e;
-          e.node = rr.i32();
-          e.r2 = load_r2_label(rr);
-          return e;
-        },
-        8);
-    tables_.push_back(std::move(t));
-  }
-  node_space_ = r.i64();
-  port_space_ = r.i64();
+
+}  // namespace
+
+void ExStretchScheme::save_arena(ArenaWriter& w,
+                                 const std::string& prefix) const {
+  cover_.save_arena(w, prefix + "cover/");
+  w.add(prefix + "nbr_off", nbr_off_);
+  w.add(prefix + "nbr_key", nbr_key_);
+  nbr_r2_.save_arena(w, prefix + "nbr_r2_");
+  w.add(prefix + "dict_off", dict_off_);
+  w.add(prefix + "dict_key", dict_key_);
+  w.add(prefix + "dict_node", dict_node_);
+  dict_r2_.save_arena(w, prefix + "dict_r2_");
+  // The name assignment is NOT embedded: the arena's top-level names
+  // sections are the same assignment, and the loader receives them.
+  SnapshotWriter meta;
+  alphabet_.save(meta);
+  save_block_assignment(meta, assignment_);
+  meta.i64(node_space_);
+  meta.i64(port_space_);
+  w.add_bytes(prefix + "meta", meta.bytes().data(), meta.size());
+}
+
+ExStretchScheme ExStretchScheme::from_arena(const ArenaView& a,
+                                            const std::string& prefix,
+                                            const NameAssignment& names) {
+  SnapshotReader meta = a.reader(prefix + "meta");
+  ExStretchScheme s(names, Alphabet::load(meta));
+  s.assignment_ = load_block_assignment(meta);
+  s.node_space_ = meta.i64();
+  s.port_space_ = meta.i64();
+  meta.expect_exhausted("exstretch arena meta");
+
+  const NodeId n = names.node_count();
+  const auto rows = static_cast<std::uint64_t>(n) + 1;
+  s.cover_ = CoverTable::from_arena(a, prefix + "cover/", n);
+  s.nbr_off_ = a.vec<std::int64_t>(prefix + "nbr_off", rows);
+  s.nbr_key_ = a.vec<NodeName>(prefix + "nbr_key");
+  s.nbr_r2_ =
+      PackedR2Labels::from_arena(a, prefix + "nbr_r2_", s.nbr_key_.size());
+  s.dict_off_ = a.vec<std::int64_t>(prefix + "dict_off", rows);
+  s.dict_key_ = a.vec<std::int32_t>(prefix + "dict_key");
+  s.dict_node_ = a.vec<NodeName>(prefix + "dict_node", s.dict_key_.size());
+  s.dict_r2_ =
+      PackedR2Labels::from_arena(a, prefix + "dict_r2_", s.dict_key_.size());
+  check_csr_offsets(s.nbr_off_, s.nbr_key_.size(), prefix + "nbr_off");
+  check_csr_offsets(s.dict_off_, s.dict_key_.size(), prefix + "dict_off");
+  s.arena_ = a.storage();
+  return s;
 }
 
 ExStretchScheme::ExStretchScheme(const Digraph& g, const RoundtripMetric& metric,
@@ -75,7 +98,12 @@ ExStretchScheme::ExStretchScheme(const Digraph& g, const RoundtripMetric& metric
   const std::int64_t q = alphabet_.q();
   const int threads = resolve_apsp_threads(options.threads);
   const Digraph reversed = g.reversed();
-  hierarchy_ = std::make_shared<CoverHierarchy>(g, reversed, metric, k, threads);
+  hierarchy_ =
+      std::make_shared<const CoverHierarchy>(g, reversed, metric, k, threads);
+  cover_ = CoverTable(*hierarchy_);
+  if (static_cast<std::int64_t>(k) * alphabet_.power(k) > INT32_MAX) {
+    throw std::length_error("exstretch: dictionary keys exceed 32 bits");
+  }
 
   // Lemma 4 and item (2) only read Init_u up to the level-(k-1) neighborhood
   // q^{k-1}, so truncated rows suffice.
@@ -121,13 +149,13 @@ ExStretchScheme::ExStretchScheme(const Digraph& g, const RoundtripMetric& metric
     }
   }
 
-  tables_.resize(static_cast<std::size_t>(n));
-  // Both per-node table loops write only tables_[u], so they fan out over
+  std::vector<NodeStaging> tables(static_cast<std::size_t>(n));
+  // Both per-node table loops write only tables[u], so they fan out over
   // the ticket pool; (2) and (3) fuse into one pass per node.
   parallel_tickets(n, threads, [&] {
     return [&](std::int64_t ticket) {
     const auto u = static_cast<NodeId>(ticket);
-    auto& tab = tables_[static_cast<std::size_t>(u)];
+    auto& tab = tables[static_cast<std::size_t>(u)];
 
     // (2): R2 for the immediate neighborhood N_1(u) (first q of Init_u).
     for (NodeId v : hoods.prefix(u, static_cast<NodeId>(q))) {
@@ -182,31 +210,59 @@ ExStretchScheme::ExStretchScheme(const Digraph& g, const RoundtripMetric& metric
     }
     };
   });
+
+  // Flatten in sorted-key order.
+  std::vector<std::int64_t> nbr_off{0}, dict_off{0};
+  std::vector<NodeName> nbr_key, dict_node;
+  std::vector<std::int32_t> dict_key;
+  std::vector<R2Label> nbr_r2, dict_r2;
+  for (const NodeStaging& tab : tables) {
+    for (const NodeName v : sorted_keys(tab.nbr_r2)) {
+      nbr_key.push_back(v);
+      nbr_r2.push_back(tab.nbr_r2.at(v));
+    }
+    nbr_off.push_back(static_cast<std::int64_t>(nbr_key.size()));
+    for (const std::int64_t key : sorted_keys(tab.dict)) {
+      const DictEntry& entry = tab.dict.at(key);
+      dict_key.push_back(static_cast<std::int32_t>(key));
+      dict_node.push_back(entry.node);
+      dict_r2.push_back(entry.r2);
+    }
+    dict_off.push_back(static_cast<std::int64_t>(dict_key.size()));
+  }
+  nbr_off_ = std::move(nbr_off);
+  nbr_key_ = std::move(nbr_key);
+  nbr_r2_ = PackedR2Labels(nbr_r2);
+  dict_off_ = std::move(dict_off);
+  dict_key_ = std::move(dict_key);
+  dict_node_ = std::move(dict_node);
+  dict_r2_ = PackedR2Labels(dict_r2);
 }
 
 Decision ExStretchScheme::advance(NodeId at, Header& h) const {
-  const auto& tab = tables_[static_cast<std::size_t>(at)];
   const NodeName at_name = names_.name_of(at);
   const int k = alphabet_.k();
   while (h.hop < k) {
     const int i = h.hop;
     const PrefixValue p = alphabet_.prefix_value(h.dest, i + 1);
-    auto it = tab.dict.find(pack(i, p));
-    if (it == tab.dict.end()) {
+    const std::int64_t e = find_in_row(
+        dict_off_, dict_key_, at, static_cast<std::int32_t>(pack(i, p)));
+    if (e < 0) {
       throw std::logic_error(
           "exstretch: waypoint lacks the dictionary entry its invariant promises");
     }
-    const DictEntry& entry = it->second;
-    if (entry.node == at_name) {
+    const NodeName node = dict_node_[static_cast<std::size_t>(e)];
+    if (node == at_name) {
       ++h.hop;  // v_{i+1} == v_i: advance locally at zero cost
       continue;
     }
     // Push the retrace information and launch the leg (Fig. 4's push).
-    h.stack.push_back(StackEntry{entry.r2.tree, entry.r2.label_u});
-    h.leg = DtLeg{entry.r2.tree, entry.r2.label_v, true};
-    h.waypoint = entry.node;
+    const R2Label r2 = dict_r2_.at(static_cast<std::size_t>(e));
+    h.stack.push_back(StackEntry{r2.tree, r2.label_u});
+    h.leg = DtLeg{r2.tree, r2.label_v, true};
+    h.waypoint = node;
     ++h.hop;
-    DtStep step = dt_step(*hierarchy_, at, h.leg);
+    DtStep step = dt_step(cover_, at, h.leg);
     if (step.arrived) {
       throw std::logic_error("exstretch: fresh leg arrived instantly");
     }
@@ -226,13 +282,14 @@ Decision ExStretchScheme::forward(NodeId at, Header& h) const {
       h.mode = Mode::kOutbound;
       if (at_name == h.dest) return Decision::deliver_here();
       // Storage item (2) shortcut: destination inside N_1(s).
-      const auto& tab = tables_[static_cast<std::size_t>(at)];
-      if (auto it = tab.nbr_r2.find(h.dest); it != tab.nbr_r2.end()) {
-        h.stack.push_back(StackEntry{it->second.tree, it->second.label_u});
-        h.leg = DtLeg{it->second.tree, it->second.label_v, true};
+      if (const std::int64_t e = find_in_row(nbr_off_, nbr_key_, at, h.dest);
+          e >= 0) {
+        const R2Label r2 = nbr_r2_.at(static_cast<std::size_t>(e));
+        h.stack.push_back(StackEntry{r2.tree, r2.label_u});
+        h.leg = DtLeg{r2.tree, r2.label_v, true};
         h.waypoint = h.dest;
         h.hop = alphabet_.k();
-        DtStep step = dt_step(*hierarchy_, at, h.leg);
+        DtStep step = dt_step(cover_, at, h.leg);
         if (step.arrived) {
           throw std::logic_error("exstretch: neighbor leg arrived instantly");
         }
@@ -241,7 +298,7 @@ Decision ExStretchScheme::forward(NodeId at, Header& h) const {
       return advance(at, h);
     }
     case Mode::kOutbound: {
-      DtStep step = dt_step(*hierarchy_, at, h.leg);
+      DtStep step = dt_step(cover_, at, h.leg);
       if (!step.arrived) return Decision::forward_on(step.port);
       if (at_name != h.waypoint) {
         throw std::logic_error("exstretch: leg arrived at a non-waypoint");
@@ -265,14 +322,14 @@ Decision ExStretchScheme::forward(NodeId at, Header& h) const {
       StackEntry e = h.stack.back();
       h.stack.pop_back();
       h.leg = DtLeg{e.tree, e.back_label, true};
-      DtStep step = dt_step(*hierarchy_, at, h.leg);
+      DtStep step = dt_step(cover_, at, h.leg);
       if (step.arrived) {
         throw std::logic_error("exstretch: return leg arrived instantly");
       }
       return Decision::forward_on(step.port);
     }
     case Mode::kInbound: {
-      DtStep step = dt_step(*hierarchy_, at, h.leg);
+      DtStep step = dt_step(cover_, at, h.leg);
       if (!step.arrived) return Decision::forward_on(step.port);
       if (h.stack.empty()) {
         if (at_name != h.src) {
@@ -283,7 +340,7 @@ Decision ExStretchScheme::forward(NodeId at, Header& h) const {
       StackEntry e = h.stack.back();
       h.stack.pop_back();
       h.leg = DtLeg{e.tree, e.back_label, true};
-      DtStep next = dt_step(*hierarchy_, at, h.leg);
+      DtStep next = dt_step(cover_, at, h.leg);
       if (next.arrived) {
         throw std::logic_error("exstretch: chained return leg arrived instantly");
       }
@@ -317,13 +374,15 @@ void ExStretchScheme::audit(AuditReport& report) const {
     names_.audit(report);
   }
   alphabet_.audit(report);
-  hierarchy_->audit(report);
+  if (hierarchy_ != nullptr) hierarchy_->audit(report);
+  cover_.audit(report, hierarchy_.get());
   assignment_.audit(report, alphabet_);
 
   const auto n = static_cast<std::size_t>(names_.node_count());
-  report.check("tables-sized", tables_.size() == n,
-               "one table block per node");
-  if (tables_.size() != n) return;
+  const bool sized = nbr_off_.size() == n + 1 && dict_off_.size() == n + 1 &&
+                     cover_.node_count() == static_cast<NodeId>(n);
+  report.check("tables-sized", sized, "one table block per node");
+  if (!sized) return;
 
   // Dictionary shape: every key must decode to a valid (level, prefix) pair
   // and every stored waypoint (and neighborhood peer) must be a real name.
@@ -331,8 +390,9 @@ void ExStretchScheme::audit(AuditReport& report) const {
   bool dict_ok = true;
   std::string dict_detail;
   for (std::size_t v = 0; dict_ok && v < n; ++v) {
-    const NodeTables& t = tables_[v];
-    for (const auto& [name, r2] : t.nbr_r2) {
+    for (auto e = static_cast<std::size_t>(nbr_off_[v]);
+         e < static_cast<std::size_t>(nbr_off_[v + 1]); ++e) {
+      const NodeName name = nbr_key_[e];
       if (name < 0 || static_cast<std::size_t>(name) >= n) {
         dict_ok = false;
         dict_detail = "neighborhood R2 of node " + std::to_string(v) +
@@ -340,18 +400,20 @@ void ExStretchScheme::audit(AuditReport& report) const {
         break;
       }
     }
-    for (const auto& [key, entry] : t.dict) {
+    for (auto e = static_cast<std::size_t>(dict_off_[v]);
+         dict_ok && e < static_cast<std::size_t>(dict_off_[v + 1]); ++e) {
       // Keys are pack(i, p) = i * q^k + p with waypoint level i in [0, k)
       // and p the (i+1)-digit target prefix value.
+      const std::int64_t key = dict_key_[e];
       const std::int64_t level = key / prefix_space;
       const std::int64_t prefix = key % prefix_space;
+      const NodeName node = dict_node_[e];
       if (key < 0 || level >= alphabet_.k() ||
           prefix >= alphabet_.power(static_cast<int>(level) + 1) ||
-          entry.node < 0 || static_cast<std::size_t>(entry.node) >= n) {
+          node < 0 || static_cast<std::size_t>(node) >= n) {
         dict_ok = false;
         dict_detail = "dictionary of node " + std::to_string(v) +
                       " has an undecodable key or out-of-range waypoint";
-        break;
       }
     }
   }
@@ -359,23 +421,22 @@ void ExStretchScheme::audit(AuditReport& report) const {
 }
 
 TableStats ExStretchScheme::table_stats() const {
-  const auto n = static_cast<NodeId>(tables_.size());
-  TableStats stats =
-      hierarchy_node_stats(*hierarchy_, n, node_space_, port_space_);
+  TableStats stats = hierarchy_node_stats(cover_, node_space_, port_space_);
+  const NodeId n = cover_.node_count();
   const std::int64_t id_bits = bits_for(node_space_);
   for (NodeId v = 0; v < n; ++v) {
-    const auto& tab = tables_[static_cast<std::size_t>(v)];
+    const auto vz = static_cast<std::size_t>(v);
     std::int64_t entries = 0, bits = 0;
-    for (const auto& [name, r2] : tab.nbr_r2) {
-      (void)name;
+    for (auto e = static_cast<std::size_t>(nbr_off_[vz]);
+         e < static_cast<std::size_t>(nbr_off_[vz + 1]); ++e) {
       ++entries;
-      bits += id_bits + r2_label_bits(r2, node_space_, port_space_);
+      bits += id_bits + r2_label_bits(nbr_r2_.at(e), node_space_, port_space_);
     }
-    for (const auto& [key, entry] : tab.dict) {
-      (void)key;
+    for (auto e = static_cast<std::size_t>(dict_off_[vz]);
+         e < static_cast<std::size_t>(dict_off_[vz + 1]); ++e) {
       ++entries;
       bits += 2 * id_bits /* key */ + id_bits +
-              r2_label_bits(entry.r2, node_space_, port_space_);
+              r2_label_bits(dict_r2_.at(e), node_space_, port_space_);
     }
     stats.add(v, entries, bits);
   }

@@ -19,9 +19,10 @@
 #ifndef RTR_CORE_EXSTRETCH_H
 #define RTR_CORE_EXSTRETCH_H
 
+#include <algorithm>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/names.h"
@@ -29,6 +30,7 @@
 #include "dict/block_assignment.h"
 #include "net/simulator.h"
 #include "rtz/handshake.h"
+#include "util/flat_vec.h"
 
 namespace rtr {
 
@@ -48,10 +50,16 @@ class ExStretchScheme {
                   const NameAssignment& names, Rng& rng)
       : ExStretchScheme(g, metric, names, rng, Options{}) {}
 
-  /// Snapshot path: rehydrates tables and the cover hierarchy saved with
-  /// save(); self-contained (forwarding never consults the graph).
-  explicit ExStretchScheme(SnapshotReader& r);
-  void save(SnapshotWriter& w) const;
+  /// Appends the cover table, both dictionaries, and a meta section as
+  /// typed arena sections under `prefix`.
+  void save_arena(ArenaWriter& w, const std::string& prefix) const;
+
+  /// Rebuilds a scheme whose tables are zero-copy views into an arena;
+  /// `names` are the snapshot's own name sections.  Self-contained:
+  /// forwarding never consults the graph.
+  [[nodiscard]] static ExStretchScheme from_arena(const ArenaView& a,
+                                                  const std::string& prefix,
+                                                  const NameAssignment& names);
 
   enum class Mode : std::uint8_t { kNew, kOutbound, kReturn, kInbound };
 
@@ -90,29 +98,24 @@ class ExStretchScheme {
   [[nodiscard]] double stretch_bound() const;
 
   [[nodiscard]] const Alphabet& alphabet() const { return alphabet_; }
-  [[nodiscard]] const CoverHierarchy& hierarchy() const { return *hierarchy_; }
+  /// The per-node cover-tree state forwarding reads.
+  [[nodiscard]] const CoverTable& cover() const { return cover_; }
   [[nodiscard]] const BlockAssignment& block_assignment() const {
     return assignment_;
   }
 
-  /// Auditable: delegates to the naming, alphabet, cover hierarchy, and
-  /// block assignment, then checks every per-node dictionary key decodes to
-  /// a valid (level, prefix) pair with an in-range waypoint name.
+  /// Auditable: delegates to the naming, alphabet, cover table (and, for a
+  /// built scheme, the cover hierarchy it came from), and block assignment,
+  /// then checks every per-node dictionary key decodes to a valid (level,
+  /// prefix) pair with an in-range waypoint name.
   void audit(AuditReport& report) const;
 
  private:
   friend struct AuditTestPeer;
-  struct DictEntry {
-    NodeName node = kNoNode;
-    R2Label r2;
-  };
-  struct NodeTables {
-    // (2): R2(u, v) for v in N_1(u), keyed by name.
-    std::unordered_map<NodeName, R2Label> nbr_r2;
-    // (3a)+(3b): keyed by pack(level i, value of the (i+1)-digit target
-    // prefix); value = nearest holder of a matching block and R2 to it.
-    std::unordered_map<std::int64_t, DictEntry> dict;
-  };
+
+  /// Arena-load path: from_arena fills the tables.
+  ExStretchScheme(const NameAssignment& names, Alphabet alphabet)
+      : names_(names), alphabet_(std::move(alphabet)) {}
 
   [[nodiscard]] std::int64_t pack(int i, PrefixValue p) const {
     return static_cast<std::int64_t>(i) * alphabet_.power(alphabet_.k()) + p;
@@ -122,11 +125,38 @@ class ExStretchScheme {
   /// the next leg (returns its first port) or concludes delivery.
   [[nodiscard]] Decision advance(NodeId at, Header& h) const;
 
+  /// Entry index of `key` in node v's sorted CSR row, or -1.
+  template <typename K>
+  [[nodiscard]] static std::int64_t find_in_row(const FlatVec<std::int64_t>& off,
+                                                const FlatVec<K>& keys,
+                                                NodeId v, K key) {
+    const K* base = keys.data();
+    const K* first = base + off[static_cast<std::size_t>(v)];
+    const K* last = base + off[static_cast<std::size_t>(v) + 1];
+    const K* it = std::lower_bound(first, last, key);
+    return it != last && *it == key ? it - base : -1;
+  }
+
   NameAssignment names_;
   Alphabet alphabet_;
+  /// Build-time only (R2 labels are minted from it); kept on a built scheme
+  /// so its audit can check the cover table against it.  Null when mapped.
   std::shared_ptr<const CoverHierarchy> hierarchy_;
   BlockAssignment assignment_;
-  std::vector<NodeTables> tables_;
+  CoverTable cover_;
+  // (2): R2(u, v) for v in N_1(u), CSR over nodes keyed by v's name.
+  FlatVec<std::int64_t> nbr_off_;  // n + 1
+  FlatVec<NodeName> nbr_key_;
+  PackedR2Labels nbr_r2_;
+  // (3a)+(3b): CSR over nodes keyed by pack(level i, value of the
+  // (i+1)-digit target prefix); entry = nearest holder of a matching block
+  // and R2 to it (a default label when the holder is the node itself).
+  FlatVec<std::int64_t> dict_off_;  // n + 1
+  FlatVec<std::int32_t> dict_key_;
+  FlatVec<NodeName> dict_node_;
+  PackedR2Labels dict_r2_;
+  /// Keepalive when the arrays are views into a mapped arena.
+  std::shared_ptr<const ArenaStorage> arena_;
   std::int64_t node_space_ = 0;
   std::int64_t port_space_ = 0;
 };

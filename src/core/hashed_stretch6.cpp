@@ -6,7 +6,7 @@
 
 #include "audit/audit.h"
 #include "graph/apsp.h"
-#include "io/snapshot_format.h"
+#include "io/arena.h"
 #include "util/bit_cost.h"
 #include "util/parallel.h"
 
@@ -133,18 +133,22 @@ HashedStretch6Scheme::HashedStretch6Scheme(const Digraph& g,
   }
 
   const std::int64_t blocks = alphabet_.relevant_block_count();
-  tables_.resize(static_cast<std::size_t>(n));
+  block_count_ = blocks;
+  std::vector<std::vector<ChosenName>> r3_rows(static_cast<std::size_t>(n));
+  std::vector<ChosenName> holders(static_cast<std::size_t>(n) *
+                                  static_cast<std::size_t>(blocks));
   parallel_tickets(n, threads, [&] {
     return [&](std::int64_t ticket) {
     const auto u = static_cast<NodeId>(ticket);
-    auto& tab = tables_[static_cast<std::size_t>(u)];
+    auto& r3_names = r3_rows[static_cast<std::size_t>(u)];
+    ChosenName* holder_row = holders.data() + static_cast<std::size_t>(u) *
+                                                  static_cast<std::size_t>(blocks);
     const auto hood = hoods.prefix(u, hood_size_);
     // (1) chosen-name -> R3 for the neighborhood.
     for (NodeId v : hood) {
-      tab.r3_names.push_back(chosen_.of_id(v));
+      r3_names.push_back(chosen_.of_id(v));
     }
     // (2) a holder in N(u) per bucket-block.
-    tab.holder_of_block.assign(static_cast<std::size_t>(blocks), 0);
     for (BlockId b = 0; b < blocks; ++b) {
       ChosenName holder = 0;
       for (NodeId v : hood) {
@@ -156,28 +160,38 @@ HashedStretch6Scheme::HashedStretch6Scheme(const Digraph& g,
       if (holder == 0) {
         throw std::logic_error("hashed-stretch6: Lemma 1 coverage violated");
       }
-      tab.holder_of_block[static_cast<std::size_t>(b)] = holder;
+      holder_row[b] = holder;
     }
     // (3) dictionary: every chosen name hashing into a held block.
     for (BlockId b : assignment.blocks_of[static_cast<std::size_t>(u)]) {
       for (NodeName bucket : alphabet_.block_members(b)) {
         for (NodeId v : bucket_members[static_cast<std::size_t>(bucket)]) {
-          tab.r3_names.push_back(chosen_.of_id(v));
+          r3_names.push_back(chosen_.of_id(v));
         }
       }
     }
-    std::sort(tab.r3_names.begin(), tab.r3_names.end());
-    tab.r3_names.erase(
-        std::unique(tab.r3_names.begin(), tab.r3_names.end()),
-        tab.r3_names.end());
+    std::sort(r3_names.begin(), r3_names.end());
+    r3_names.erase(std::unique(r3_names.begin(), r3_names.end()),
+                   r3_names.end());
     };
   });
+
+  std::vector<std::int64_t> off{0};
+  std::vector<ChosenName> flat;
+  for (const auto& row : r3_rows) {
+    flat.insert(flat.end(), row.begin(), row.end());
+    off.push_back(static_cast<std::int64_t>(flat.size()));
+  }
+  r3_off_ = std::move(off);
+  r3_names_ = std::move(flat);
+  holder_of_ = std::move(holders);
 }
 
 const RtzAddress* HashedStretch6Scheme::lookup_r3(NodeId at,
                                                   ChosenName t) const {
-  const auto& tab = tables_[static_cast<std::size_t>(at)];
-  if (!std::binary_search(tab.r3_names.begin(), tab.r3_names.end(), t)) {
+  const auto vz = static_cast<std::size_t>(at);
+  const ChosenName* base = r3_names_.data();
+  if (!std::binary_search(base + r3_off_[vz], base + r3_off_[vz + 1], t)) {
     return nullptr;
   }
   // A stored name is by construction a real chosen name, so id_of cannot
@@ -199,8 +213,10 @@ Decision HashedStretch6Scheme::forward(NodeId at, Header& h) const {
         step = substrate_->start_leg(at, *direct, h.leg);
       } else {
         const BlockId block = alphabet_.block_of(hash_.bucket(h.dest));
-        const ChosenName w = tables_[static_cast<std::size_t>(at)]
-                                 .holder_of_block[static_cast<std::size_t>(block)];
+        const ChosenName w =
+            holder_of_[static_cast<std::size_t>(at) *
+                           static_cast<std::size_t>(block_count_) +
+                       static_cast<std::size_t>(block)];
         h.dict_node = w;
         h.dict_pending = true;
         const RtzAddress* w_addr = lookup_r3(at, w);
@@ -265,14 +281,17 @@ void HashedStretch6Scheme::audit(AuditReport& report) const {
   alphabet_.audit(report);
 
   const auto n = static_cast<std::size_t>(chosen_.node_count());
-  report.check("tables-sized", tables_.size() == n,
-               "one table block per node");
-  if (tables_.size() != n) return;
+  const auto blocks = static_cast<std::size_t>(block_count_);
+  const bool sized = r3_off_.size() == n + 1 && holder_of_.size() == n * blocks;
+  report.check("tables-sized", sized, "one table block per node");
+  if (!sized) return;
 
-  const std::int64_t block_count = alphabet_.relevant_block_count();
   bool r3_ok = true;
-  bool holders_ok = true;
+  bool holders_ok = block_count_ == alphabet_.relevant_block_count();
   std::string r3_detail, holder_detail;
+  if (!holders_ok) {
+    holder_detail = "holder rows do not record one holder per relevant block";
+  }
   const auto is_known = [&](ChosenName x) {
     try {
       (void)chosen_.id_of(x);
@@ -282,24 +301,18 @@ void HashedStretch6Scheme::audit(AuditReport& report) const {
     }
   };
   for (std::size_t v = 0; v < n; ++v) {
-    const NodeTables& t = tables_[v];
-    for (std::size_t i = 0; r3_ok && i < t.r3_names.size(); ++i) {
-      if ((i > 0 && t.r3_names[i - 1] >= t.r3_names[i]) ||
-          !is_known(t.r3_names[i])) {
+    const auto lo = static_cast<std::size_t>(r3_off_[v]);
+    const auto hi = static_cast<std::size_t>(r3_off_[v + 1]);
+    for (std::size_t i = lo; r3_ok && i < hi; ++i) {
+      if ((i > lo && r3_names_[i - 1] >= r3_names_[i]) ||
+          !is_known(r3_names_[i])) {
         r3_ok = false;
         r3_detail = "r3 dictionary of node " + std::to_string(v) +
                     " unsorted or referencing an unknown chosen name";
       }
     }
-    if (holders_ok &&
-        t.holder_of_block.size() != static_cast<std::size_t>(block_count)) {
-      holders_ok = false;
-      holder_detail = "node " + std::to_string(v) +
-                      " does not record one holder per relevant block";
-      continue;
-    }
-    for (std::size_t b = 0; holders_ok && b < t.holder_of_block.size(); ++b) {
-      if (!is_known(t.holder_of_block[b])) {
+    for (std::size_t b = 0; holders_ok && b < blocks; ++b) {
+      if (!is_known(holder_of_[v * blocks + b])) {
         holders_ok = false;
         holder_detail = "holder of block " + std::to_string(b) + " at node " +
                         std::to_string(v) + " is not a known chosen name";
@@ -311,63 +324,75 @@ void HashedStretch6Scheme::audit(AuditReport& report) const {
 }
 
 TableStats HashedStretch6Scheme::table_stats() const {
-  const auto n = static_cast<NodeId>(tables_.size());
+  const NodeId n = chosen_.node_count();
   TableStats stats = substrate_->table_stats();
   const std::int64_t id_bits = bits_for(node_space_);
   for (NodeId v = 0; v < n; ++v) {
-    const auto& tab = tables_[static_cast<std::size_t>(v)];
+    const auto vz = static_cast<std::size_t>(v);
     std::int64_t entries = 0, bits = 0;
-    for (ChosenName name : tab.r3_names) {
+    for (auto i = static_cast<std::size_t>(r3_off_[vz]);
+         i < static_cast<std::size_t>(r3_off_[vz + 1]); ++i) {
       ++entries;
       bits += 64 + substrate_->address_bits(
-                       substrate_->own_address(chosen_.id_of(name)));
+                       substrate_->own_address(chosen_.id_of(r3_names_[i])));
     }
-    entries += static_cast<std::int64_t>(tab.holder_of_block.size());
-    bits += static_cast<std::int64_t>(tab.holder_of_block.size()) * (id_bits + 64);
+    entries += block_count_;
+    bits += block_count_ * (id_bits + 64);
     stats.add(v, entries, bits);
   }
   return stats;
 }
 
-// ---------------------------------------------------------------- snapshot --
+// ------------------------------------------------------------------- arena --
 
-void HashedStretch6Scheme::save(SnapshotWriter& w) const {
-  chosen_.save(w);
-  hash_.save(w);
-  alphabet_.save(w);
-  w.i32(hood_size_);
-  substrate_->save(w);
-  w.u64(tables_.size());
-  for (const NodeTables& t : tables_) {
-    w.vec_u64(t.r3_names);
-    w.vec_u64(t.holder_of_block);
-  }
-  w.i64(node_space_);
+void HashedStretch6Scheme::save_arena(ArenaWriter& w,
+                                      const std::string& prefix) const {
+  substrate_->save_arena(w, prefix + "s/");
+  substrate_->names().save_arena(w, prefix + "s/names/");
+  w.add(prefix + "r3_off", r3_off_);
+  w.add(prefix + "r3_names", r3_names_);
+  w.add(prefix + "holders", holder_of_);
+  SnapshotWriter meta;
+  chosen_.save(meta);
+  hash_.save(meta);
+  alphabet_.save(meta);
+  meta.i32(hood_size_);
+  meta.i64(node_space_);
+  w.add_bytes(prefix + "meta", meta.bytes().data(), meta.size());
 }
 
-HashedStretch6Scheme::HashedStretch6Scheme(SnapshotReader& r, const Digraph& g)
-    : chosen_(ChosenNames::load(r)),
-      hash_(r),
-      alphabet_(Alphabet::load(r)),
-      hood_size_(r.i32()),
-      substrate_(std::make_shared<const Rtz3Scheme>(r, g)) {
-  if (chosen_.node_count() != g.node_count()) {
-    throw std::invalid_argument(
-        "hashed64 snapshot: chosen-name count does not match the graph");
+HashedStretch6Scheme::HashedStretch6Scheme(SnapshotReader& meta,
+                                           const ArenaView& a,
+                                           const std::string& prefix,
+                                           const Digraph& g)
+    : chosen_(ChosenNames::load(meta)),
+      hash_(meta),
+      alphabet_(Alphabet::load(meta)),
+      hood_size_(meta.i32()),
+      substrate_(std::make_shared<const Rtz3Scheme>(Rtz3Scheme::from_arena(
+          a, prefix + "s/", g,
+          NameAssignment::from_arena(a, prefix + "s/names/")))) {
+  node_space_ = meta.i64();
+  meta.expect_exhausted("hashed64 arena meta");
+  const auto n = static_cast<std::size_t>(g.node_count());
+  if (static_cast<std::size_t>(chosen_.node_count()) != n) {
+    throw SnapshotArenaError(
+        "hashed64 arena: chosen-name count does not match the graph");
   }
-  const std::uint64_t n = r.u64();
-  if (n != static_cast<std::uint64_t>(g.node_count())) {
-    throw std::invalid_argument(
-        "hashed64 snapshot: table count does not match the graph");
-  }
-  tables_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    NodeTables t;
-    t.r3_names = r.vec_u64();
-    t.holder_of_block = r.vec_u64();
-    tables_.push_back(std::move(t));
-  }
-  node_space_ = r.i64();
+  block_count_ = alphabet_.relevant_block_count();
+  r3_off_ = a.vec<std::int64_t>(prefix + "r3_off", n + 1);
+  r3_names_ = a.vec<ChosenName>(prefix + "r3_names");
+  holder_of_ = a.vec<ChosenName>(prefix + "holders",
+                                 n * static_cast<std::size_t>(block_count_));
+  check_csr_offsets(r3_off_, r3_names_.size(), prefix + "r3_off");
+  arena_ = a.storage();
+}
+
+HashedStretch6Scheme HashedStretch6Scheme::from_arena(const ArenaView& a,
+                                                      const std::string& prefix,
+                                                      const Digraph& g) {
+  SnapshotReader meta = a.reader(prefix + "meta");
+  return HashedStretch6Scheme(meta, a, prefix, g);
 }
 
 }  // namespace rtr

@@ -31,6 +31,7 @@
 #include "dict/block_assignment.h"
 #include "net/simulator.h"
 #include "rtz/rtz3_scheme.h"
+#include "util/flat_vec.h"
 
 namespace rtr {
 
@@ -42,7 +43,7 @@ class ChosenNames {
  public:
   static ChosenNames random(NodeId n, Rng& rng);
 
-  /// Snapshot path: rebuilds the reverse index from the saved names.
+  /// Meta-section codec: load rebuilds the reverse index from the names.
   static ChosenNames load(SnapshotReader& r);
   void save(SnapshotWriter& w) const;
 
@@ -69,7 +70,7 @@ class BucketHash {
  public:
   BucketHash(NodeId n, Rng& rng);
 
-  /// Snapshot path: the hash is fully determined by (n, a, b).
+  /// Meta-section codec: the hash is fully determined by (n, a, b).
   explicit BucketHash(SnapshotReader& r);
   void save(SnapshotWriter& w) const;
 
@@ -96,10 +97,16 @@ class HashedStretch6Scheme {
                        const ChosenNames& chosen, Rng& rng)
       : HashedStretch6Scheme(g, metric, chosen, rng, Options{}) {}
 
-  /// Snapshot path: rehydrates tables (and the substrate's) saved with
-  /// save(); `g` must be the snapshot's own graph and outlive the scheme.
-  HashedStretch6Scheme(SnapshotReader& r, const Digraph& g);
-  void save(SnapshotWriter& w) const;
+  /// Appends the tables in stretch6's section layout under `prefix` (the
+  /// substrate under prefix + "s/", with its internal naming), plus a meta
+  /// section holding the chosen names and the bucket hash parameters.
+  void save_arena(ArenaWriter& w, const std::string& prefix) const;
+
+  /// Rebuilds a scheme whose tables are zero-copy views into an arena; `g`
+  /// is the snapshot's own graph and must outlive the scheme.
+  [[nodiscard]] static HashedStretch6Scheme from_arena(const ArenaView& a,
+                                                       const std::string& prefix,
+                                                       const Digraph& g);
 
   enum class Mode : std::uint8_t { kNew, kOutbound, kReturn, kInbound };
 
@@ -139,13 +146,11 @@ class HashedStretch6Scheme {
 
  private:
   friend struct AuditTestPeer;
-  struct NodeTables {
-    // Items (1) + (3): sorted chosen names whose (name, R3) pair this node
-    // stores; lookup_r3 resolves the address payload through the substrate
-    // (one copy per node, not per dictionary entry).
-    std::vector<ChosenName> r3_names;
-    std::vector<ChosenName> holder_of_block;  // item (2)
-  };
+
+  /// Arena-load path: from_arena opens the meta stream, then this
+  /// constructor decodes it interleaved with the flat sections.
+  HashedStretch6Scheme(SnapshotReader& meta, const ArenaView& a,
+                       const std::string& prefix, const Digraph& g);
 
   [[nodiscard]] const RtzAddress* lookup_r3(NodeId at, ChosenName t) const;
 
@@ -154,7 +159,17 @@ class HashedStretch6Scheme {
   Alphabet alphabet_;  // over the bucket space
   NodeId hood_size_;
   std::shared_ptr<const Rtz3Scheme> substrate_;
-  std::vector<NodeTables> tables_;
+  // Items (1) + (3): sorted chosen names whose (name, R3) pair node v
+  // stores, CSR over nodes (row v is r3_names_[r3_off_[v] .. r3_off_[v+1]));
+  // lookup_r3 resolves the address payload through the substrate (one copy
+  // per node, not per dictionary entry).
+  FlatVec<std::int64_t> r3_off_;  // n + 1
+  FlatVec<ChosenName> r3_names_;
+  // Item (2): bucket-block id -> holder within N(u), row-major n x blocks.
+  FlatVec<ChosenName> holder_of_;
+  std::int64_t block_count_ = 0;
+  /// Keepalive when the arrays are views into a mapped arena.
+  std::shared_ptr<const ArenaStorage> arena_;
   std::int64_t node_space_ = 0;
 };
 

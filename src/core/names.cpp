@@ -5,28 +5,21 @@
 
 #include "audit/audit.h"
 #include "io/arena.h"
-#include "io/snapshot_format.h"
 
 namespace rtr {
 
-NameAssignment NameAssignment::load(SnapshotReader& r) {
-  return NameAssignment(r.vec_i32());
+void NameAssignment::save_arena(ArenaWriter& w,
+                                const std::string& prefix) const {
+  w.add(prefix + "name_of", name_of_);
+  w.add(prefix + "id_of", id_of_);
 }
 
-void NameAssignment::save(SnapshotWriter& w) const {
-  w.vec_i32(name_of_.to_vector());
-}
-
-void NameAssignment::save_arena(ArenaWriter& w) const {
-  w.add("names/name_of", name_of_);
-  w.add("names/id_of", id_of_);
-}
-
-NameAssignment NameAssignment::from_arena(const ArenaView& a) {
+NameAssignment NameAssignment::from_arena(const ArenaView& a,
+                                          const std::string& prefix) {
   const std::uint64_t n = a.header().node_count;
   NameAssignment names;
-  names.name_of_ = a.vec<NodeName>("names/name_of", n);
-  names.id_of_ = a.vec<NodeId>("names/id_of", n);
+  names.name_of_ = a.vec<NodeName>(prefix + "name_of", n);
+  names.id_of_ = a.vec<NodeId>(prefix + "id_of", n);
   // One linear pass replaces the constructor's inverse rebuild: both arrays
   // must be mutually inverse permutations of [0, n).
   for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {

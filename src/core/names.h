@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/flat_vec.h"
@@ -17,8 +18,6 @@
 
 namespace rtr {
 
-class SnapshotWriter;  // io/snapshot_format.h
-class SnapshotReader;
 class AuditReport;  // audit/audit.h
 class ArenaStorage;  // io/arena.h
 class ArenaView;
@@ -36,15 +35,13 @@ class NameAssignment {
   /// From an explicit permutation; throws if not a permutation of [0, n).
   explicit NameAssignment(std::vector<NodeName> name_of_id);
 
-  /// Snapshot path: the permutation as bytes (load re-validates it).
-  static NameAssignment load(SnapshotReader& r);
-  void save(SnapshotWriter& w) const;
-
-  /// Arena (v2) path: both permutation arrays as "names/..." sections, so a
-  /// mapped load views them in place (a cheap linear inverse check replaces
-  /// the constructor's rebuild).
-  void save_arena(ArenaWriter& w) const;
-  [[nodiscard]] static NameAssignment from_arena(const ArenaView& a);
+  /// Arena path: both permutation arrays as sections under `prefix` (the
+  /// snapshot's own naming lives at "names/"), so a mapped load views them
+  /// in place (a cheap linear inverse check replaces the constructor's
+  /// rebuild).
+  void save_arena(ArenaWriter& w, const std::string& prefix = "names/") const;
+  [[nodiscard]] static NameAssignment from_arena(
+      const ArenaView& a, const std::string& prefix = "names/");
 
   [[nodiscard]] NodeId node_count() const {
     return static_cast<NodeId>(name_of_.size());

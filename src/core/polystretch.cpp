@@ -3,69 +3,65 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 
 #include "audit/audit.h"
 #include "graph/apsp.h"
-#include "io/snapshot_format.h"
+#include "io/arena.h"
 #include "util/bit_cost.h"
 #include "util/parallel.h"
 
 namespace rtr {
 
-void PolyStretchScheme::save(SnapshotWriter& w) const {
-  names_.save(w);
-  alphabet_.save(w);
-  hierarchy_->save(w);
-  w.u64(tables_.size());
-  for (const NodeTables& t : tables_) {
-    w.sorted_map(
-        t.per_tree, [](SnapshotWriter& ww, std::int64_t k) { ww.i64(k); },
-        [](SnapshotWriter& ww, const PerTree& per) {
-          save_tree_label(ww, per.own_label);
-          ww.sorted_map(
-              per.dict, [](SnapshotWriter& w3, std::int64_t k) { w3.i64(k); },
-              [](SnapshotWriter& w3, const DictEntry& e) {
-                w3.i32(e.node);
-                save_tree_label(w3, e.label);
-              });
-        });
-  }
-  w.i64(node_space_);
-  w.i64(port_space_);
+namespace {
+
+/// One dictionary entry while building.
+struct DictEntry {
+  std::uint16_t key = 0;
+  NodeName node = kNoNode;
+  TreeLabel label;
+};
+
+}  // namespace
+
+void PolyStretchScheme::save_arena(ArenaWriter& w,
+                                   const std::string& prefix) const {
+  cover_.save_arena(w, prefix + "cover/");
+  own_label_.save_arena(w, prefix + "own_");
+  w.add(prefix + "dict_off", dict_off_);
+  w.add(prefix + "dict_key", dict_key_);
+  w.add(prefix + "dict_node", dict_node_);
+  dict_label_.save_arena(w, prefix + "dict_");
+  // The name assignment is NOT embedded: the arena's top-level names
+  // sections are the same assignment, and the loader receives them.
+  SnapshotWriter meta;
+  alphabet_.save(meta);
+  meta.i64(node_space_);
+  meta.i64(port_space_);
+  w.add_bytes(prefix + "meta", meta.bytes().data(), meta.size());
 }
 
-PolyStretchScheme::PolyStretchScheme(SnapshotReader& r)
-    : names_(NameAssignment::load(r)), alphabet_(Alphabet::load(r)) {
-  hierarchy_ = std::make_shared<const CoverHierarchy>(r);
-  const std::uint64_t n = r.u64();
-  if (n != static_cast<std::uint64_t>(names_.node_count())) {
-    throw std::invalid_argument(
-        "polystretch snapshot: table count does not match the naming");
-  }
-  tables_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    NodeTables t;
-    t.per_tree = r.map<std::unordered_map<std::int64_t, PerTree>>(
-        [](SnapshotReader& rr) { return rr.i64(); },
-        [](SnapshotReader& rr) {
-          PerTree per;
-          per.own_label = load_tree_label(rr);
-          per.dict = rr.map<std::unordered_map<std::int64_t, DictEntry>>(
-              [](SnapshotReader& r3) { return r3.i64(); },
-              [](SnapshotReader& r3) {
-                DictEntry e;
-                e.node = r3.i32();
-                e.label = load_tree_label(r3);
-                return e;
-              },
-              8);
-          return per;
-        },
-        8);
-    tables_.push_back(std::move(t));
-  }
-  node_space_ = r.i64();
-  port_space_ = r.i64();
+PolyStretchScheme PolyStretchScheme::from_arena(const ArenaView& a,
+                                                const std::string& prefix,
+                                                const NameAssignment& names) {
+  SnapshotReader meta = a.reader(prefix + "meta");
+  PolyStretchScheme s(names, Alphabet::load(meta));
+  s.node_space_ = meta.i64();
+  s.port_space_ = meta.i64();
+  meta.expect_exhausted("polystretch arena meta");
+
+  s.cover_ = CoverTable::from_arena(a, prefix + "cover/", names.node_count());
+  const auto memberships = static_cast<std::uint64_t>(s.cover_.size());
+  s.own_label_ =
+      PackedLabels<std::int32_t>::from_arena(a, prefix + "own_", memberships);
+  s.dict_off_ = a.vec<std::int64_t>(prefix + "dict_off", memberships + 1);
+  s.dict_key_ = a.vec<std::uint16_t>(prefix + "dict_key");
+  s.dict_node_ = a.vec<NodeName>(prefix + "dict_node", s.dict_key_.size());
+  s.dict_label_ = PackedLabels<std::int32_t>::from_arena(a, prefix + "dict_",
+                                                         s.dict_key_.size());
+  check_csr_offsets(s.dict_off_, s.dict_key_.size(), prefix + "dict_off");
+  s.arena_ = a.storage();
+  return s;
 }
 
 PolyStretchScheme::PolyStretchScheme(const Digraph& g,
@@ -76,15 +72,21 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
       alphabet_(g.node_count(), options.k),
       node_space_(g.node_count()),
       port_space_(g.port_space()) {
-  const NodeId n = g.node_count();
   const int k = alphabet_.k();
   const std::int64_t q = alphabet_.q();
   const int threads = resolve_apsp_threads(options.threads);
   const Digraph reversed = g.reversed();
   hierarchy_ =
-      std::make_shared<CoverHierarchy>(g, reversed, metric, k, threads);
+      std::make_shared<const CoverHierarchy>(g, reversed, metric, k, threads);
+  cover_ = CoverTable(*hierarchy_);
+  if (static_cast<std::int64_t>(k) * q > UINT16_MAX) {
+    throw std::length_error("polystretch: dictionary keys exceed 16 bits");
+  }
 
-  tables_.resize(static_cast<std::size_t>(n));
+  // Staging per cover-table membership; every (tree, member) pair owns one.
+  const auto memberships = static_cast<std::size_t>(cover_.size());
+  std::vector<TreeLabel> own(memberships);
+  std::vector<std::vector<DictEntry>> dicts(memberships);
   for (std::int32_t level = 0; level < hierarchy_->level_count(); ++level) {
     const HierarchyLevel& lvl = hierarchy_->level(level);
     for (std::int32_t t = 0; t < static_cast<std::int32_t>(lvl.trees.size()); ++t) {
@@ -102,13 +104,15 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
         }
       }
       // Tree members are unique, so each ticket writes a distinct
-      // tables_[u]; the by_prefix index and the metric are only read.
+      // membership's staging; the by_prefix index and the metric are only
+      // read.
       const std::vector<NodeId>& members = tree.members();
       parallel_tickets(static_cast<std::int64_t>(members.size()), threads, [&] {
         return [&](std::int64_t ticket) {
         const NodeId u = members[static_cast<std::size_t>(ticket)];
-        auto& per = tables_[static_cast<std::size_t>(u)].per_tree[tree_key(ref)];
-        per.own_label = tree.out_router().label(u);
+        const auto m = static_cast<std::size_t>(cover_.find(u, ref));
+        own[m] = tree.out_router().label(u);
+        auto& dict = dicts[m];
         const NodeName un = names_.name_of(u);
         // (2c): for every j and tau, the nearest member extending u's own
         // j-digit prefix with digit tau, if one exists.
@@ -132,30 +136,50 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
                 best = v;
               }
             }
-            DictEntry entry;
-            entry.node = names_.name_of(best);
-            entry.label = tree.out_router().label(best);
-            per.dict.emplace(static_cast<std::int64_t>(j) * q + tau,
-                             std::move(entry));
+            // Keys ascend with (j, tau), so each row comes out sorted.
+            dict.push_back(DictEntry{
+                static_cast<std::uint16_t>(static_cast<std::int64_t>(j) * q +
+                                           tau),
+                names_.name_of(best), tree.out_router().label(best)});
           }
         }
         };
       });
     }
   }
+
+  std::vector<std::int64_t> dict_off{0};
+  std::vector<std::uint16_t> dict_key;
+  std::vector<NodeName> dict_node;
+  PackedLabels<std::int32_t>::Builder dict_label;
+  for (const auto& dict : dicts) {
+    for (const DictEntry& e : dict) {
+      dict_key.push_back(e.key);
+      dict_node.push_back(e.node);
+      dict_label.add(e.label);
+    }
+    dict_off.push_back(static_cast<std::int64_t>(dict_key.size()));
+  }
+  own_label_ = PackedLabels<std::int32_t>(own);
+  dict_off_ = std::move(dict_off);
+  dict_key_ = std::move(dict_key);
+  dict_node_ = std::move(dict_node);
+  dict_label_ = dict_label.build();
 }
 
 Decision PolyStretchScheme::start_level(NodeId at, Header& h) const {
   // `at` is the source.  Pick its home tree for the current level and run
   // NextNode locally; escalate locally while the level yields no progress.
   while (true) {
-    if (h.level >= hierarchy_->level_count()) {
+    if (h.level >= cover_.level_count()) {
       throw std::logic_error("polystretch: levels exhausted without delivery");
     }
-    h.tree = hierarchy_->home(at, h.level);
-    const auto& per = tables_[static_cast<std::size_t>(at)].per_tree.at(
-        tree_key(h.tree));
-    h.src_label = per.own_label;
+    h.tree = cover_.home(at, h.level);
+    const std::int64_t m = cover_.find(at, h.tree);
+    if (m == CoverTable::kNotMember) {
+      throw std::logic_error("polystretch: source outside its home tree");
+    }
+    h.src_label = own_label_.at(static_cast<std::size_t>(m));
     Decision d = next_hop(at, h);
     // next_hop either launched a leg (forward), delivered (s == t), or asked
     // to fall back to the source -- which we are already at: escalate.
@@ -170,27 +194,32 @@ Decision PolyStretchScheme::next_hop(NodeId at, Header& h) const {
     h.found = true;
     return Decision::deliver_here();
   }
-  const auto& per_tree = tables_[static_cast<std::size_t>(at)].per_tree;
-  auto per_it = per_tree.find(tree_key(h.tree));
-  if (per_it == per_tree.end()) {
+  const std::int64_t m = cover_.find(at, h.tree);
+  if (m == CoverTable::kNotMember) {
     throw std::logic_error("polystretch: waypoint outside the current tree");
   }
-  const PerTree& per = per_it->second;
 
   const int h_match = alphabet_.lcp(at_name, h.dest);  // digits already matched
   const int tau = alphabet_.digit(h.dest, h_match);
-  auto it = per.dict.find(static_cast<std::int64_t>(h_match) * alphabet_.q() + tau);
-  if (it != per.dict.end() && it->second.node != at_name) {
+  const auto key = static_cast<std::uint16_t>(
+      static_cast<std::int64_t>(h_match) * alphabet_.q() + tau);
+  const std::uint16_t* base = dict_key_.data();
+  const std::uint16_t* first = base + dict_off_[static_cast<std::size_t>(m)];
+  const std::uint16_t* last = base + dict_off_[static_cast<std::size_t>(m) + 1];
+  const std::uint16_t* it = std::lower_bound(first, last, key);
+  const bool found = it != last && *it == key;
+  const auto e = static_cast<std::size_t>(it - base);
+  if (found && dict_node_[e] != at_name) {
     // Extend the match: trip to the entry through the tree's center.
-    h.waypoint = it->second.node;
-    h.leg = DtLeg{h.tree, it->second.label, true};
-    DtStep step = dt_step(*hierarchy_, at, h.leg);
+    h.waypoint = dict_node_[e];
+    h.leg = DtLeg{h.tree, dict_label_.at(e), true};
+    DtStep step = dt_step(cover_, at, h.leg);
     if (step.arrived) {
       throw std::logic_error("polystretch: fresh trip arrived instantly");
     }
     return Decision::forward_on(step.port);
   }
-  if (it != per.dict.end() && it->second.node == at_name) {
+  if (found) {
     // The nearest extension is this node itself, yet it is not t: the next
     // digit cannot be extended further here; treat as failure.  (Cannot
     // happen when t is in the tree: t extends every prefix of itself and
@@ -202,7 +231,7 @@ Decision PolyStretchScheme::next_hop(NodeId at, Header& h) const {
   if (at_name == h.src) return Decision::deliver_here();  // caller escalates
   h.waypoint = h.src;
   h.leg = DtLeg{h.tree, h.src_label, true};
-  DtStep step = dt_step(*hierarchy_, at, h.leg);
+  DtStep step = dt_step(cover_, at, h.leg);
   if (step.arrived) {
     throw std::logic_error("polystretch: fallback trip arrived instantly");
   }
@@ -223,7 +252,7 @@ Decision PolyStretchScheme::forward(NodeId at, Header& h) const {
       return start_level(at, h);
     }
     case Mode::kEnroute: {
-      DtStep step = dt_step(*hierarchy_, at, h.leg);
+      DtStep step = dt_step(cover_, at, h.leg);
       if (!step.arrived) return Decision::forward_on(step.port);
       if (at_name != h.waypoint) {
         throw std::logic_error("polystretch: trip ended at a non-waypoint");
@@ -249,7 +278,7 @@ Decision PolyStretchScheme::forward(NodeId at, Header& h) const {
       if (at_name == h.src) return Decision::deliver_here();
       h.waypoint = h.src;
       h.leg = DtLeg{h.tree, h.src_label, true};
-      DtStep step = dt_step(*hierarchy_, at, h.leg);
+      DtStep step = dt_step(cover_, at, h.leg);
       if (step.arrived) {
         throw std::logic_error("polystretch: return trip arrived instantly");
       }
@@ -261,7 +290,7 @@ Decision PolyStretchScheme::forward(NodeId at, Header& h) const {
 
 std::int64_t PolyStretchScheme::header_bits(const Header& h) const {
   return 2 /* mode */ + 3 * bits_for(node_space_) /* dest, src, waypoint */ +
-         1 /* found */ + bits_for(hierarchy_->level_count() + 1) +
+         1 /* found */ + bits_for(cover_.level_count() + 1) +
          bits_for(node_space_) + 8 /* tree ref */ +
          tree_label_bits(h.src_label, node_space_, port_space_) +
          tree_label_bits(h.leg.target, node_space_, port_space_) + 1;
@@ -274,61 +303,48 @@ void PolyStretchScheme::audit(AuditReport& report) const {
     names_.audit(report);
   }
   alphabet_.audit(report);
-  hierarchy_->audit(report);
+  if (hierarchy_ != nullptr) hierarchy_->audit(report);
+  cover_.audit(report, hierarchy_.get());
 
   const auto n = static_cast<std::size_t>(names_.node_count());
-  report.check("tables-sized", tables_.size() == n,
-               "one table block per node");
-  if (tables_.size() != n) return;
+  const auto memberships = static_cast<std::size_t>(cover_.size());
+  const bool sized = cover_.node_count() == static_cast<NodeId>(n) &&
+                     own_label_.size() == memberships &&
+                     dict_off_.size() == memberships + 1;
+  report.check("tables-sized", sized,
+               "one label and dictionary row per cover-table membership");
+  if (!sized) return;
 
-  // Per-tree storage: each referenced tree must exist in the hierarchy and
-  // contain the node; dictionary waypoints must be real names.
+  // Per-tree storage: every row is framed by the cover table (so it belongs
+  // to a tree containing the node), and dictionary waypoints are real names.
   bool refs_ok = true;
   std::string refs_detail;
-  for (std::size_t v = 0; refs_ok && v < n; ++v) {
-    for (const auto& [key, per_tree] : tables_[v].per_tree) {
-      const TreeRef ref{static_cast<std::int32_t>(key / (1 << 24)),
-                        static_cast<std::int32_t>(key % (1 << 24))};
-      if (ref.level < 0 || ref.level >= hierarchy_->level_count() ||
-          ref.tree < 0 ||
-          static_cast<std::size_t>(ref.tree) >=
-              hierarchy_->level(ref.level).trees.size() ||
-          !hierarchy_->tree(ref).contains(static_cast<NodeId>(v))) {
-        refs_ok = false;
-        refs_detail = "node " + std::to_string(v) +
-                      " stores state for a tree that does not contain it";
-        break;
-      }
-      for (const auto& [dkey, entry] : per_tree.dict) {
-        if (entry.node < 0 || static_cast<std::size_t>(entry.node) >= n) {
-          refs_ok = false;
-          refs_detail = "per-tree dictionary of node " + std::to_string(v) +
-                        " stores an out-of-range waypoint";
-          break;
-        }
-      }
-      if (!refs_ok) break;
+  for (std::size_t e = 0; e < dict_node_.size(); ++e) {
+    if (dict_node_[e] < 0 || static_cast<std::size_t>(dict_node_[e]) >= n) {
+      refs_ok = false;
+      refs_detail = "dictionary entry " + std::to_string(e) +
+                    " stores an out-of-range waypoint";
+      break;
     }
   }
   report.check("per-tree-refs-valid", refs_ok, std::move(refs_detail));
 }
 
 TableStats PolyStretchScheme::table_stats() const {
-  const auto n = static_cast<NodeId>(tables_.size());
-  TableStats stats =
-      hierarchy_node_stats(*hierarchy_, n, node_space_, port_space_);
+  TableStats stats = hierarchy_node_stats(cover_, node_space_, port_space_);
+  const NodeId n = cover_.node_count();
   const std::int64_t id_bits = bits_for(node_space_);
   for (NodeId v = 0; v < n; ++v) {
     std::int64_t entries = 0, bits = 0;
-    for (const auto& [key, per] : tables_[static_cast<std::size_t>(v)].per_tree) {
-      (void)key;
+    for (std::int64_t m = cover_.begin(v); m < cover_.end(v); ++m) {
+      const auto mz = static_cast<std::size_t>(m);
       ++entries;  // own label
-      bits += tree_label_bits(per.own_label, node_space_, port_space_);
-      for (const auto& [dk, entry] : per.dict) {
-        (void)dk;
+      bits += tree_label_bits(own_label_.at(mz), node_space_, port_space_);
+      for (auto e = static_cast<std::size_t>(dict_off_[mz]);
+           e < static_cast<std::size_t>(dict_off_[mz + 1]); ++e) {
         ++entries;
         bits += id_bits /* key */ + id_bits +
-                tree_label_bits(entry.label, node_space_, port_space_);
+                tree_label_bits(dict_label_.at(e), node_space_, port_space_);
       }
     }
     stats.add(v, entries, bits);

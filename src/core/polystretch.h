@@ -22,13 +22,14 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/names.h"
 #include "dict/alphabet.h"
 #include "net/simulator.h"
 #include "rtz/handshake.h"
+#include "util/flat_vec.h"
 
 namespace rtr {
 
@@ -47,10 +48,16 @@ class PolyStretchScheme {
                     const NameAssignment& names)
       : PolyStretchScheme(g, metric, names, Options{}) {}
 
-  /// Snapshot path: rehydrates tables and the cover hierarchy saved with
-  /// save(); self-contained (forwarding never consults the graph).
-  explicit PolyStretchScheme(SnapshotReader& r);
-  void save(SnapshotWriter& w) const;
+  /// Appends the cover table, the per-membership labels and dictionaries,
+  /// and a meta section as typed arena sections under `prefix`.
+  void save_arena(ArenaWriter& w, const std::string& prefix) const;
+
+  /// Rebuilds a scheme whose tables are zero-copy views into an arena;
+  /// `names` are the snapshot's own name sections.  Self-contained:
+  /// forwarding never consults the graph.
+  [[nodiscard]] static PolyStretchScheme from_arena(
+      const ArenaView& a, const std::string& prefix,
+      const NameAssignment& names);
 
   enum class Mode : std::uint8_t { kNew, kEnroute, kReturn };
 
@@ -87,33 +94,22 @@ class PolyStretchScheme {
   }
 
   [[nodiscard]] const Alphabet& alphabet() const { return alphabet_; }
-  [[nodiscard]] const CoverHierarchy& hierarchy() const { return *hierarchy_; }
+  /// The per-node cover-tree state forwarding reads; the per-tree storage
+  /// below is indexed by its memberships.
+  [[nodiscard]] const CoverTable& cover() const { return cover_; }
 
-  /// Auditable: delegates to the naming, alphabet, and cover hierarchy, then
-  /// checks each node's per-tree storage references real trees containing
-  /// the node, with in-range waypoint names in every dictionary entry.
+  /// Auditable: delegates to the naming, alphabet, and cover table (and,
+  /// for a built scheme, the cover hierarchy it came from), then checks the
+  /// per-membership storage is framed by the cover table, with in-range
+  /// waypoint names in every dictionary entry.
   void audit(AuditReport& report) const;
 
  private:
   friend struct AuditTestPeer;
-  struct DictEntry {
-    NodeName node = kNoNode;
-    TreeLabel label;  // TreeR(C_i, node)
-  };
-  struct PerTree {
-    TreeLabel own_label;  // TreeR(C_i, u)
-    // key = j * q + tau -> nearest extending member (keys use u's own
-    // prefixes, so j is implicit in the match; see build).
-    std::unordered_map<std::int64_t, DictEntry> dict;
-  };
-  struct NodeTables {
-    // (level, tree index within level) -> per-tree storage.
-    std::unordered_map<std::int64_t, PerTree> per_tree;
-  };
 
-  [[nodiscard]] std::int64_t tree_key(TreeRef ref) const {
-    return static_cast<std::int64_t>(ref.level) * (1 << 24) + ref.tree;
-  }
+  /// Arena-load path: from_arena fills the tables.
+  PolyStretchScheme(const NameAssignment& names, Alphabet alphabet)
+      : names_(names), alphabet_(std::move(alphabet)) {}
 
   /// NextNode at the current node within h.tree (Fig. 9 / Section 4.2):
   /// extend the matched prefix or fall back to the source.
@@ -124,8 +120,22 @@ class PolyStretchScheme {
 
   NameAssignment names_;
   Alphabet alphabet_;
+  /// Build-time only; kept on a built scheme so its audit can check the
+  /// cover table against it.  Null when mapped.
   std::shared_ptr<const CoverHierarchy> hierarchy_;
-  std::vector<NodeTables> tables_;
+  CoverTable cover_;
+  // Per membership m of the cover table (node u in tree C_i):
+  PackedLabels<std::int32_t> own_label_;  // TreeR(C_i, u)
+  // Dictionary rows dict_off_[m] .. dict_off_[m+1], sorted by key j * q + tau
+  // (keys use u's own prefixes, so j is implicit in the match; see build):
+  // the nearest member extending u's j-digit prefix with digit tau, and its
+  // label TreeR(C_i, node).
+  FlatVec<std::int64_t> dict_off_;  // cover_.size() + 1
+  FlatVec<std::uint16_t> dict_key_;
+  FlatVec<NodeName> dict_node_;
+  PackedLabels<std::int32_t> dict_label_;
+  /// Keepalive when the arrays are views into a mapped arena.
+  std::shared_ptr<const ArenaStorage> arena_;
   std::int64_t node_space_ = 0;
   std::int64_t port_space_ = 0;
 };

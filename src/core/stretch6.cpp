@@ -14,29 +14,6 @@
 
 namespace rtr {
 
-void Stretch6Scheme::save(SnapshotWriter& w) const {
-  names_.save(w);
-  alphabet_.save(w);
-  w.i32(hood_size_);
-  substrate_->save(w);
-  w.u8(detour_via_source_ ? 1 : 0);
-  save_block_assignment(w, assignment_);
-  const auto n = static_cast<std::size_t>(names_.node_count());
-  w.u64(n);
-  // Replays the exact historical per-node stream from the flat arrays.
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto lo = static_cast<std::size_t>(r3_off_[v]);
-    const auto hi = static_cast<std::size_t>(r3_off_[v + 1]);
-    w.vec_i32(std::vector<NodeName>(r3_names_.data() + lo,
-                                    r3_names_.data() + hi));
-    const NodeName* row =
-        holder_of_.data() + v * static_cast<std::size_t>(block_count_);
-    w.vec_i32(std::vector<NodeName>(
-        row, row + static_cast<std::size_t>(block_count_)));
-  }
-  w.i64(node_space_);
-}
-
 void Stretch6Scheme::adopt_r3_rows(
     const std::vector<std::vector<NodeName>>& rows) {
   std::vector<std::int64_t> off(rows.size() + 1, 0);
@@ -51,37 +28,6 @@ void Stretch6Scheme::adopt_r3_rows(
   r3_off_ = std::move(off);
   r3_names_ = std::move(flat);
   arena_.reset();
-}
-
-Stretch6Scheme::Stretch6Scheme(SnapshotReader& r, const Digraph& g)
-    : names_(NameAssignment::load(r)),
-      alphabet_(Alphabet::load(r)),
-      hood_size_(r.i32()),
-      substrate_(std::make_shared<const Rtz3Scheme>(r, g)) {
-  detour_via_source_ = r.u8() != 0;
-  assignment_ = load_block_assignment(r);
-  const std::uint64_t n = r.u64();
-  if (n != static_cast<std::uint64_t>(g.node_count())) {
-    throw std::invalid_argument(
-        "stretch6 snapshot: table count does not match the graph");
-  }
-  block_count_ = alphabet_.relevant_block_count();
-  std::vector<std::vector<NodeName>> r3_rows(static_cast<std::size_t>(n));
-  std::vector<NodeName> holders;
-  holders.reserve(static_cast<std::size_t>(n) *
-                  static_cast<std::size_t>(block_count_));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    r3_rows[static_cast<std::size_t>(i)] = r.vec_i32();
-    const std::vector<NodeName> holder_row = r.vec_i32();
-    if (holder_row.size() != static_cast<std::size_t>(block_count_)) {
-      throw std::invalid_argument(
-          "stretch6 snapshot: holder rows not sized to the relevant blocks");
-    }
-    holders.insert(holders.end(), holder_row.begin(), holder_row.end());
-  }
-  adopt_r3_rows(r3_rows);
-  holder_of_ = std::move(holders);
-  node_space_ = r.i64();
 }
 
 void Stretch6Scheme::save_arena(ArenaWriter& w,
@@ -125,12 +71,7 @@ Stretch6Scheme::Stretch6Scheme(SnapshotReader& meta, const ArenaView& a,
   r3_names_ = a.vec<NodeName>(prefix + "r3_names");
   holder_of_ = a.vec<NodeName>(
       prefix + "holders", n * static_cast<std::size_t>(block_count_));
-  if (r3_off_.front() != 0 ||
-      r3_off_.back() != static_cast<std::int64_t>(r3_names_.size()) ||
-      !std::is_sorted(r3_off_.begin(), r3_off_.end())) {
-    throw SnapshotArenaError(
-        "stretch6 arena: r3 dictionary offsets are not a well-formed CSR");
-  }
+  check_csr_offsets(r3_off_, r3_names_.size(), prefix + "r3_off");
   arena_ = a.storage();
 }
 

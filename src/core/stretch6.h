@@ -58,11 +58,6 @@ class Stretch6Scheme {
                  const NameAssignment& names, Rng& rng)
       : Stretch6Scheme(g, metric, names, rng, Options{}) {}
 
-  /// Snapshot path: rehydrates tables (and the substrate's) saved with
-  /// save(); `g` must be the snapshot's own graph and outlive the scheme.
-  Stretch6Scheme(SnapshotReader& r, const Digraph& g);
-  void save(SnapshotWriter& w) const;
-
   /// Appends every table (and the substrate's, under `prefix` + "s/") as
   /// typed arena sections under `prefix`.
   void save_arena(ArenaWriter& w, const std::string& prefix) const;
@@ -129,8 +124,7 @@ class Stretch6Scheme {
                  const std::string& prefix, const Digraph& g,
                  const NameAssignment& names);
 
-  /// Flattens per-node sorted r3 rows into the CSR arrays (identical output
-  /// for the build path and the v1 decode).
+  /// Flattens per-node sorted r3 rows into the CSR arrays.
   void adopt_r3_rows(const std::vector<std::vector<NodeName>>& rows);
 
   /// Local lookup of R3(t) in (1)/(3); nullptr if absent.

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "audit/audit.h"
-#include "io/snapshot_format.h"
 
 namespace rtr {
 
@@ -20,38 +19,6 @@ std::vector<char> make_mask(NodeId n, const std::vector<NodeId>& members) {
     mask[static_cast<std::size_t>(v)] = 1;
   }
   return mask;
-}
-
-void save_out_tree(SnapshotWriter& w, const OutTree& t) {
-  w.i32(t.root);
-  w.vec_i64(t.dist);
-  w.vec_i32(t.parent);
-  w.vec_i32(t.parent_port);
-}
-
-OutTree load_out_tree(SnapshotReader& r) {
-  OutTree t;
-  t.root = r.i32();
-  t.dist = r.vec_i64();
-  t.parent = r.vec_i32();
-  t.parent_port = r.vec_i32();
-  return t;
-}
-
-void save_in_tree(SnapshotWriter& w, const InTree& t) {
-  w.i32(t.root);
-  w.vec_i64(t.dist);
-  w.vec_i32(t.next);
-  w.vec_i32(t.next_port);
-}
-
-InTree load_in_tree(SnapshotReader& r) {
-  InTree t;
-  t.root = r.i32();
-  t.dist = r.vec_i64();
-  t.next = r.vec_i32();
-  t.next_port = r.vec_i32();
-  return t;
 }
 
 }  // namespace
@@ -132,27 +99,6 @@ void DoubleTree::audit(AuditReport& report) const {
                "Lemma 14 router must span exactly the member set from the "
                "center");
   out_router_.audit(report);
-}
-
-void DoubleTree::save(SnapshotWriter& w) const {
-  w.i32(center_);
-  w.vec_i32(members_);
-  w.i64(rt_height_);
-  save_out_tree(w, out_tree_);
-  save_in_tree(w, in_tree_);
-  out_router_.save(w);
-}
-
-// The init list mirrors save()'s field order (= declaration order, which
-// C++ guarantees for member initialization).
-DoubleTree::DoubleTree(SnapshotReader& r)
-    : center_(r.i32()),
-      members_(r.vec_i32()),
-      rt_height_(r.i64()),
-      out_tree_(load_out_tree(r)),
-      in_tree_(load_in_tree(r)),
-      out_router_(r) {
-  member_mask_ = make_mask(static_cast<NodeId>(out_tree_.dist.size()), members_);
 }
 
 }  // namespace rtr

@@ -22,8 +22,6 @@
 
 namespace rtr {
 
-class SnapshotWriter;  // io/snapshot_format.h
-class SnapshotReader;
 class AuditReport;  // audit/audit.h
 
 class DoubleTree {
@@ -33,10 +31,6 @@ class DoubleTree {
   /// does not strongly connect the members.
   DoubleTree(const Digraph& g, const Digraph& reversed, NodeId center,
              std::vector<NodeId> members);
-
-  /// Snapshot path: rehydrates a tree saved with save().
-  explicit DoubleTree(SnapshotReader& r);
-  void save(SnapshotWriter& w) const;
 
   [[nodiscard]] NodeId center() const { return center_; }
   [[nodiscard]] const std::vector<NodeId>& members() const { return members_; }

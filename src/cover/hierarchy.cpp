@@ -7,7 +7,6 @@
 
 #include "audit/audit.h"
 #include "graph/apsp.h"
-#include "io/snapshot_format.h"
 #include "util/parallel.h"
 
 namespace rtr {
@@ -51,54 +50,6 @@ CoverHierarchy::CoverHierarchy(const Digraph& g, const Digraph& reversed,
     }
     levels_.push_back(std::move(level));
     if (radius >= diameter) break;
-  }
-}
-
-void save_tree_ref(SnapshotWriter& w, const TreeRef& ref) {
-  w.i32(ref.level);
-  w.i32(ref.tree);
-}
-
-TreeRef load_tree_ref(SnapshotReader& r) {
-  TreeRef ref;
-  ref.level = r.i32();
-  ref.tree = r.i32();
-  return ref;
-}
-
-void CoverHierarchy::save(SnapshotWriter& w) const {
-  w.i32(k_);
-  w.u64(levels_.size());
-  for (const HierarchyLevel& level : levels_) {
-    w.i64(level.radius);
-    w.vec(level.trees,
-          [](SnapshotWriter& ww, const DoubleTree& t) { t.save(ww); });
-    w.vec_i32(level.home_of);
-    w.vec(level.trees_of, [](SnapshotWriter& ww,
-                             const std::vector<std::int32_t>& ts) {
-      ww.vec_i32(ts);
-    });
-  }
-}
-
-CoverHierarchy::CoverHierarchy(SnapshotReader& r) : k_(r.i32()) {
-  const std::uint64_t level_count = r.u64();
-  // Radii double per level, so 64 levels already exceed any Dist; treat more
-  // as corruption rather than trusting the count with an allocation.
-  if (level_count > 64) {
-    throw SnapshotFormatError("snapshot: implausible hierarchy level count " +
-                              std::to_string(level_count));
-  }
-  levels_.reserve(static_cast<std::size_t>(level_count));
-  for (std::uint64_t i = 0; i < level_count; ++i) {
-    HierarchyLevel level;
-    level.radius = r.i64();
-    level.trees =
-        r.vec<DoubleTree>([](SnapshotReader& rr) { return DoubleTree(rr); }, 8);
-    level.home_of = r.vec_i32();
-    level.trees_of = r.vec<std::vector<std::int32_t>>(
-        [](SnapshotReader& rr) { return rr.vec_i32(); }, 8);
-    levels_.push_back(std::move(level));
   }
 }
 

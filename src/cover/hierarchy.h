@@ -22,9 +22,6 @@
 
 namespace rtr {
 
-class SnapshotWriter;  // io/snapshot_format.h
-class SnapshotReader;
-
 /// Identifies one double tree in the hierarchy: (level index, tree index).
 struct TreeRef {
   std::int32_t level = -1;  // 0-based level index; radius = 2^(level+1)
@@ -32,10 +29,6 @@ struct TreeRef {
 
   friend bool operator==(const TreeRef&, const TreeRef&) = default;
 };
-
-/// Snapshot encoding of a tree reference.
-void save_tree_ref(SnapshotWriter& w, const TreeRef& ref);
-[[nodiscard]] TreeRef load_tree_ref(SnapshotReader& r);
 
 struct HierarchyLevel {
   Dist radius = 0;  // 2^{i}
@@ -52,10 +45,6 @@ class CoverHierarchy {
   /// function of (g, metric, k) for any thread count.
   CoverHierarchy(const Digraph& g, const Digraph& reversed,
                  const RoundtripMetric& metric, int k, int threads = 1);
-
-  /// Snapshot path: rehydrates a hierarchy saved with save().
-  explicit CoverHierarchy(SnapshotReader& r);
-  void save(SnapshotWriter& w) const;
 
   [[nodiscard]] int k() const { return k_; }
   [[nodiscard]] std::int32_t level_count() const {

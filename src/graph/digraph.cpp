@@ -213,11 +213,7 @@ Digraph Digraph::from_arena(const ArenaView& a) {
   SnapshotReader meta = a.reader("graph/meta");
   g.max_weight_ = meta.i64();
   meta.expect_exhausted("graph/meta");
-  if (g.offset_.front() != 0 ||
-      g.offset_.back() != static_cast<std::int64_t>(m)) {
-    throw SnapshotArenaError(
-        "arena: graph/offset endpoints disagree with the header edge count");
-  }
+  check_csr_offsets(g.offset_, static_cast<std::size_t>(m), "graph/offset");
   g.arena_ = a.storage();
   return g;
 }

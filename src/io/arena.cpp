@@ -9,7 +9,6 @@
 #include <bit>
 #include <cerrno>
 #include <cstring>
-#include <numeric>
 
 #include "util/types.h"
 
@@ -305,9 +304,14 @@ ArenaView::ArenaView(std::shared_ptr<const ArenaStorage> storage)
     }
   }
   // Sections must not overlap (offsets need not be sorted in the directory,
-  // though the writer emits them that way).
-  std::vector<std::size_t> order(entries_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
+  // though the writer emits them that way).  Empty sections own no bytes, so
+  // they take no part: one shares its offset with the next non-empty
+  // section, and an offset-only sort could order the two either way.
+  std::vector<std::size_t> order;
+  order.reserve(entries_.size());
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].byte_size() != 0) order.push_back(i);
+  }
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return entries_[a].offset < entries_[b].offset;
   });

@@ -1,10 +1,11 @@
-// The relocatable snapshot arena: snapshot format v2's payload layer.
+// The relocatable snapshot arena: the one snapshot encoding (format
+// version 2).
 //
-// A v2 snapshot is ONE pointer-free, offset-based, 8-byte-aligned region:
+// A snapshot is ONE pointer-free, offset-based, 8-byte-aligned region:
 //
 //   offset  field
 //   ------  ------------------------------------------------------------
-//   0       magic: the 8 bytes "RTRSNAP\0" (same as v1)
+//   0       magic: the 8 bytes "RTRSNAP\0"
 //   8       format version (u32) = 2
 //   12      padding (u32) = 0
 //   16      ArenaFileHeader (fixed-size POD, CRC'd):
@@ -31,6 +32,7 @@
 #ifndef RTR_IO_ARENA_H
 #define RTR_IO_ARENA_H
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -48,7 +50,7 @@ inline constexpr std::size_t kArenaMagicSize = 8;
 inline constexpr std::size_t kArenaSectionNameMax = 31;
 inline constexpr std::size_t kArenaSchemeNameMax = 63;
 
-/// The 8 magic bytes every snapshot (v1 and v2) starts with: "RTRSNAP\0".
+/// The 8 magic bytes every snapshot starts with: "RTRSNAP\0".
 [[nodiscard]] const std::uint8_t* snapshot_magic();
 
 /// A structurally invalid arena region: misaligned or out-of-bounds section
@@ -169,7 +171,7 @@ class ArenaWriter {
   void add(const std::string& name, const std::vector<T>& v) {
     add(name, v.data(), v.size());
   }
-  /// A byte-blob section (elem_size 1), e.g. a nested v1-encoded payload.
+  /// A byte-blob section (elem_size 1): a scheme's little-endian "meta".
   void add_bytes(const std::string& name, const std::uint8_t* data,
                  std::size_t size) {
     add_raw(name, data, size, 1);
@@ -187,6 +189,19 @@ class ArenaWriter {
   std::vector<std::uint8_t> bytes_;  // prologue placeholder + sections
   std::vector<ArenaDirEntry> dir_;
 };
+
+/// A CRC-valid arena can still carry inconsistent row offsets, and every
+/// indexed access a loader hands out trusts them: throws SnapshotArenaError
+/// unless `off` rises monotonically from 0 to `entries`.
+inline void check_csr_offsets(const FlatVec<std::int64_t>& off,
+                              std::size_t entries, const std::string& what) {
+  if (off.empty() || off.front() != 0 ||
+      off.back() != static_cast<std::int64_t>(entries) ||
+      !std::is_sorted(off.begin(), off.end())) {
+    throw SnapshotArenaError("arena: " + what +
+                             " offsets do not frame their entry arrays");
+  }
+}
 
 /// A parsed, validated arena: resolves named sections to FlatVec views.
 /// Construction validates the *framing* -- magic, version, layout tag,
@@ -238,7 +253,7 @@ class ArenaView {
     return vec<T>(name);
   }
 
-  /// A SnapshotReader over a byte-blob section (nested v1 payloads).
+  /// A SnapshotReader over a byte-blob section (a "meta" section).
   [[nodiscard]] SnapshotReader reader(const std::string& name) const;
 
   /// Recomputes every section CRC against the directory (owned loads and

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <utility>
@@ -12,10 +11,6 @@
 namespace rtr {
 
 namespace {
-
-constexpr char kSectionGraph[] = "graph";
-constexpr char kSectionNames[] = "names";
-constexpr char kSectionScheme[] = "scheme";
 
 /// Reads a whole file in one gulp; SnapshotIoError when it cannot be opened.
 std::vector<std::uint8_t> slurp(const std::string& path) {
@@ -36,197 +31,6 @@ std::vector<std::uint8_t> slurp(const std::string& path) {
   }
   return bytes;
 }
-
-/// One named CRC'd section framed inside the file writer.
-void frame_section(SnapshotWriter& file, const std::string& name,
-                   const SnapshotWriter& payload) {
-  file.str(name);
-  file.u64(payload.size());
-  const auto& bytes = payload.bytes();
-  file.raw(bytes.data(), bytes.size());
-  file.u32(crc32(bytes.data(), bytes.size()));
-}
-
-struct ParsedSection {
-  std::string name;
-  const std::uint8_t* data = nullptr;
-  std::uint64_t size = 0;
-  std::uint32_t crc = 0;
-};
-
-struct ParsedSnapshot {
-  SnapshotInfo info;
-  std::vector<std::uint8_t> bytes;       // backing storage for the sections
-  std::vector<ParsedSection> sections;   // views into `bytes`
-
-  [[nodiscard]] const ParsedSection& section(const std::string& name) const {
-    for (const auto& s : sections) {
-      if (s.name == name) return s;
-    }
-    throw SnapshotFormatError("snapshot: missing required section '" + name +
-                              "'");
-  }
-};
-
-/// Reads the version field after checking the magic; works on both formats
-/// (they share the first 12 bytes of framing).
-std::uint32_t peek_version(const std::vector<std::uint8_t>& bytes,
-                           const std::string& path) {
-  if (bytes.size() < kSnapshotMagicSize + 4 ||
-      std::memcmp(bytes.data(), snapshot_magic(), kSnapshotMagicSize) != 0) {
-    throw SnapshotFormatError("snapshot: '" + path +
-                              "' does not start with the RTRSNAP magic");
-  }
-  SnapshotReader r(bytes.data() + kSnapshotMagicSize, 4);
-  return r.u32();
-}
-
-/// Parses v1 framing and verifies every checksum; no scheme state is built.
-ParsedSnapshot parse_file(std::vector<std::uint8_t> file_bytes,
-                          const std::string& path) {
-  ParsedSnapshot parsed;
-  parsed.bytes = std::move(file_bytes);
-  parsed.info.file_bytes = parsed.bytes.size();
-
-  SnapshotReader r(parsed.bytes.data(), parsed.bytes.size());
-  if (parsed.bytes.size() < kSnapshotMagicSize ||
-      std::memcmp(parsed.bytes.data(), snapshot_magic(), kSnapshotMagicSize) !=
-          0) {
-    throw SnapshotFormatError("snapshot: '" + path +
-                              "' does not start with the RTRSNAP magic");
-  }
-  r.skip(kSnapshotMagicSize);
-
-  parsed.info.version = r.u32();
-  if (parsed.info.version != kSnapshotVersionV1) {
-    throw SnapshotVersionError(
-        "snapshot: format version " + std::to_string(parsed.info.version) +
-        " not supported (this binary reads versions " +
-        std::to_string(kSnapshotVersionV1) + " and " +
-        std::to_string(kSnapshotVersionV2) + "); rebuild and re-save");
-  }
-
-  // Header payload, CRC'd so a corrupted scheme name cannot masquerade as a
-  // legitimate mismatch.
-  const std::size_t header_begin = r.position();
-  parsed.info.scheme = r.str();
-  parsed.info.node_count = static_cast<NodeId>(r.u32());
-  parsed.info.edge_count = static_cast<std::int64_t>(r.u64());
-  const std::uint32_t section_count = r.u32();
-  const std::size_t header_end = r.position();
-  const std::uint32_t stored_header_crc = r.u32();
-  const std::uint32_t actual_header_crc =
-      crc32(parsed.bytes.data() + header_begin, header_end - header_begin);
-  if (stored_header_crc != actual_header_crc) {
-    throw SnapshotChecksumError("snapshot: header CRC mismatch in '" + path +
-                                "'");
-  }
-
-  for (std::uint32_t i = 0; i < section_count; ++i) {
-    ParsedSection s;
-    s.name = r.str();
-    s.size = r.u64();
-    if (s.size > r.remaining()) {
-      throw SnapshotTruncatedError("snapshot: section '" + s.name +
-                                   "' advertises " + std::to_string(s.size) +
-                                   " bytes but only " +
-                                   std::to_string(r.remaining()) + " remain");
-    }
-    s.data = parsed.bytes.data() + r.position();
-    r.skip(static_cast<std::size_t>(s.size));
-    s.crc = r.u32();
-    const std::uint32_t actual = crc32(s.data, static_cast<std::size_t>(s.size));
-    if (s.crc != actual) {
-      throw SnapshotChecksumError("snapshot: CRC mismatch in section '" +
-                                  s.name + "' of '" + path + "'");
-    }
-    parsed.info.sections.push_back(
-        SnapshotSectionInfo{s.name, s.size, s.crc});
-    parsed.sections.push_back(s);
-  }
-  r.expect_exhausted("file");
-  return parsed;
-}
-
-}  // namespace
-
-// ------------------------------------------------------- graph and names ---
-
-void save_digraph(SnapshotWriter& w, const Digraph& g) {
-  w.u32(static_cast<std::uint32_t>(g.node_count()));
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    const auto edges = g.out_edges(u);
-    w.u32(static_cast<std::uint32_t>(edges.size()));
-    for (const Edge& e : edges) {
-      w.i32(e.to);
-      w.i64(e.weight);
-      w.i32(e.port);
-    }
-  }
-}
-
-Digraph load_digraph(SnapshotReader& r) {
-  const auto n = static_cast<NodeId>(r.u32());
-  if (n < 0) throw SnapshotFormatError("snapshot: negative node count");
-  // Every node contributes at least a u32 degree field, so a count beyond
-  // remaining/4 is corrupt; reject before Digraph(n) allocates for it.
-  if (static_cast<std::uint64_t>(n) > r.remaining() / 4) {
-    throw SnapshotTruncatedError(
-        "snapshot: node count exceeds the remaining payload");
-  }
-  GraphBuilder builder(n);
-  std::vector<Edge> edges;
-  for (NodeId u = 0; u < n; ++u) {
-    const std::uint32_t degree = r.u32();
-    if (degree > r.remaining() / 16) {  // each edge is 16 encoded bytes
-      throw SnapshotTruncatedError(
-          "snapshot: edge count exceeds the remaining payload");
-    }
-    edges.clear();
-    edges.reserve(degree);
-    for (std::uint32_t i = 0; i < degree; ++i) {
-      Edge e;
-      e.to = r.i32();
-      e.weight = r.i64();
-      e.port = r.i32();
-      edges.push_back(e);
-    }
-    try {
-      builder.add_edges_with_ports(u, edges);
-    } catch (const std::exception& e) {
-      // Structurally invalid edge data that still passed the CRC: surface
-      // it as a snapshot error, not a bare invalid_argument.
-      throw SnapshotFormatError(std::string("snapshot: bad edge: ") + e.what());
-    }
-  }
-  try {
-    // freeze() preserves row order, so a loaded graph re-saves to the exact
-    // bytes it came from; its extra validation (parallel edges) is surfaced
-    // as a snapshot error like the per-edge checks above.
-    return builder.freeze();
-  } catch (const std::exception& e) {
-    throw SnapshotFormatError(std::string("snapshot: bad edge: ") + e.what());
-  }
-}
-
-namespace {
-
-NameAssignment load_names_checked(SnapshotReader& r) {
-  try {
-    return NameAssignment::load(r);
-  } catch (const SnapshotError&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw SnapshotFormatError(std::string("snapshot: bad name permutation: ") +
-                              e.what());
-  }
-}
-
-}  // namespace
-
-// -------------------------------------------------------- save/load/info ---
-
-namespace {
 
 /// Write-then-rename so a crashed or concurrent writer never leaves a
 /// half-written file where a reader expects a snapshot.  The scratch name
@@ -256,52 +60,15 @@ void write_file_atomic(const std::string& path,
   }
 }
 
-/// The complete v1 file image (streamed sections).
-std::vector<std::uint8_t> build_v1_image(const std::string& scheme_name,
-                                         const SchemeHandle& handle,
-                                         const SchemeRegistry& registry) {
-  const SchemeRegistry::Saver& saver = registry.saver(scheme_name);
-
-  SnapshotWriter graph_section;
-  save_digraph(graph_section, handle.graph());
-  SnapshotWriter names_section;
-  handle.names().save(names_section);
-  SnapshotWriter scheme_section;
-  saver(handle.scheme(), scheme_section);
-
-  SnapshotWriter file;
-  file.raw(snapshot_magic(), kSnapshotMagicSize);
-  file.u32(kSnapshotVersionV1);
-  SnapshotWriter header;
-  header.str(scheme_name);
-  header.u32(static_cast<std::uint32_t>(handle.graph().node_count()));
-  header.u64(static_cast<std::uint64_t>(handle.graph().edge_count()));
-  header.u32(3);  // section count
-  file.raw(header.bytes().data(), header.size());
-  file.u32(crc32(header.bytes().data(), header.size()));
-
-  frame_section(file, kSectionGraph, graph_section);
-  frame_section(file, kSectionNames, names_section);
-  frame_section(file, kSectionScheme, scheme_section);
-  return file.bytes();
-}
-
-/// The complete v2 file image: graph + names as flat sections, the scheme
-/// through its arena hooks when registered, its v1 byte encoding in a
-/// "scheme/blob" section otherwise.
-std::vector<std::uint8_t> build_v2_image(const std::string& scheme_name,
-                                         const SchemeHandle& handle,
-                                         const SchemeRegistry& registry) {
+/// The complete file image: graph + names as flat sections, the scheme's
+/// tables through its registry hooks.
+std::vector<std::uint8_t> build_image(const std::string& scheme_name,
+                                      const SchemeHandle& handle,
+                                      const SchemeRegistry& registry) {
   ArenaWriter w;
   handle.graph().save_arena(w);
   handle.names().save_arena(w);
-  if (registry.arena_supported(scheme_name)) {
-    registry.arena_saver(scheme_name)(handle.scheme(), w);
-  } else {
-    SnapshotWriter blob;
-    registry.saver(scheme_name)(handle.scheme(), blob);
-    w.add_bytes("scheme/blob", blob.bytes().data(), blob.size());
-  }
+  registry.arena_saver(scheme_name)(handle.scheme(), w);
   return w.finalize(scheme_name, handle.graph().node_count(),
                     handle.graph().edge_count());
 }
@@ -318,18 +85,12 @@ SchemeHandle handle_from_arena(const ArenaView& view, const std::string& where,
                                       "' holds scheme '" + scheme_name +
                                       "', expected '" + expected_scheme + "'");
   }
-  const bool blob = view.has("scheme/blob");
   // A file naming a scheme this registry cannot load (unknown, or registered
-  // without the needed hooks -- e.g. written by a newer binary) must stay
-  // inside the typed-error contract so cache users can treat it as a miss.
-  const SchemeRegistry::Loader* v1_loader = nullptr;
-  const SchemeRegistry::ArenaLoader* arena_loader = nullptr;
+  // without hooks -- e.g. written by a newer binary) must stay inside the
+  // typed-error contract so cache users can treat it as a miss.
+  const SchemeRegistry::ArenaLoader* loader = nullptr;
   try {
-    if (blob) {
-      v1_loader = &registry.loader(scheme_name);
-    } else {
-      arena_loader = &registry.arena_loader(scheme_name);
-    }
+    loader = &registry.arena_loader(scheme_name);
   } catch (const std::exception& e) {
     throw SnapshotSchemeMismatchError(
         "snapshot: '" + where + "' holds scheme '" + scheme_name +
@@ -341,15 +102,12 @@ SchemeHandle handle_from_arena(const ArenaView& view, const std::string& where,
   SnapshotLoadContext ctx;
   ctx.graph = graph;
   ctx.names = names;
+  // Scheme hooks may throw a plain std::exception on CRC-valid but
+  // mutually inconsistent sections; callers rely on catching SnapshotError
+  // to treat a bad cache file as a miss.
   std::shared_ptr<const Scheme> scheme;
   try {
-    if (blob) {
-      SnapshotReader r = view.reader("scheme/blob");
-      scheme = (*v1_loader)(r, ctx);
-      r.expect_exhausted("scheme/blob section");
-    } else {
-      scheme = (*arena_loader)(view, ctx);
-    }
+    scheme = (*loader)(view, ctx);
     if (scheme == nullptr) {
       throw SnapshotFormatError("snapshot: loader returned no scheme");
     }
@@ -365,99 +123,18 @@ SchemeHandle handle_from_arena(const ArenaView& view, const std::string& where,
 }  // namespace
 
 void save_snapshot(const std::string& path, const std::string& scheme_name,
-                   const SchemeHandle& handle, const SchemeRegistry& registry,
-                   std::uint32_t version) {
-  std::vector<std::uint8_t> image;
-  switch (version) {
-    case kSnapshotVersionV1:
-      image = build_v1_image(scheme_name, handle, registry);
-      break;
-    case kSnapshotVersionV2:
-      image = build_v2_image(scheme_name, handle, registry);
-      break;
-    default:
-      throw SnapshotVersionError("snapshot: this binary writes versions " +
-                                 std::to_string(kSnapshotVersionV1) + " and " +
-                                 std::to_string(kSnapshotVersionV2) + ", not " +
-                                 std::to_string(version));
-  }
-  write_file_atomic(path, image);
+                   const SchemeHandle& handle, const SchemeRegistry& registry) {
+  write_file_atomic(path, build_image(scheme_name, handle, registry));
 }
 
 SchemeHandle load_snapshot(const std::string& path,
                            const std::string& expected_scheme,
                            const SchemeRegistry& registry) {
-  std::vector<std::uint8_t> bytes = slurp(path);
-  if (peek_version(bytes, path) == kSnapshotVersionV2) {
-    // Owned v2 load: same arena parse as the mapped path, plus full section
-    // CRC verification (this path has already paid for reading every byte).
-    ArenaView view(make_owned_arena(std::move(bytes)));
-    view.verify_section_crcs();
-    return handle_from_arena(view, path, expected_scheme, registry);
-  }
-  ParsedSnapshot parsed = parse_file(std::move(bytes), path);
-  if (!expected_scheme.empty() && parsed.info.scheme != expected_scheme) {
-    throw SnapshotSchemeMismatchError("snapshot: '" + path + "' holds scheme '" +
-                                      parsed.info.scheme + "', expected '" +
-                                      expected_scheme + "'");
-  }
-  // A file naming a scheme this registry cannot load (unknown, or registered
-  // without hooks -- e.g. written by a newer binary) must stay inside the
-  // typed-error contract so cache users can treat it as a miss.
-  const SchemeRegistry::Loader* loader = nullptr;
-  try {
-    loader = &registry.loader(parsed.info.scheme);
-  } catch (const std::exception& e) {
-    throw SnapshotSchemeMismatchError(
-        "snapshot: '" + path + "' holds scheme '" + parsed.info.scheme +
-        "' which this registry cannot load: " + e.what());
-  }
-
-  const ParsedSection& graph_sec = parsed.section(kSectionGraph);
-  SnapshotReader graph_reader(graph_sec.data,
-                              static_cast<std::size_t>(graph_sec.size));
-  auto graph = std::make_shared<const Digraph>(load_digraph(graph_reader));
-  graph_reader.expect_exhausted("graph section");
-  if (graph->node_count() != parsed.info.node_count ||
-      graph->edge_count() != parsed.info.edge_count) {
-    throw SnapshotFormatError(
-        "snapshot: header node/edge counts disagree with the graph section");
-  }
-
-  const ParsedSection& names_sec = parsed.section(kSectionNames);
-  SnapshotReader names_reader(names_sec.data,
-                              static_cast<std::size_t>(names_sec.size));
-  NameAssignment names = load_names_checked(names_reader);
-  names_reader.expect_exhausted("names section");
-  if (names.node_count() != graph->node_count()) {
-    throw SnapshotFormatError(
-        "snapshot: names section does not match the graph's node count");
-  }
-
-  SnapshotLoadContext ctx;
-  ctx.graph = graph;
-  ctx.names = names;
-  const ParsedSection& scheme_sec = parsed.section(kSectionScheme);
-  SnapshotReader scheme_reader(scheme_sec.data,
-                               static_cast<std::size_t>(scheme_sec.size));
-  // Scheme decode failures must keep the typed-error contract even when the
-  // hook throws a plain std::exception (e.g. CRC-valid sections that are
-  // mutually inconsistent): callers rely on catching SnapshotError to treat
-  // a bad cache file as a miss.
-  std::shared_ptr<const Scheme> scheme;
-  try {
-    scheme = (*loader)(scheme_reader, ctx);
-    scheme_reader.expect_exhausted("scheme section");
-    if (scheme == nullptr) {
-      throw SnapshotFormatError("snapshot: loader returned no scheme");
-    }
-    return SchemeHandle(std::move(graph), std::move(names), std::move(scheme));
-  } catch (const SnapshotError&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw SnapshotFormatError(std::string("snapshot: bad scheme section: ") +
-                              e.what());
-  }
+  // Same arena parse as the mapped path, plus full section CRC verification
+  // (this path has already paid for reading every byte).
+  ArenaView view(make_owned_arena(slurp(path)));
+  view.verify_section_crcs();
+  return handle_from_arena(view, path, expected_scheme, registry);
 }
 
 SchemeHandle map_snapshot(const std::string& path,
@@ -479,134 +156,26 @@ std::string publish_snapshot_shm(const std::string& path,
   // Validate end to end before publishing: a shared-memory object is read by
   // many processes on their fast (no-payload-CRC) path, so the publisher
   // carries the full verification.
-  std::vector<std::uint8_t> bytes = slurp(path);
-  if (peek_version(bytes, path) != kSnapshotVersionV2) {
-    throw SnapshotVersionError(
-        "snapshot: only v2 (arena) snapshots can be published to shared "
-        "memory; repack '" + path + "' with `rtr_cli snapshot pack`");
-  }
-  ArenaView view(make_owned_arena(std::move(bytes)));
+  ArenaView view(make_owned_arena(slurp(path)));
   view.verify_section_crcs();
   publish_arena_shm(shm_name, view.storage()->data(), view.storage()->size());
   return view.scheme();
 }
 
 SnapshotInfo inspect_snapshot(const std::string& path) {
-  std::vector<std::uint8_t> bytes = slurp(path);
-  if (peek_version(bytes, path) == kSnapshotVersionV2) {
-    ArenaView view(make_owned_arena(std::move(bytes)));
-    view.verify_section_crcs();
-    SnapshotInfo info;
-    info.version = kSnapshotVersionV2;
-    info.scheme = view.scheme();
-    info.node_count = static_cast<NodeId>(view.header().node_count);
-    info.edge_count = static_cast<std::int64_t>(view.header().edge_count);
-    info.file_bytes = view.file_bytes();
-    for (const ArenaDirEntry& e : view.entries()) {
-      info.sections.push_back(
-          SnapshotSectionInfo{e.name_str(), e.byte_size(), e.crc});
-    }
-    return info;
+  ArenaView view(make_owned_arena(slurp(path)));
+  view.verify_section_crcs();
+  SnapshotInfo info;
+  info.version = kSnapshotVersion;
+  info.scheme = view.scheme();
+  info.node_count = static_cast<NodeId>(view.header().node_count);
+  info.edge_count = static_cast<std::int64_t>(view.header().edge_count);
+  info.file_bytes = view.file_bytes();
+  for (const ArenaDirEntry& e : view.entries()) {
+    info.sections.push_back(
+        SnapshotSectionInfo{e.name_str(), e.byte_size(), e.crc});
   }
-  return parse_file(std::move(bytes), path).info;
-}
-
-bool SnapshotFileStatus::all_ok() const {
-  if (!framing_ok) return false;
-  for (const auto& s : sections) {
-    if (!s.crc_ok) return false;
-  }
-  return true;
-}
-
-SnapshotFileStatus probe_snapshot(const std::string& path) {
-  SnapshotFileStatus status;
-  std::vector<std::uint8_t> bytes = slurp(path);  // IoError propagates
-  status.file_bytes = bytes.size();
-
-  // The walk mirrors parse_file but records problems instead of throwing:
-  // a damaged section must not hide the health of the sections after it.
-  try {
-    SnapshotReader r(bytes.data(), bytes.size());
-    if (bytes.size() < kSnapshotMagicSize + 4 ||
-        std::memcmp(bytes.data(), snapshot_magic(), kSnapshotMagicSize) != 0) {
-      status.framing_error = "missing RTRSNAP magic";
-      return status;
-    }
-    r.skip(kSnapshotMagicSize);
-
-    status.version = r.u32();
-    if (status.version == kSnapshotVersionV2) {
-      // Arena probe: the framing either validates as a whole (ArenaView's
-      // constructor) or pinpoints its failure; with valid framing every
-      // section is then reported with stored-vs-recomputed CRC.
-      try {
-        ArenaView view(make_owned_arena(std::move(bytes)));
-        status.scheme = view.scheme();
-        status.node_count = static_cast<NodeId>(view.header().node_count);
-        status.edge_count = static_cast<std::int64_t>(view.header().edge_count);
-        for (const ArenaDirEntry& e : view.entries()) {
-          SnapshotSectionStatus s;
-          s.name = e.name_str();
-          s.bytes = e.byte_size();
-          s.payload_offset = e.offset;
-          s.stored_crc = e.crc;
-          s.actual_crc = crc32(view.storage()->data() + e.offset,
-                               static_cast<std::size_t>(e.byte_size()));
-          s.crc_ok = s.stored_crc == s.actual_crc;
-          status.sections.push_back(std::move(s));
-        }
-        status.framing_ok = true;
-      } catch (const SnapshotError& e) {
-        status.framing_error = e.what();
-      }
-      return status;
-    }
-    if (status.version != kSnapshotVersionV1) {
-      status.framing_error =
-          "unsupported format version " + std::to_string(status.version);
-      return status;
-    }
-
-    const std::size_t header_begin = r.position();
-    status.scheme = r.str();
-    status.node_count = static_cast<NodeId>(r.u32());
-    status.edge_count = static_cast<std::int64_t>(r.u64());
-    const std::uint32_t section_count = r.u32();
-    const std::size_t header_end = r.position();
-    if (r.u32() != crc32(bytes.data() + header_begin,
-                         header_end - header_begin)) {
-      status.framing_error = "header CRC mismatch";
-      return status;
-    }
-
-    for (std::uint32_t i = 0; i < section_count; ++i) {
-      SnapshotSectionStatus s;
-      s.name = r.str();
-      s.bytes = r.u64();
-      if (s.bytes > r.remaining()) {
-        status.framing_error = "section '" + s.name + "' truncated";
-        status.sections.push_back(std::move(s));
-        return status;
-      }
-      s.payload_offset = r.position();
-      const std::uint8_t* payload = bytes.data() + r.position();
-      r.skip(static_cast<std::size_t>(s.bytes));
-      s.stored_crc = r.u32();
-      s.actual_crc = crc32(payload, static_cast<std::size_t>(s.bytes));
-      s.crc_ok = s.stored_crc == s.actual_crc;
-      status.sections.push_back(std::move(s));
-    }
-    if (r.remaining() != 0) {
-      status.framing_error = std::to_string(r.remaining()) +
-                             " trailing bytes after the last section";
-      return status;
-    }
-    status.framing_ok = true;
-  } catch (const SnapshotError& e) {
-    status.framing_error = e.what();
-  }
-  return status;
+  return info;
 }
 
 void warn_snapshot_cache_save_failed_once(const std::string& context,

@@ -1,30 +1,28 @@
-// Versioned binary scheme snapshots: build once, serve forever.
+// Binary scheme snapshots: build once, serve forever.
 //
 // A snapshot file freezes one built SchemeHandle -- graph, TINN naming, and
 // the scheme's routing tables -- so a serving process can skip the
 // O(n^2)-ish preprocessing entirely and go straight to answering queries
 // (the paper's preprocess-once/query-forever model made operational).
 //
-// Two on-disk versions share the "RTRSNAP\0" magic and the u32 version field
-// at offset 8:
+// There is one encoding: the relocatable arena of io/arena.h (format
+// version 2).  The file IS the in-memory layout -- one pointer-free,
+// 8-aligned region of typed flat arrays plus a directory -- written under
+// three section prefixes: "graph/" (the CSR digraph), "names/" (the TINN
+// permutation), and "scheme/" (whatever the scheme's registry hooks write:
+// its per-node tables as flat sections, plus a small little-endian "meta"
+// section for scalars and parameters).  Loading in place is open + mmap +
+// header/CRC check + offset fixup into FlatVec views, O(ms) at any n and
+// for every scheme; the same bytes also load into an owned buffer (with
+// full section-CRC verification) and publish into POSIX shared memory for
+// multi-process serving.
 //
-//   * v1 -- the streamed encoding: a CRC'd header (scheme name, node/edge
-//     counts) followed by named CRC'd sections ("graph", "names", "scheme"),
-//     each a little-endian byte stream decoded element by element.  Loading
-//     replays the graph through GraphBuilder and re-derives every index --
-//     O(n log n)-ish work and a full copy of everything.
-//   * v2 -- the relocatable arena (io/arena.h): the payload IS the in-memory
-//     layout, one pointer-free 8-aligned region of typed flat arrays plus a
-//     directory.  Loading in place = open + mmap + header/CRC check + offset
-//     fixup into FlatVec views, O(ms) at any n.  The same bytes also load
-//     into an owned buffer (with full section-CRC verification) and publish
-//     into POSIX shared memory for multi-process serving.
-//
-// Compatibility policy: save_snapshot writes v2 by default; v1 remains fully
-// readable (load_snapshot dispatches on the version field) and writable on
-// request (pass kSnapshotVersionV1).  Schemes without arena hooks get v2
-// files whose tables ride in one "scheme/blob" section holding their v1 byte
-// encoding -- every registered scheme round-trips through v2.
+// Version policy: every file starts with the "RTRSNAP\0" magic and a u32
+// format version.  This binary reads and writes version 2 only; any other
+// version -- including the retired version-1 streamed encoding -- is
+// rejected with SnapshotVersionError before a single table byte is read.
+// SchemeRegistry::build_or_load treats such a file as a cache miss: it
+// rebuilds the scheme and overwrites the file with a version-2 snapshot.
 //
 // Every failure mode is a typed exception (see io/snapshot_format.h): bad
 // magic, wrong version, truncation, checksum mismatch, scheme mismatch,
@@ -43,10 +41,8 @@
 
 namespace rtr {
 
-inline constexpr std::uint32_t kSnapshotVersionV1 = 1;
-inline constexpr std::uint32_t kSnapshotVersionV2 = kArenaFormatVersion;
-/// The version save_snapshot writes when the caller does not choose one.
-inline constexpr std::uint32_t kSnapshotVersion = kSnapshotVersionV2;
+/// The one format version this binary reads and writes.
+inline constexpr std::uint32_t kSnapshotVersion = kArenaFormatVersion;
 inline constexpr std::size_t kSnapshotMagicSize = kArenaMagicSize;
 
 /// Everything `rtr_cli snapshot info` prints without loading the tables.
@@ -68,41 +64,38 @@ struct SnapshotInfo {
 /// Serializes a built handle under the registry name it was built as.  The
 /// registry must have snapshot hooks for that name.  Writes to a temporary
 /// sibling first and renames into place, so readers never observe a torn
-/// file.  Throws SnapshotIoError on filesystem trouble and
-/// SnapshotVersionError for a version this binary does not write.
+/// file.  Throws SnapshotIoError on filesystem trouble.
 void save_snapshot(const std::string& path, const std::string& scheme_name,
                    const SchemeHandle& handle,
-                   const SchemeRegistry& registry = SchemeRegistry::global(),
-                   std::uint32_t version = kSnapshotVersion);
+                   const SchemeRegistry& registry = SchemeRegistry::global());
 
-/// Loads a snapshot into a ready-to-serve handle, dispatching on the file's
-/// version (v1 streamed or v2 arena; the v2 payload is copied into an owned
-/// buffer here -- use map_snapshot for load-in-place).  When
-/// `expected_scheme` is non-empty the file's scheme name must match it
-/// exactly (SnapshotSchemeMismatchError otherwise).  All section CRCs are
-/// verified before any scheme state is constructed.
+/// Loads a snapshot into a ready-to-serve handle over an owned copy of the
+/// file (use map_snapshot for load-in-place).  When `expected_scheme` is
+/// non-empty the file's scheme name must match it exactly
+/// (SnapshotSchemeMismatchError otherwise).  All section CRCs are verified
+/// before any scheme state is constructed.
 [[nodiscard]] SchemeHandle load_snapshot(
     const std::string& path, const std::string& expected_scheme = "",
     const SchemeRegistry& registry = SchemeRegistry::global());
 
-/// Zero-copy fast path: mmap(2)s a v2 snapshot and serves straight off the
+/// Zero-copy fast path: mmap(2)s a snapshot and serves straight off the
 /// mapping (FlatVec views into the file; the handle keeps the mapping alive).
 /// Verifies framing (magic, version, layout tag, header + directory CRCs,
 /// section bounds) but NOT the per-section payload CRCs -- that is what
 /// keeps it O(ms) at any n; run `rtr_cli snapshot map-info` or the auditor
-/// for end-to-end checks.  Throws SnapshotVersionError for v1 files.
+/// for end-to-end checks.
 [[nodiscard]] SchemeHandle map_snapshot(
     const std::string& path, const std::string& expected_scheme = "",
     const SchemeRegistry& registry = SchemeRegistry::global());
 
-/// Attaches a v2 snapshot published in a POSIX shared-memory object
+/// Attaches a snapshot published in a POSIX shared-memory object
 /// (MAP_SHARED read-only): every serving process references one physical
 /// copy.  Same verification contract as map_snapshot.
 [[nodiscard]] SchemeHandle map_snapshot_shm(
     const std::string& shm_name, const std::string& expected_scheme = "",
     const SchemeRegistry& registry = SchemeRegistry::global());
 
-/// Publishes a v2 snapshot file into a POSIX shared-memory object after
+/// Publishes a snapshot file into a POSIX shared-memory object after
 /// fully validating it (framing + every section CRC).  Readers attach with
 /// map_snapshot_shm.  Returns the snapshot's scheme name.
 std::string publish_snapshot_shm(const std::string& path,
@@ -112,56 +105,12 @@ std::string publish_snapshot_shm(const std::string& path,
 /// without constructing the scheme (cheap: one pass over the file).
 [[nodiscard]] SnapshotInfo inspect_snapshot(const std::string& path);
 
-/// One section's health as seen by probe_snapshot: the stored CRC next to
-/// the one recomputed over the payload actually on disk.
-struct SnapshotSectionStatus {
-  std::string name;
-  std::uint64_t bytes = 0;
-  /// Byte offset of the payload within the file (0 when the framing walk
-  /// stopped before reaching it), so tooling can re-read one section.
-  std::uint64_t payload_offset = 0;
-  std::uint32_t stored_crc = 0;
-  std::uint32_t actual_crc = 0;
-  bool crc_ok = false;
-};
-
-/// Lenient per-section probe result.  Unlike inspect_snapshot, a bad
-/// checksum does not abort the walk: every section that the framing reaches
-/// is reported with its stored-vs-recomputed CRC, so tooling can say *which*
-/// section is damaged.  `framing_error` is set when the walk itself had to
-/// stop early (bad magic, wrong version, header CRC mismatch, truncation).
-struct SnapshotFileStatus {
-  bool framing_ok = false;
-  std::string framing_error;
-  std::uint32_t version = 0;
-  std::string scheme;
-  NodeId node_count = 0;
-  std::int64_t edge_count = 0;
-  std::uint64_t file_bytes = 0;
-  std::vector<SnapshotSectionStatus> sections;
-
-  /// True iff the framing parsed and every section checksum matches.
-  [[nodiscard]] bool all_ok() const;
-};
-
-/// Probes a snapshot without throwing on corruption: only I/O failure to
-/// open or read the file raises SnapshotIoError; every structural or
-/// checksum problem lands in the returned status instead.
-[[nodiscard]] SnapshotFileStatus probe_snapshot(const std::string& path);
-
 /// Serving-path degradation notice: a cache save failed (full disk,
 /// read-only directory) but the built scheme serves regardless.  Logs to
 /// stderr once per process -- an epoch loop hitting this every rebuild must
 /// neither spam the log nor stay silent about serving cold forever.
 void warn_snapshot_cache_save_failed_once(const std::string& context,
                                           const SnapshotError& error);
-
-// -- building blocks shared with the scheme hooks ---------------------------
-
-/// Digraph <-> bytes (explicit ports and weights; the adversary's port
-/// choice is part of the frozen artifact, unlike the text edge-list format).
-void save_digraph(SnapshotWriter& w, const Digraph& g);
-[[nodiscard]] Digraph load_digraph(SnapshotReader& r);
 
 }  // namespace rtr
 

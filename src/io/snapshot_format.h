@@ -1,17 +1,16 @@
-// The low-level binary snapshot encoding: a little-endian byte stream with
-// typed primitives, CRC-32 integrity, and loud typed errors.
+// The low-level pieces every snapshot is made of: the typed SnapshotError
+// family, CRC-32, and a little-endian byte codec (SnapshotWriter /
+// SnapshotReader) for the small "meta" sections that hold a scheme's scalars
+// and parameters, and for reading the arena prologue.  Tables themselves are
+// flat arena sections (io/arena.h), never codec streams.
 //
 // This header is deliberately free of any graph/scheme dependency so that
-// every scheme translation unit can implement its save/load hooks against it
-// without layering cycles; the file framing (magic, version, named CRC'd
-// sections) lives one level up in io/snapshot.h.
+// every scheme translation unit can encode its meta section against it
+// without layering cycles.
 //
-// Encoding rules, shared by every writer in the repo:
+// Encoding rules:
 //   * all integers little-endian, fixed width (u8/u32/u64/i32/i64),
-//   * strings and vectors are a u64 count followed by the elements,
-//   * associative containers are written in sorted key order, so that
-//     save -> load -> save is byte-identical (the conformance suite's
-//     differential check relies on this).
+//   * vectors are a u64 count followed by the elements.
 #ifndef RTR_IO_SNAPSHOT_FORMAT_H
 #define RTR_IO_SNAPSHOT_FORMAT_H
 
@@ -84,12 +83,7 @@ class SnapshotWriter {
   void i32(std::int32_t v) { append_le(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { append_le(static_cast<std::uint64_t>(v)); }
 
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
-  }
-
-  /// Appends raw bytes verbatim (section framing).
+  /// Appends raw bytes verbatim.
   // GCC 12 mis-models the inlined vector insert growing from empty and
   // reports a spurious -Wstringop-overflow ("region of size 0"); suppress
   // just that diagnostic here (false positive, see GCC PR 105329).
@@ -112,24 +106,8 @@ class SnapshotWriter {
     for (const auto& x : v) f(*this, x);
   }
 
-  void vec_i32(const std::vector<std::int32_t>& v) { bulk_vec(v); }
   void vec_i64(const std::vector<std::int64_t>& v) { bulk_vec(v); }
   void vec_u64(const std::vector<std::uint64_t>& v) { bulk_vec(v); }
-
-  /// Any map/unordered_map with integral-ish comparable keys, written in
-  /// sorted key order for deterministic re-saves.
-  template <typename Map, typename KeyF, typename ValueF>
-  void sorted_map(const Map& m, KeyF kf, ValueF vf) {
-    std::vector<typename Map::key_type> keys;
-    keys.reserve(m.size());
-    for (const auto& [k, v] : m) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    u64(keys.size());
-    for (const auto& k : keys) {
-      kf(*this, k);
-      vf(*this, m.at(k));
-    }
-  }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
     return bytes_;
@@ -180,16 +158,6 @@ class SnapshotReader {
     return static_cast<std::int64_t>(read_le<std::uint64_t>());
   }
 
-  [[nodiscard]] std::string str() {
-    const std::uint64_t len = u64();
-    check_count(len, 1);
-    need(static_cast<std::size_t>(len));
-    std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<std::size_t>(len));
-    pos_ += static_cast<std::size_t>(len);
-    return s;
-  }
-
   /// Reads a u64 count and calls f(reader) that many times, collecting the
   /// results.  `min_elem_bytes` guards against absurd counts in corrupt files
   /// before any allocation happens.
@@ -203,28 +171,11 @@ class SnapshotReader {
     return out;
   }
 
-  [[nodiscard]] std::vector<std::int32_t> vec_i32() {
-    return bulk_vec<std::int32_t>();
-  }
   [[nodiscard]] std::vector<std::int64_t> vec_i64() {
     return bulk_vec<std::int64_t>();
   }
   [[nodiscard]] std::vector<std::uint64_t> vec_u64() {
     return bulk_vec<std::uint64_t>();
-  }
-
-  /// Reads a u64 count of (key, value) pairs into any map type.
-  template <typename Map, typename KeyF, typename ValueF>
-  [[nodiscard]] Map map(KeyF kf, ValueF vf, std::size_t min_elem_bytes = 2) {
-    const std::uint64_t count = u64();
-    check_count(count, min_elem_bytes);
-    Map m;
-    m.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      auto k = kf(*this);
-      m.emplace(std::move(k), vf(*this));
-    }
-    return m;
   }
 
   /// Bounds-checked bulk copy out of the stream: the single place raw bytes
@@ -235,15 +186,6 @@ class SnapshotReader {
     if (n != 0) std::memcpy(dst, data_ + pos_, n);  // rtr-lint: checked-copy
     pos_ += n;
   }
-
-  /// Advances past `n` bytes without decoding them.
-  void skip(std::size_t n) {
-    need(n);
-    pos_ += n;
-  }
-
-  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
-  [[nodiscard]] std::size_t position() const { return pos_; }
 
   /// Asserts the payload was consumed exactly; leftover bytes mean the file
   /// and this binary disagree about the encoding.

@@ -1,7 +1,7 @@
 // Registration of every in-repo roundtrip routing scheme with the global
 // SchemeRegistry.  Adding a scheme (or an option variant) is one add() line
-// plus, when the scheme supports binary snapshots, one set_snapshot_hooks()
-// line pairing its save()/snapshot-constructor.
+// plus, when the scheme supports snapshots, one set_arena_hooks() line
+// pairing its save_arena()/from_arena().
 #include <memory>
 #include <utility>
 
@@ -11,7 +11,6 @@
 #include "core/polystretch.h"
 #include "core/stretch6.h"
 #include "io/arena.h"
-#include "io/snapshot_format.h"
 #include "net/scheme.h"
 #include "net/scheme_adapter.h"
 #include "rtz/rtz3_scheme.h"
@@ -39,16 +38,17 @@ class Hashed64Adapter final : public Scheme {
   }
 
   /// Snapshot path: the metric is build-time only, so a loaded adapter
-  /// carries none; the chosen names come out of the scheme payload (the
-  /// scheme serializes them once for both of us).
-  Hashed64Adapter(SnapshotReader& r, const SnapshotLoadContext& ctx)
+  /// carries none; the chosen names come out of the scheme's meta section
+  /// (the scheme saves them once for both of us).
+  Hashed64Adapter(const ArenaView& a, const SnapshotLoadContext& ctx)
       : names_(ctx.names),
         graph_(require_graph(ctx.graph)),
-        impl_(std::make_shared<const HashedStretch6Scheme>(r, *graph_)) {
+        impl_(std::make_shared<const HashedStretch6Scheme>(
+            HashedStretch6Scheme::from_arena(a, "scheme/", *graph_))) {
     chosen_ = impl_->chosen();
   }
 
-  void save(SnapshotWriter& w) const { impl_->save(w); }
+  void save_arena(ArenaWriter& w) const { impl_->save_arena(w, "scheme/"); }
 
   [[nodiscard]] std::string name() const override { return impl_->name(); }
 
@@ -120,15 +120,17 @@ std::shared_ptr<const Scheme> build_adapted(const BuildContext& ctx,
 }
 
 /// Snapshot saver for adapter-wrapped schemes: unwraps the adapter the
-/// factory above produced and delegates to the concrete scheme's save().
+/// factory above produced and writes the concrete scheme's tables under
+/// "scheme/" (a substrate a TINN scheme embeds nests one level deeper,
+/// e.g. "scheme/s/").
 template <TemplatedScheme S>
-void save_adapted(const Scheme& scheme, SnapshotWriter& w) {
+void save_adapted(const Scheme& scheme, ArenaWriter& w) {
   const auto* adapter = dynamic_cast<const TemplateSchemeAdapter<S>*>(&scheme);
   if (adapter == nullptr) {
     throw std::invalid_argument(
         "snapshot save: scheme instance does not match this registry entry");
   }
-  adapter->impl().save(w);
+  adapter->impl().save_arena(w, "scheme/");
 }
 
 const Digraph& require_snapshot_graph(const SnapshotLoadContext& ctx) {
@@ -212,74 +214,10 @@ void register_builtin_schemes(SchemeRegistry& registry) {
                  return std::make_shared<const Hashed64Adapter>(ctx);
                });
 
-  // --- snapshot hooks: save()/snapshot-constructor pairs per entry ----------
+  // --- snapshot hooks: save_arena()/from_arena() pairs per entry -----------
+  // The stretch6 detour flag travels inside the scheme meta, so both
+  // variants share one hook pair.
   const auto stretch6_loader =
-      [](SnapshotReader& r,
-         const SnapshotLoadContext& ctx) -> std::shared_ptr<const Scheme> {
-    return adapt_scheme(
-        std::make_shared<const Stretch6Scheme>(r, require_snapshot_graph(ctx)),
-        {ctx.graph});
-  };
-  // The detour flag travels inside the payload, so both variants share one
-  // saver/loader pair.
-  registry.set_snapshot_hooks("stretch6", &save_adapted<Stretch6Scheme>,
-                              stretch6_loader);
-  registry.set_snapshot_hooks("stretch6-detour", &save_adapted<Stretch6Scheme>,
-                              stretch6_loader);
-  registry.set_snapshot_hooks(
-      "exstretch", &save_adapted<ExStretchScheme>,
-      [](SnapshotReader& r,
-         const SnapshotLoadContext&) -> std::shared_ptr<const Scheme> {
-        return adapt_scheme(std::make_shared<const ExStretchScheme>(r));
-      });
-  registry.set_snapshot_hooks(
-      "polystretch", &save_adapted<PolyStretchScheme>,
-      [](SnapshotReader& r,
-         const SnapshotLoadContext&) -> std::shared_ptr<const Scheme> {
-        return adapt_scheme(std::make_shared<const PolyStretchScheme>(r));
-      });
-  registry.set_snapshot_hooks(
-      "rtz3", &save_adapted<Rtz3Scheme>,
-      [](SnapshotReader& r,
-         const SnapshotLoadContext& ctx) -> std::shared_ptr<const Scheme> {
-        return adapt_scheme(
-            std::make_shared<const Rtz3Scheme>(r, require_snapshot_graph(ctx)),
-            {ctx.graph});
-      });
-  // --- v2 arena hooks: flat-table schemes map snapshots in place ------------
-  // Scheme-owned sections live under the "scheme/" prefix (the substrate a
-  // TINN scheme embeds nests one level deeper, e.g. "scheme/s/").
-  registry.set_arena_hooks(
-      "rtz3",
-      [](const Scheme& scheme, ArenaWriter& w) {
-        const auto* adapter =
-            dynamic_cast<const TemplateSchemeAdapter<Rtz3Scheme>*>(&scheme);
-        if (adapter == nullptr) {
-          throw std::invalid_argument(
-              "snapshot save: scheme instance does not match this registry "
-              "entry");
-        }
-        adapter->impl().save_arena(w, "scheme/");
-      },
-      [](const ArenaView& a,
-         const SnapshotLoadContext& ctx) -> std::shared_ptr<const Scheme> {
-        return adapt_scheme(
-            std::make_shared<const Rtz3Scheme>(Rtz3Scheme::from_arena(
-                a, "scheme/", require_snapshot_graph(ctx), ctx.names)),
-            {ctx.graph});
-      });
-  // As with the v1 hooks, the detour flag travels inside the scheme meta, so
-  // both stretch6 variants share one arena saver/loader pair.
-  const auto stretch6_arena_saver = [](const Scheme& scheme, ArenaWriter& w) {
-    const auto* adapter =
-        dynamic_cast<const TemplateSchemeAdapter<Stretch6Scheme>*>(&scheme);
-    if (adapter == nullptr) {
-      throw std::invalid_argument(
-          "snapshot save: scheme instance does not match this registry entry");
-    }
-    adapter->impl().save_arena(w, "scheme/");
-  };
-  const auto stretch6_arena_loader =
       [](const ArenaView& a,
          const SnapshotLoadContext& ctx) -> std::shared_ptr<const Scheme> {
     return adapt_scheme(
@@ -287,22 +225,61 @@ void register_builtin_schemes(SchemeRegistry& registry) {
             a, "scheme/", require_snapshot_graph(ctx), ctx.names)),
         {ctx.graph});
   };
-  registry.set_arena_hooks("stretch6", stretch6_arena_saver,
-                           stretch6_arena_loader);
-  registry.set_arena_hooks("stretch6-detour", stretch6_arena_saver,
-                           stretch6_arena_loader);
-
-  registry.set_snapshot_hooks(
-      "fulltable", &save_adapted<FullTableScheme>,
-      [](SnapshotReader& r,
-         const SnapshotLoadContext&) -> std::shared_ptr<const Scheme> {
-        return adapt_scheme(std::make_shared<const FullTableScheme>(r));
+  registry.set_arena_hooks("stretch6", &save_adapted<Stretch6Scheme>,
+                           stretch6_loader);
+  registry.set_arena_hooks("stretch6-detour", &save_adapted<Stretch6Scheme>,
+                           stretch6_loader);
+  registry.set_arena_hooks(
+      "rtz3", &save_adapted<Rtz3Scheme>,
+      [](const ArenaView& a,
+         const SnapshotLoadContext& ctx) -> std::shared_ptr<const Scheme> {
+        return adapt_scheme(
+            std::make_shared<const Rtz3Scheme>(Rtz3Scheme::from_arena(
+                a, "scheme/", require_snapshot_graph(ctx), ctx.names)),
+            {ctx.graph});
       });
+  registry.set_arena_hooks(
+      "exstretch", &save_adapted<ExStretchScheme>,
+      [](const ArenaView& a,
+         const SnapshotLoadContext& ctx) -> std::shared_ptr<const Scheme> {
+        return adapt_scheme(std::make_shared<const ExStretchScheme>(
+            ExStretchScheme::from_arena(a, "scheme/", ctx.names)));
+      });
+  registry.set_arena_hooks(
+      "polystretch", &save_adapted<PolyStretchScheme>,
+      [](const ArenaView& a,
+         const SnapshotLoadContext& ctx) -> std::shared_ptr<const Scheme> {
+        return adapt_scheme(std::make_shared<const PolyStretchScheme>(
+            PolyStretchScheme::from_arena(a, "scheme/", ctx.names)));
+      });
+  registry.set_arena_hooks(
+      "fulltable", &save_adapted<FullTableScheme>,
+      [](const ArenaView& a,
+         const SnapshotLoadContext& ctx) -> std::shared_ptr<const Scheme> {
+        return adapt_scheme(std::make_shared<const FullTableScheme>(
+            FullTableScheme::from_arena(a, "scheme/", ctx.names)));
+      });
+  registry.set_arena_hooks(
+      "hashed64",
+      [](const Scheme& scheme, ArenaWriter& w) {
+        const auto* adapter = dynamic_cast<const Hashed64Adapter*>(&scheme);
+        if (adapter == nullptr) {
+          throw std::invalid_argument(
+              "snapshot save: scheme instance does not match this registry "
+              "entry");
+        }
+        adapter->save_arena(w);
+      },
+      [](const ArenaView& a,
+         const SnapshotLoadContext& ctx) -> std::shared_ptr<const Scheme> {
+        return std::make_shared<const Hashed64Adapter>(a, ctx);
+      });
+
   // --- incremental repair hooks (ROADMAP: epoch repair under churn) ---------
   // Only schemes with a certified-equivalence repair path register one;
-  // everything else silently falls back to a full rebuild.  Each hook
-  // unwraps the adapter exactly like the snapshot savers and rewraps the
-  // repaired implementation with the new context's retained deps.
+  // everything else falls back to a full rebuild.  Each hook unwraps the
+  // adapter exactly like the snapshot savers and rewraps the repaired
+  // implementation with the new context's retained deps.
   registry.set_repair_hook(
       "rtz3",
       [](const Scheme& old_scheme, const Digraph& old_graph,
@@ -335,23 +312,6 @@ void register_builtin_schemes(SchemeRegistry& registry) {
                                                 *ctx.graph, ctx.names, delta);
         if (repaired == nullptr) return nullptr;
         return adapt_scheme(std::move(repaired), {ctx.graph});
-      });
-
-  registry.set_snapshot_hooks(
-      "hashed64",
-      [](const Scheme& scheme, SnapshotWriter& w) {
-        const auto* adapter = dynamic_cast<const Hashed64Adapter*>(&scheme);
-        if (adapter == nullptr) {
-          throw std::invalid_argument(
-              "snapshot save: scheme instance does not match this registry "
-              "entry");
-        }
-        adapter->save(w);
-      },
-      [](SnapshotReader& r,
-         const SnapshotLoadContext& ctx) -> std::shared_ptr<const Scheme> {
-        require_snapshot_graph(ctx);
-        return std::make_shared<const Hashed64Adapter>(r, ctx);
       });
 }
 

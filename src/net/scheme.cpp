@@ -107,26 +107,11 @@ void SchemeRegistry::add(std::string name, std::string summary,
                          Factory factory) {
   auto [it, inserted] = entries_.emplace(
       std::move(name),
-      Entry{std::move(summary), std::move(factory), {}, {}, {}, {}, {}});
+      Entry{std::move(summary), std::move(factory), {}, {}, {}});
   if (!inserted) {
     throw std::invalid_argument("SchemeRegistry::add: duplicate scheme name '" +
                                 it->first + "'");
   }
-}
-
-void SchemeRegistry::set_snapshot_hooks(const std::string& name, Saver saver,
-                                        Loader loader) {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    throw std::invalid_argument(
-        "SchemeRegistry::set_snapshot_hooks: unknown scheme '" + name + "'");
-  }
-  if (saver == nullptr || loader == nullptr) {
-    throw std::invalid_argument(
-        "SchemeRegistry::set_snapshot_hooks: null hook for '" + name + "'");
-  }
-  it->second.saver = std::move(saver);
-  it->second.loader = std::move(loader);
 }
 
 void SchemeRegistry::set_arena_hooks(const std::string& name, ArenaSaver saver,
@@ -163,11 +148,6 @@ bool SchemeRegistry::contains(const std::string& name) const {
 }
 
 bool SchemeRegistry::snapshot_supported(const std::string& name) const {
-  auto it = entries_.find(name);
-  return it != entries_.end() && it->second.saver != nullptr;
-}
-
-bool SchemeRegistry::arena_supported(const std::string& name) const {
   auto it = entries_.find(name);
   return it != entries_.end() && it->second.arena_saver != nullptr;
 }
@@ -214,32 +194,12 @@ std::shared_ptr<const Scheme> SchemeRegistry::repair(
   return scheme;
 }
 
-const SchemeRegistry::Saver& SchemeRegistry::saver(
-    const std::string& name) const {
-  const Entry& e = entry_or_throw(name, "saver");
-  if (e.saver == nullptr) {
-    throw std::invalid_argument("SchemeRegistry: scheme '" + name +
-                                "' has no snapshot hooks");
-  }
-  return e.saver;
-}
-
-const SchemeRegistry::Loader& SchemeRegistry::loader(
-    const std::string& name) const {
-  const Entry& e = entry_or_throw(name, "loader");
-  if (e.loader == nullptr) {
-    throw std::invalid_argument("SchemeRegistry: scheme '" + name +
-                                "' has no snapshot hooks");
-  }
-  return e.loader;
-}
-
 const SchemeRegistry::ArenaSaver& SchemeRegistry::arena_saver(
     const std::string& name) const {
   const Entry& e = entry_or_throw(name, "arena_saver");
   if (e.arena_saver == nullptr) {
     throw std::invalid_argument("SchemeRegistry: scheme '" + name +
-                                "' has no arena hooks");
+                                "' has no snapshot hooks");
   }
   return e.arena_saver;
 }
@@ -249,7 +209,7 @@ const SchemeRegistry::ArenaLoader& SchemeRegistry::arena_loader(
   const Entry& e = entry_or_throw(name, "arena_loader");
   if (e.arena_loader == nullptr) {
     throw std::invalid_argument("SchemeRegistry: scheme '" + name +
-                                "' has no arena hooks");
+                                "' has no snapshot hooks");
   }
   return e.arena_loader;
 }
@@ -261,11 +221,11 @@ SchemeHandle SchemeRegistry::build_or_load(
   // registered without snapshot hooks (neither the load nor the save leg
   // could ever work for those).
   const Entry& entry = entry_or_throw(name, "build_or_load");
-  if (entry.saver == nullptr) {
+  if (entry.arena_saver == nullptr) {
     throw std::invalid_argument("SchemeRegistry::build_or_load: scheme '" +
                                 name +
                                 "' has no snapshot hooks; use build() or "
-                                "register hooks via set_snapshot_hooks()");
+                                "register hooks via set_arena_hooks()");
   }
   if (mode == SnapshotLoadMode::kMapped) {
     try {
@@ -277,8 +237,8 @@ SchemeHandle SchemeRegistry::build_or_load(
 #endif
       return mapped;
     } catch (const SnapshotError&) {
-      // v1 cache file or unusable mapping: the owned path below still
-      // applies (and, failing that too, the rebuild leg).
+      // Unusable mapping: the owned path below still applies (and, failing
+      // that too, the rebuild leg).
     }
   }
   try {
@@ -290,7 +250,8 @@ SchemeHandle SchemeRegistry::build_or_load(
 #endif
     return loaded;
   } catch (const SnapshotError&) {
-    // Absent, stale, corrupt, or mismatched cache: build and re-save below.
+    // Absent, stale, corrupt, older-format, or mismatched cache: build and
+    // re-save below.
   }
   BuildContext ctx = make_ctx();
   SchemeHandle handle(ctx.graph, ctx.names, entry.factory(ctx));

@@ -51,8 +51,6 @@
 
 namespace rtr {
 
-class SnapshotWriter;  // io/snapshot_format.h
-class SnapshotReader;
 class AuditReport;   // audit/audit.h
 class ArenaWriter;   // io/arena.h
 class ArenaView;
@@ -296,8 +294,8 @@ struct BuildContext {
                                      double fallback) const;
 };
 
-/// Pieces a snapshot loader has already materialized (the "graph" and
-/// "names" sections) by the time a scheme's loader hook runs.
+/// Pieces a snapshot loader has already materialized (the "graph/" and
+/// "names/" sections) by the time a scheme's loader hook runs.
 struct SnapshotLoadContext {
   std::shared_ptr<const Digraph> graph;
   NameAssignment names = NameAssignment::identity(0);
@@ -309,21 +307,17 @@ class SchemeHandle;
 /// in-repo scheme pre-registered: stretch6, stretch6-detour, exstretch,
 /// polystretch, rtz3, fulltable, hashed64.
 ///
-/// Each entry may additionally carry *snapshot hooks*: a saver that encodes
-/// a built scheme's tables into a SnapshotWriter and a loader that rebuilds
-/// the scheme from a SnapshotReader without touching the graph again.  All
-/// built-ins register hooks; io/snapshot.h drives them.
+/// Each entry may additionally carry *snapshot hooks*: an arena saver that
+/// writes a built scheme's tables as flat arena sections and an arena
+/// loader that rebuilds the scheme as views over those sections, without
+/// touching the graph again.  All built-ins register hooks; io/snapshot.h
+/// drives them.
 class SchemeRegistry {
  public:
   using Factory =
       std::function<std::shared_ptr<const Scheme>(const BuildContext&)>;
-  /// Encodes a registry-built scheme's state; throws std::invalid_argument
-  /// if handed a scheme of a different concrete type.
-  using Saver = std::function<void(const Scheme&, SnapshotWriter&)>;
-  /// Decodes a scheme from snapshot bytes against the already-loaded graph.
-  using Loader = std::function<std::shared_ptr<const Scheme>(
-      SnapshotReader&, const SnapshotLoadContext&)>;
-  /// Writes a built scheme's tables as flat arena sections (v2 snapshots).
+  /// Writes a built scheme's tables as flat arena sections; throws
+  /// std::invalid_argument if handed a scheme of a different concrete type.
   using ArenaSaver = std::function<void(const Scheme&, ArenaWriter&)>;
   /// Reconstructs a scheme as zero-copy views over a v2 arena.
   using ArenaLoader = std::function<std::shared_ptr<const Scheme>(
@@ -341,12 +335,8 @@ class SchemeRegistry {
   /// Registers a factory; throws std::invalid_argument on a duplicate name.
   void add(std::string name, std::string summary, Factory factory);
 
-  /// Attaches snapshot hooks to a registered name; throws for unknown names.
-  void set_snapshot_hooks(const std::string& name, Saver saver, Loader loader);
-
-  /// Attaches v2 arena hooks.  Optional: schemes without them still get v2
-  /// snapshots via the generic blob fallback (their v1 byte encoding nested
-  /// in one arena section), they just load by decoding instead of mapping.
+  /// Attaches the snapshot hooks; throws for unknown names.  A scheme
+  /// without them cannot be saved or loaded (build() still works).
   void set_arena_hooks(const std::string& name, ArenaSaver saver,
                        ArenaLoader loader);
 
@@ -354,9 +344,8 @@ class SchemeRegistry {
   void set_repair_hook(const std::string& name, Repairer repairer);
 
   [[nodiscard]] bool contains(const std::string& name) const;
+  /// True when the scheme registered snapshot hooks.
   [[nodiscard]] bool snapshot_supported(const std::string& name) const;
-  /// True when the scheme maps v2 arenas in place (no blob fallback).
-  [[nodiscard]] bool arena_supported(const std::string& name) const;
   /// True when the scheme registered an incremental repair hook.
   [[nodiscard]] bool repair_supported(const std::string& name) const;
 
@@ -377,24 +366,22 @@ class SchemeRegistry {
 
   /// The snapshot hooks of a name; throw std::invalid_argument when the name
   /// is unknown or registered without hooks.
-  [[nodiscard]] const Saver& saver(const std::string& name) const;
-  [[nodiscard]] const Loader& loader(const std::string& name) const;
   [[nodiscard]] const ArenaSaver& arena_saver(const std::string& name) const;
   [[nodiscard]] const ArenaLoader& arena_loader(const std::string& name) const;
 
-  /// How build_or_load materializes a cache hit.  kOwned decodes into
-  /// owning buffers with full section-CRC verification (the historical
-  /// behavior, works for every snapshot version).  kMapped first tries to
-  /// mmap(2) a v2 arena in place -- the O(ms)-at-any-n warm start the epoch
-  /// server uses; payload CRCs are NOT verified on this path -- and falls
-  /// back to kOwned for v1 files or when the mapping fails.
+  /// How build_or_load materializes a cache hit.  kOwned reads the file
+  /// into an owned buffer with full section-CRC verification.  kMapped
+  /// first tries to mmap(2) the arena in place -- the O(ms)-at-any-n warm
+  /// start the epoch server uses; payload CRCs are NOT verified on this
+  /// path -- and falls back to kOwned when the mapping fails.
   enum class SnapshotLoadMode { kOwned, kMapped };
 
   /// The serve-path entry point: if `path` holds a valid snapshot of `name`,
   /// load it and skip construction entirely (make_ctx is never called -- no
   /// APSP, no scheme build); otherwise build from make_ctx(), save the
   /// snapshot to `path` for the next process, and return the built handle.
-  /// A stale or corrupt cache file is treated as a miss and overwritten.
+  /// A stale, corrupt, or older-format cache file is treated as a miss and
+  /// overwritten.
   [[nodiscard]] SchemeHandle build_or_load(
       const std::string& name, const std::function<BuildContext()>& make_ctx,
       const std::string& path,
@@ -417,10 +404,8 @@ class SchemeRegistry {
   struct Entry {
     std::string summary;
     Factory factory;
-    Saver saver;    // empty when the scheme has no snapshot support
-    Loader loader;  // empty when the scheme has no snapshot support
-    ArenaSaver arena_saver;    // empty -> v2 uses the blob fallback
-    ArenaLoader arena_loader;  // empty -> v2 uses the blob fallback
+    ArenaSaver arena_saver;    // empty when the scheme has no snapshot support
+    ArenaLoader arena_loader;  // empty when the scheme has no snapshot support
     Repairer repairer;         // empty -> epochs always rebuild from scratch
   };
   [[nodiscard]] const Entry& entry_or_throw(const std::string& name,

@@ -37,24 +37,6 @@ void flatten_rows(const std::vector<std::vector<NodeId>>& rows,
   }
 }
 
-/// A CRC-valid arena can still carry inconsistent offsets; every indexed
-/// access below assumes this shape, so check it once up front.
-void check_csr(const FlatVec<std::int64_t>& off, std::size_t member_count,
-               const char* what) {
-  if (off.empty() || off.front() != 0 ||
-      off.back() != static_cast<std::int64_t>(member_count)) {
-    throw SnapshotArenaError(std::string("arena: ") + what +
-                             " CSR offsets do not frame the members array");
-  }
-  for (std::size_t i = 0; i + 1 < off.size(); ++i) {
-    if (off[i] > off[i + 1]) {
-      throw SnapshotArenaError(std::string("arena: ") + what +
-                               " CSR offsets decrease at row " +
-                               std::to_string(i));
-    }
-  }
-}
-
 }  // namespace
 
 std::int64_t BallSystem::max_ball_size() const { return max_row_size(ball_off); }
@@ -98,8 +80,9 @@ BallSystem BallSystem::from_arena(const ArenaView& a,
   b.ball_members = a.vec<NodeId>(prefix + "ball_members");
   b.cluster_off = a.vec<std::int64_t>(prefix + "cluster_off", n + 1);
   b.cluster_members = a.vec<NodeId>(prefix + "cluster_members");
-  check_csr(b.ball_off, b.ball_members.size(), "ball");
-  check_csr(b.cluster_off, b.cluster_members.size(), "cluster");
+  check_csr_offsets(b.ball_off, b.ball_members.size(), prefix + "ball_off");
+  check_csr_offsets(b.cluster_off, b.cluster_members.size(),
+                    prefix + "cluster_off");
   b.arena = a.storage();
   return b;
 }

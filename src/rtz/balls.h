@@ -72,8 +72,8 @@ struct BallSystem {
   [[nodiscard]] std::int64_t max_ball_size() const;
   [[nodiscard]] std::int64_t max_cluster_size() const;
 
-  /// Packs materialized rows into the CSR arrays (construction and the v1
-  /// streamed decode; also handy for tests that need to damage a row).
+  /// Packs materialized rows into the CSR arrays (construction; also handy
+  /// for tests that need to damage a row).
   void adopt_rows(const std::vector<std::vector<NodeId>>& ball_rows,
                   const std::vector<std::vector<NodeId>>& cluster_rows);
 

@@ -2,38 +2,56 @@
 
 #include <stdexcept>
 
-#include "io/snapshot_format.h"
+#include "io/arena.h"
 #include "util/bit_cost.h"
 
 namespace rtr {
 
-void save_r2_label(SnapshotWriter& w, const R2Label& label) {
-  save_tree_ref(w, label.tree);
-  save_tree_label(w, label.label_u);
-  save_tree_label(w, label.label_v);
+PackedR2Labels::PackedR2Labels(const std::vector<R2Label>& labels) {
+  std::vector<TreeRef> trees;
+  PackedLabels<std::int32_t>::Builder u, v;
+  trees.reserve(labels.size());
+  for (const R2Label& label : labels) {
+    trees.push_back(label.tree);
+    u.add(label.label_u);
+    v.add(label.label_v);
+  }
+  tree_ = std::move(trees);
+  u_ = u.build();
+  v_ = v.build();
 }
 
-R2Label load_r2_label(SnapshotReader& r) {
-  R2Label label;
-  label.tree = load_tree_ref(r);
-  label.label_u = load_tree_label(r);
-  label.label_v = load_tree_label(r);
-  return label;
+void PackedR2Labels::save_arena(ArenaWriter& w,
+                                const std::string& prefix) const {
+  w.add(prefix + "tree", tree_);
+  u_.save_arena(w, prefix + "u_");
+  v_.save_arena(w, prefix + "v_");
 }
 
-DtStep dt_step(const CoverHierarchy& hierarchy, NodeId at, DtLeg& leg) {
-  const DoubleTree& tree = hierarchy.tree(leg.tree);
-  if (!tree.contains(at)) {
+PackedR2Labels PackedR2Labels::from_arena(const ArenaView& a,
+                                          const std::string& prefix,
+                                          std::uint64_t count) {
+  PackedR2Labels p;
+  p.tree_ = a.vec<TreeRef>(prefix + "tree", count);
+  p.u_ = PackedLabels<std::int32_t>::from_arena(a, prefix + "u_", count);
+  p.v_ = PackedLabels<std::int32_t>::from_arena(a, prefix + "v_", count);
+  return p;
+}
+
+DtStep dt_step(const CoverTable& cover, NodeId at, DtLeg& leg) {
+  const std::int64_t i = cover.find(at, leg.tree);
+  if (i == CoverTable::kNotMember) {
     throw std::logic_error("dt_step: node is outside the leg's double tree");
   }
+  const TreeMembership& m = cover.at(i);
   if (leg.going_up) {
-    if (at == tree.center()) {
+    if (m.is_center != 0) {
       leg.going_up = false;
     } else {
-      return DtStep{false, tree.up_port(at)};
+      return DtStep{false, m.up_port};
     }
   }
-  Port p = tree_next_port(tree.out_router().table(at), leg.target);
+  Port p = tree_next_port(m.table, leg.target);
   if (p == kNoPort) return DtStep{true, kNoPort};
   return DtStep{false, p};
 }
@@ -62,25 +80,23 @@ R2Label compute_r2(const CoverHierarchy& hierarchy, NodeId u, NodeId v) {
   throw std::logic_error("compute_r2: no common double tree for the pair");
 }
 
-TableStats hierarchy_node_stats(const CoverHierarchy& hierarchy, NodeId n,
+TableStats hierarchy_node_stats(const CoverTable& cover,
                                 std::int64_t node_space,
                                 std::int64_t port_space) {
+  const NodeId n = cover.node_count();
   TableStats stats(n);
   const std::int64_t id_bits = bits_for(node_space);
   const std::int64_t port_bits = bits_for(port_space);
   const std::int64_t tree_id_bits =
-      bits_for(hierarchy.level_count()) + id_bits;  // (level, tree index)
-  for (std::int32_t level = 0; level < hierarchy.level_count(); ++level) {
-    const HierarchyLevel& lvl = hierarchy.level(level);
-    for (NodeId v = 0; v < n; ++v) {
-      const auto memberships = static_cast<std::int64_t>(
-          lvl.trees_of[static_cast<std::size_t>(v)].size());
-      // Per membership: tree id + up-port + (dfs_in, heavy_port) table.
-      stats.add(v, memberships,
-                memberships * (tree_id_bits + port_bits + id_bits + port_bits));
-      // Home tree id for this level.
-      stats.add(v, 1, tree_id_bits);
-    }
+      bits_for(cover.level_count()) + id_bits;  // (level, tree index)
+  const std::int64_t levels = cover.level_count();
+  for (NodeId v = 0; v < n; ++v) {
+    const std::int64_t memberships = cover.end(v) - cover.begin(v);
+    // Per membership: tree id + up-port + (dfs_in, heavy_port) table.
+    stats.add(v, memberships,
+              memberships * (tree_id_bits + port_bits + id_bits + port_bits));
+    // Home tree id per level.
+    stats.add(v, levels, levels * tree_id_bits);
   }
   return stats;
 }

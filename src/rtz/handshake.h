@@ -21,6 +21,10 @@
 #ifndef RTR_RTZ_HANDSHAKE_H
 #define RTR_RTZ_HANDSHAKE_H
 
+#include <string>
+#include <vector>
+
+#include "cover/cover_table.h"
 #include "cover/hierarchy.h"
 #include "net/table_stats.h"
 #include "treeroute/tree_router.h"
@@ -34,9 +38,30 @@ struct R2Label {
   TreeLabel label_v;  // v's address in the tree (for the forward trip)
 };
 
-/// Snapshot encoding of a handshake label.
-void save_r2_label(SnapshotWriter& w, const R2Label& label);
-[[nodiscard]] R2Label load_r2_label(SnapshotReader& r);
+/// A sequence of handshake labels in flat, arena-storable form: the tree
+/// references plus the two endpoint labels, each side packed on its own.
+class PackedR2Labels {
+ public:
+  PackedR2Labels() = default;
+  explicit PackedR2Labels(const std::vector<R2Label>& labels);
+
+  [[nodiscard]] std::size_t size() const { return tree_.size(); }
+  [[nodiscard]] R2Label at(std::size_t i) const {
+    return R2Label{tree_[i], u_.at(i), v_.at(i)};
+  }
+
+  /// Sections prefix + "tree", then the u and v labels under prefix + "u_"
+  /// and prefix + "v_".
+  void save_arena(ArenaWriter& w, const std::string& prefix) const;
+  [[nodiscard]] static PackedR2Labels from_arena(const ArenaView& a,
+                                                 const std::string& prefix,
+                                                 std::uint64_t count);
+
+ private:
+  FlatVec<TreeRef> tree_;
+  PackedLabels<std::int32_t> u_;
+  PackedLabels<std::int32_t> v_;
+};
 
 /// A one-way trip through a double tree: climb to the root, descend to the
 /// labelled target.  Used for both directions of an R2 pair and by the
@@ -53,9 +78,10 @@ struct DtStep {
 };
 
 /// One local forwarding step of a double-tree leg.  Uses only state the
-/// current node stores for this tree (its up-port and tree-router table).
-[[nodiscard]] DtStep dt_step(const CoverHierarchy& hierarchy, NodeId at,
-                             DtLeg& leg);
+/// current node stores for this tree (its cover-table row: center flag,
+/// up-port, and tree-router table).  Throws std::logic_error when the node
+/// is not in the leg's tree.
+[[nodiscard]] DtStep dt_step(const CoverTable& cover, NodeId at, DtLeg& leg);
 
 /// Computes R2(u, v), or throws std::logic_error if no common tree exists
 /// (impossible when the hierarchy's top level covers the diameter).
@@ -68,8 +94,8 @@ struct DtStep {
 /// Per-node storage implied by hierarchy membership (what each node keeps to
 /// play its part in every double tree containing it: tree id, up-port,
 /// Lemma 14 node table, plus its home tree id per level).
-[[nodiscard]] TableStats hierarchy_node_stats(const CoverHierarchy& hierarchy,
-                                              NodeId n, std::int64_t node_space,
+[[nodiscard]] TableStats hierarchy_node_stats(const CoverTable& cover,
+                                              std::int64_t node_space,
                                               std::int64_t port_space);
 
 /// Encoded size of an R2 label.

@@ -18,6 +18,7 @@ HierarchyLabelScheme::HierarchyLabelScheme(const Digraph& g,
       port_space_(g.port_space()) {
   const Digraph reversed = g.reversed();
   hierarchy_ = std::make_shared<CoverHierarchy>(g, reversed, metric, k_);
+  cover_ = CoverTable(*hierarchy_);
   const NodeId n = g.node_count();
   labels_.resize(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) {
@@ -51,13 +52,12 @@ Decision HierarchyLabelScheme::forward(NodeId at, Header& h) const {
           labels_[static_cast<std::size_t>(names_.id_of(h.dest))];
       for (std::int32_t level = 0; level < hierarchy_->level_count(); ++level) {
         TreeRef ref{level, dest_label.home_tree[static_cast<std::size_t>(level)]};
-        const DoubleTree& tree = hierarchy_->tree(ref);
-        if (!tree.contains(at)) continue;
+        if (cover_.find(at, ref) == CoverTable::kNotMember) continue;
         h.tree = ref;
         h.dest_label = dest_label.home_address[static_cast<std::size_t>(level)];
-        h.src_label = tree.out_router().label(at);
+        h.src_label = hierarchy_->tree(ref).out_router().label(at);
         h.leg = DtLeg{ref, h.dest_label, true};
-        DtStep step = dt_step(*hierarchy_, at, h.leg);
+        DtStep step = dt_step(cover_, at, h.leg);
         if (step.arrived) {
           throw std::logic_error("hier-label: fresh leg arrived instantly");
         }
@@ -66,7 +66,7 @@ Decision HierarchyLabelScheme::forward(NodeId at, Header& h) const {
       throw std::logic_error("hier-label: no common home tree (broken cover)");
     }
     case Mode::kOutbound: {
-      DtStep step = dt_step(*hierarchy_, at, h.leg);
+      DtStep step = dt_step(cover_, at, h.leg);
       if (!step.arrived) return Decision::forward_on(step.port);
       if (at_name != h.dest) {
         throw std::logic_error("hier-label: leg arrived off-destination");
@@ -77,14 +77,14 @@ Decision HierarchyLabelScheme::forward(NodeId at, Header& h) const {
       h.mode = Mode::kInbound;
       if (at_name == h.src) return Decision::deliver_here();
       h.leg = DtLeg{h.tree, h.src_label, true};
-      DtStep step = dt_step(*hierarchy_, at, h.leg);
+      DtStep step = dt_step(cover_, at, h.leg);
       if (step.arrived) {
         throw std::logic_error("hier-label: return leg arrived instantly");
       }
       return Decision::forward_on(step.port);
     }
     case Mode::kInbound: {
-      DtStep step = dt_step(*hierarchy_, at, h.leg);
+      DtStep step = dt_step(cover_, at, h.leg);
       if (!step.arrived) return Decision::forward_on(step.port);
       if (at_name != h.src) {
         throw std::logic_error("hier-label: return ended away from source");
@@ -109,6 +109,7 @@ void HierarchyLabelScheme::audit(AuditReport& report) const {
     names_.audit(report);
   }
   hierarchy_->audit(report);
+  cover_.audit(report, hierarchy_.get());
 
   const auto n = static_cast<std::size_t>(names_.node_count());
   const auto levels = static_cast<std::size_t>(hierarchy_->level_count());
@@ -146,8 +147,7 @@ void HierarchyLabelScheme::audit(AuditReport& report) const {
 TableStats HierarchyLabelScheme::table_stats() const {
   const auto n = static_cast<NodeId>(labels_.size());
   // Membership storage (up ports + tree tables) ...
-  TableStats stats =
-      hierarchy_node_stats(*hierarchy_, n, node_space_, port_space_);
+  TableStats stats = hierarchy_node_stats(cover_, node_space_, port_space_);
   // ... plus each node's own per-membership address (needed to mint
   // src_label locally at the source).
   for (std::int32_t level = 0; level < hierarchy_->level_count(); ++level) {

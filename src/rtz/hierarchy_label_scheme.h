@@ -91,6 +91,7 @@ class HierarchyLabelScheme {
   int k_;
   NameAssignment names_;
   std::shared_ptr<const CoverHierarchy> hierarchy_;
+  CoverTable cover_;  // what dt_step reads at every hop
   std::vector<HierarchyLabel> labels_;
   std::int64_t node_space_ = 0;
   std::int64_t port_space_ = 0;

@@ -63,8 +63,7 @@ struct ChurnDelta;   // graph/churn_delta.h
 /// A small per-node dictionary keyed by NodeName: one sorted vector of
 /// (key, payload) pairs, binary-searched.  The scheme itself serves hot
 /// probes from flat CSR arrays (see the header comment); NameDict remains as
-/// (a) the staging structure construction and the v1 streamed decode scatter
-/// into before flattening, and (b) the reference array-of-pairs layout the
+/// (a) the staging structure construction scatters into before flattening, and (b) the reference array-of-pairs layout the
 /// bench harness mirrors a built scheme's tables into, so the flat-vs-AoS
 /// hot-path delta is re-measured against identical probe outcomes on every
 /// run.
@@ -111,11 +110,6 @@ struct RtzAddress {
   TreeLabel center_label;          // v's label in OutTree(center)
 };
 
-/// Snapshot encoding of R3 addresses; shared by the TINN schemes that store
-/// them in their dictionaries.
-void save_rtz_address(SnapshotWriter& w, const RtzAddress& a);
-[[nodiscard]] RtzAddress load_rtz_address(SnapshotReader& r);
-
 /// Phase of one routing leg.
 enum class LegPhase : std::uint8_t {
   kBallDown,    // descending the source's own ball out-tree
@@ -156,12 +150,6 @@ class Rtz3Scheme {
   Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
              const NameAssignment& names, Rng& rng)
       : Rtz3Scheme(g, metric, names, rng, Options{}) {}
-
-  /// Snapshot path: rehydrates tables saved with save() against the same
-  /// graph (the caller guarantees `g` outlives the scheme, exactly as the
-  /// build constructor does).
-  Rtz3Scheme(SnapshotReader& r, const Digraph& g);
-  void save(SnapshotWriter& w) const;
 
   /// Appends every table as typed arena sections under `prefix` (e.g.
   /// "scheme/" standalone, "scheme/s/" as the stretch6 substrate).
@@ -207,6 +195,9 @@ class Rtz3Scheme {
   [[nodiscard]] const RtzAddress& own_address(NodeId v) const {
     return addresses_[static_cast<std::size_t>(v)];
   }
+  /// The naming the tables were built over (a TINN scheme may hand the
+  /// substrate an internal naming of its own).
+  [[nodiscard]] const NameAssignment& names() const { return names_; }
 
   /// Starts a leg at node `at` toward `target`; arrived=true iff at is the
   /// target already.  Uses only at's local tables.
@@ -234,7 +225,7 @@ class Rtz3Scheme {
     const NodeName* last = base + ball_off_[vz + 1];
     const NodeName* it = std::lower_bound(first, last, target);
     if (it == last || *it != target) return std::nullopt;
-    return label_at(static_cast<std::size_t>(it - base));
+    return ball_label_.at(static_cast<std::size_t>(it - base));
   }
   /// at's up-port in root's ball in-tree, or nullptr (case 2 probe).
   [[nodiscard]] const Port* find_member_up_port(NodeId at,
@@ -286,8 +277,8 @@ class Rtz3Scheme {
  private:
   friend struct AuditTestPeer;
 
-  /// Staging shape used while building and while decoding a v1 stream; the
-  /// dictionaries are flattened into the CSR arrays by adopt_tables().
+  /// Staging shape used while building; the dictionaries are flattened
+  /// into the CSR arrays by adopt_tables().
   struct NodeTables {
     // Own ball: labels of members in this node's ball out-tree.
     NameDict<TreeLabel> ball_out_label;
@@ -300,12 +291,9 @@ class Rtz3Scheme {
   Rtz3Scheme(const Digraph& g, const NameAssignment& names)
       : graph_(g), names_(names) {}
 
-  /// Flattens finalized staging dictionaries into the CSR arrays (identical
-  /// output for the build path and the v1 decode: both scatter in sorted-key
-  /// order).
+  /// Flattens finalized staging dictionaries into the CSR arrays (scattered
+  /// in sorted-key order).
   void adopt_tables(std::vector<NodeTables>&& tables);
-
-  [[nodiscard]] TreeLabel label_at(std::size_t entry) const;
 
   static constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
   [[nodiscard]] std::size_t member_entry(NodeId at, NodeName root) const {
@@ -330,12 +318,10 @@ class Rtz3Scheme {
   FlatVec<TreeNodeTable> center_tree_tab_;  // this node in each OutTree(a)
   // Own-ball label dictionary, CSR over nodes: row v's sorted member names
   // are ball_key_[ball_off_[v] .. ball_off_[v+1]); entry e's label is
-  // (ball_dfs_[e], ball_hops_[ball_hop_off_[e] .. ball_hop_off_[e+1])).
+  // ball_label_.at(e).
   FlatVec<std::int64_t> ball_off_;   // n + 1
   FlatVec<NodeName> ball_key_;
-  FlatVec<std::int32_t> ball_dfs_;   // parallel to ball_key_
-  FlatVec<std::int64_t> ball_hop_off_;  // ball_key_.size() + 1
-  FlatVec<LightHop> ball_hops_;
+  PackedLabels<std::int64_t> ball_label_;  // parallel to ball_key_
   // Membership dictionaries, CSR over nodes: row v's sorted ball-root names
   // are member_key_[member_off_[v] .. member_off_[v+1]); POD payloads are
   // parallel (entry e: out-tree table member_tab_[e], up-port member_up_[e]).

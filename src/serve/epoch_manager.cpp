@@ -135,7 +135,7 @@ void EpochManager::publish_epoch_shm(std::uint64_t seq,
   try {
     publish_snapshot_shm(path, shm_name);
   } catch (const std::exception&) {
-    // No shm on this host, a v1 cache file, or a failed save upstream:
+    // No shm on this host, or a failed save upstream:
     // sibling processes fall back to the snapshot file.  Serving wins.
     return;
   }

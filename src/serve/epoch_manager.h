@@ -89,8 +89,8 @@ struct EpochManagerOptions {
   MetricMode metric_mode = MetricMode::kAuto;
   /// Warm-start epochs by mmap'ing cached v2 arena snapshots in place
   /// (O(ms) at any n, payload CRCs unverified) instead of decoding them
-  /// into owning buffers.  v1 or damaged cache files silently fall back to
-  /// the owned load, then to a rebuild.  Requires cache_dir.
+  /// into owning buffers.  Unmappable cache files fall back to the owned
+  /// load; older-format or damaged ones to a rebuild.  Requires cache_dir.
   bool mapped_snapshots = false;
   /// When non-empty (and the snapshot cache is enabled), every epoch's
   /// snapshot is also published to POSIX shared memory as

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stack>
 #include <stdexcept>
 #include <string>
 
 #include "audit/audit.h"
-#include "io/snapshot_format.h"
+#include "io/arena.h"
 #include "util/bit_cost.h"
 
 namespace rtr {
@@ -190,64 +191,79 @@ void TreeRouter::audit(AuditReport& report) const {
   }
 }
 
-void save_tree_node_table(SnapshotWriter& w, const TreeNodeTable& t) {
-  w.i32(t.dfs_in);
-  w.i32(t.heavy_port);
-}
-
-TreeNodeTable load_tree_node_table(SnapshotReader& r) {
-  TreeNodeTable t;
-  t.dfs_in = r.i32();
-  t.heavy_port = r.i32();
-  return t;
-}
-
-void save_tree_label(SnapshotWriter& w, const TreeLabel& label) {
-  // Same wire layout as SnapshotWriter::vec (u64 count + elements): the
-  // small-buffer LightHops is a storage change only, snapshots are unchanged.
-  w.i32(label.dfs_in);
-  w.u64(label.light_hops.size());
+template <typename HopOffset>
+void PackedLabels<HopOffset>::Builder::add(const TreeLabel& label) {
+  dfs_.push_back(label.dfs_in);
   for (const auto& [tail_dfs, port] : label.light_hops) {
-    w.i32(tail_dfs);
-    w.i32(port);
+    hops_.push_back(LightHop{tail_dfs, port});
   }
+  if (hops_.size() >
+      static_cast<std::size_t>(std::numeric_limits<HopOffset>::max())) {
+    throw std::length_error("PackedLabels: hop offsets overflow");
+  }
+  hop_off_.push_back(static_cast<HopOffset>(hops_.size()));
 }
 
-TreeLabel load_tree_label(SnapshotReader& r) {
+template <typename HopOffset>
+PackedLabels<HopOffset> PackedLabels<HopOffset>::Builder::build() {
+  PackedLabels p;
+  p.dfs_ = std::move(dfs_);
+  p.hop_off_ = std::move(hop_off_);
+  p.hops_ = std::move(hops_);
+  return p;
+}
+
+template <typename HopOffset>
+PackedLabels<HopOffset>::PackedLabels(const std::vector<TreeLabel>& labels) {
+  Builder b;
+  for (const TreeLabel& label : labels) b.add(label);
+  *this = b.build();
+}
+
+template <typename HopOffset>
+TreeLabel PackedLabels<HopOffset>::at(std::size_t i) const {
   TreeLabel label;
-  label.dfs_in = r.i32();
-  // Route through SnapshotReader::vec so the implausible-count guard stays
-  // in force, then repack into the small-buffer representation.
-  const auto hops = r.vec<std::pair<std::int32_t, Port>>(
-      [](SnapshotReader& rr) {
-        const std::int32_t dfs = rr.i32();
-        const Port port = rr.i32();
-        return std::make_pair(dfs, port);
-      },
-      8);
-  for (const auto& hop : hops) label.light_hops.push_back(hop);
+  label.dfs_in = dfs_[i];
+  const auto lo = static_cast<std::size_t>(hop_off_[i]);
+  const auto hi = static_cast<std::size_t>(hop_off_[i + 1]);
+  for (std::size_t h = lo; h < hi; ++h) {
+    label.light_hops.emplace_back(hops_[h].dfs, hops_[h].port);
+  }
   return label;
 }
 
-void TreeRouter::save(SnapshotWriter& w) const {
-  w.i32(root_);
-  w.i32(member_count_);
-  w.vec(tables_, save_tree_node_table);
-  w.vec_i32(parent_);
-  w.vec_i32(parent_port_);
-  w.vec_i32(heavy_child_);
-  w.vec_i32(members_);
+template <typename HopOffset>
+bool PackedLabels<HopOffset>::well_formed() const {
+  return hop_off_.size() == dfs_.size() + 1 && hop_off_.front() == 0 &&
+         hop_off_.back() == static_cast<HopOffset>(hops_.size()) &&
+         std::is_sorted(hop_off_.begin(), hop_off_.end());
 }
 
-TreeRouter::TreeRouter(SnapshotReader& r) {
-  root_ = r.i32();
-  member_count_ = r.i32();
-  tables_ = r.vec<TreeNodeTable>(load_tree_node_table, 8);
-  parent_ = r.vec_i32();
-  parent_port_ = r.vec_i32();
-  heavy_child_ = r.vec_i32();
-  members_ = r.vec_i32();
+template <typename HopOffset>
+void PackedLabels<HopOffset>::save_arena(ArenaWriter& w,
+                                         const std::string& prefix) const {
+  w.add(prefix + "dfs", dfs_);
+  w.add(prefix + "hop_off", hop_off_);
+  w.add(prefix + "hops", hops_);
 }
+
+template <typename HopOffset>
+PackedLabels<HopOffset> PackedLabels<HopOffset>::from_arena(
+    const ArenaView& a, const std::string& prefix, std::uint64_t count) {
+  PackedLabels p;
+  p.dfs_ = a.vec<std::int32_t>(prefix + "dfs", count);
+  p.hop_off_ = a.vec<HopOffset>(prefix + "hop_off", count + 1);
+  p.hops_ = a.vec<LightHop>(prefix + "hops");
+  // Every at() trusts this shape, so check it once here.
+  if (!p.well_formed()) {
+    throw SnapshotArenaError("arena: " + prefix +
+                             "hop_off does not frame the hop array");
+  }
+  return p;
+}
+
+template class PackedLabels<std::int32_t>;
+template class PackedLabels<std::int64_t>;
 
 TreeLabel TreeRouter::label(NodeId v) const {
   if (!contains(v)) throw std::invalid_argument("TreeRouter::label: not a member");

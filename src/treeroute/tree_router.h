@@ -23,18 +23,20 @@
 #include <array>
 #include <cstddef>
 #include <initializer_list>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "graph/dijkstra.h"
+#include "util/flat_vec.h"
 #include "util/types.h"
 
 namespace rtr {
 
-class SnapshotWriter;  // io/snapshot_format.h
-class SnapshotReader;
 class AuditReport;  // audit/audit.h
+class ArenaView;    // io/arena.h
+class ArenaWriter;
 
 /// Per-node state a tree member stores for one tree: O(1) words.
 struct TreeNodeTable {
@@ -47,7 +49,7 @@ static_assert(std::is_trivially_copyable_v<TreeNodeTable>);
 /// One light edge of a tree label in arena-storable form: labels that live
 /// inside a relocatable snapshot arena are CSR-packed as (per-entry dfs,
 /// hop ranges) over one flat LightHop array instead of per-label small
-/// buffers.
+/// buffers (see PackedLabels).
 struct LightHop {
   std::int32_t dfs = -1;   // DFS number of the light edge's tail
   Port port = kNoPort;     // port at that tail
@@ -151,10 +153,6 @@ class TreeRouter {
   /// (dist == kInfDist) are not members.
   explicit TreeRouter(const OutTree& tree);
 
-  /// Snapshot path: rehydrates a router saved with save().
-  explicit TreeRouter(SnapshotReader& r);
-  void save(SnapshotWriter& w) const;
-
   [[nodiscard]] NodeId root() const { return root_; }
   [[nodiscard]] bool contains(NodeId v) const {
     return v >= 0 && static_cast<std::size_t>(v) < tables_.size() &&
@@ -190,12 +188,49 @@ class TreeRouter {
   std::vector<NodeId> members_;
 };
 
-/// Snapshot encoding of the O(1)-word table and the O(log^2 n)-bit label;
-/// shared by every scheme that persists tree-routing state.
-void save_tree_node_table(SnapshotWriter& w, const TreeNodeTable& t);
-[[nodiscard]] TreeNodeTable load_tree_node_table(SnapshotReader& r);
-void save_tree_label(SnapshotWriter& w, const TreeLabel& label);
-[[nodiscard]] TreeLabel load_tree_label(SnapshotReader& r);
+/// A sequence of tree labels in flat, arena-storable form: label i is
+/// (dfs[i], hops[hop_off[i] .. hop_off[i+1])).  Owns its arrays when packed
+/// from built labels, or views them inside a snapshot arena (the class that
+/// embeds it keeps the arena storage alive).  HopOffset is the stored width
+/// of the hop offsets: rtz3's ball and address labels keep their 64-bit
+/// layout, the cover-tree schemes store 32-bit offsets.
+template <typename HopOffset>
+class PackedLabels {
+ public:
+  /// Packs labels one at a time, in index order.
+  class Builder {
+   public:
+    void add(const TreeLabel& label);
+    [[nodiscard]] PackedLabels build();
+
+   private:
+    std::vector<std::int32_t> dfs_;
+    std::vector<HopOffset> hop_off_{0};
+    std::vector<LightHop> hops_;
+  };
+
+  PackedLabels() : hop_off_(std::vector<HopOffset>{0}) {}
+  explicit PackedLabels(const std::vector<TreeLabel>& labels);
+
+  [[nodiscard]] std::size_t size() const { return dfs_.size(); }
+  /// Label i, unpacked into the header representation.
+  [[nodiscard]] TreeLabel at(std::size_t i) const;
+  /// Hop offsets rise from 0 to the hop count, one per label plus one.
+  [[nodiscard]] bool well_formed() const;
+
+  /// Three sections: prefix + "dfs", "hop_off", "hops".
+  void save_arena(ArenaWriter& w, const std::string& prefix) const;
+  /// Views `count` labels saved under `prefix`; throws SnapshotArenaError
+  /// unless the result is well_formed().
+  [[nodiscard]] static PackedLabels from_arena(const ArenaView& a,
+                                               const std::string& prefix,
+                                               std::uint64_t count);
+
+ private:
+  FlatVec<std::int32_t> dfs_;
+  FlatVec<HopOffset> hop_off_;  // size() + 1
+  FlatVec<LightHop> hops_;
+};
 
 /// Forwarding decision at a node holding `at` for a packet addressed
 /// `target`: kNoPort means "deliver here" (at.dfs_in == target.dfs_in).

@@ -13,8 +13,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "graph/generators.h"
 #include "io/arena.h"
 #include "io/snapshot.h"
 #include "net/scheme.h"
@@ -174,6 +177,20 @@ TEST_F(ArenaCorruptionTest, CrcValidButCountMismatchedHeaderIsTyped) {
   EXPECT_THROW((void)load_snapshot(path_, "stretch6"), SnapshotArenaError);
 }
 
+TEST_F(ArenaCorruptionTest, NonMonotoneGraphOffsetsAreTyped) {
+  // Row 0 claims to end past every edge while the endpoints still match
+  // the header: the mapped path skips payload CRCs, so only the row-offset
+  // check stands between this file and out-of-bounds row spans.
+  auto bytes = pristine_;
+  const ArenaDirEntry& e = dir_[index_of("graph/offset")];
+  const auto edges = static_cast<std::int64_t>(header_.edge_count);
+  const std::int64_t past_the_end = edges + 1000;
+  std::memcpy(bytes.data() + e.offset + sizeof(std::int64_t), &past_the_end,
+              sizeof past_the_end);
+  write_file(path_, bytes);
+  EXPECT_THROW((void)map_snapshot(path_, "stretch6"), SnapshotArenaError);
+}
+
 TEST_F(ArenaCorruptionTest, PayloadBitFlipPassesMappedFramingButFailsOwned) {
   // The documented integrity split: a payload flip (CRCs NOT re-stamped)
   // is invisible to the mapped fast path's O(1) framing check but caught
@@ -243,6 +260,75 @@ TEST_F(ArenaCorruptionTest, ShmPublishAttachServesOnePhysicalCopy) {
   write_file(path_, bytes);
   EXPECT_THROW((void)publish_snapshot_shm(path_, shm_name),
                SnapshotChecksumError);
+}
+
+// Empty sections own no bytes and share their offset with the section
+// written after them; the overlap scan must not mistake that for overlap,
+// wherever the empty section sits and however the directory orders a tie.
+TEST(ArenaEmptySections, MapAtFirstMiddleAndLastPosition) {
+  const std::vector<std::int64_t> x = {1, 2, 3};
+  const std::vector<std::int32_t> y = {4, 5};
+  const std::vector<std::int32_t> none;
+  ArenaWriter w;
+  w.add("a/empty_first", none);
+  w.add("a/x", x);
+  w.add("a/empty_mid", none);
+  w.add("a/y", y);
+  w.add("a/empty_last", none);
+  std::vector<std::uint8_t> bytes = w.finalize("test", 0, 0);
+
+  const auto check = [&](const std::vector<std::uint8_t>& image) {
+    const ArenaView view(make_owned_arena(image));
+    EXPECT_NO_THROW(view.verify_section_crcs());
+    EXPECT_EQ(view.vec<std::int64_t>("a/x"), x);
+    EXPECT_EQ(view.vec<std::int32_t>("a/y"), y);
+    for (const char* name : {"a/empty_first", "a/empty_mid", "a/empty_last"}) {
+      EXPECT_TRUE(view.vec<std::int32_t>(name).empty()) << name;
+    }
+  };
+  ASSERT_NO_THROW(check(bytes));
+  const ArenaFileHeader h = header_of(bytes);
+  std::vector<ArenaDirEntry> dir = dir_of(bytes, h);
+  ASSERT_EQ(dir[2].offset, dir[3].offset) << "empty_mid shares y's offset";
+  ASSERT_EQ(dir[0].offset, dir[1].offset) << "empty_first shares x's offset";
+
+  // The same file with every empty section listed after the non-empty one
+  // it shares an offset with.
+  std::swap(dir[0], dir[1]);
+  std::swap(dir[2], dir[3]);
+  restamp(bytes, h, dir);
+  EXPECT_NO_THROW(check(bytes));
+
+  // And mapped from disk, where the serving path reads it.
+  const std::string path =
+      ::testing::TempDir() + "rtr_arena_empty_sections.rtrsnap";
+  write_file(path, bytes);
+  EXPECT_NO_THROW((void)ArenaView(map_arena_file(path)));
+  std::remove(path.c_str());
+}
+
+// The instance `rtr_cli snapshot save rtz3 x.rtrsnap ring 128 7` saves: no
+// ball label there has a light hop, so the ball-hop section is empty and
+// shares its offset with the membership offsets written next.
+TEST(ArenaEmptySections, Rtz3RingSnapshotSavesMapsAndRoutes) {
+  Rng rng(7);
+  const BuildContext ctx =
+      BuildContext::for_graph(make_family(Family::kRing, 128, 4, rng), 7);
+  const SchemeHandle built(ctx.graph, ctx.names,
+                           SchemeRegistry::global().build("rtz3", ctx));
+  const std::string path = ::testing::TempDir() + "rtr_arena_rtz3_ring.rtrsnap";
+  save_snapshot(path, "rtz3", built);
+  const SchemeHandle mapped = map_snapshot(path, "rtz3");
+  ASSERT_EQ(mapped.graph().node_count(), 128);
+  for (NodeId s = 0; s < 128; s += 7) {
+    for (NodeId t = 0; t < 128; t += 5) {
+      const RouteResult a = built.roundtrip(s, t);
+      const RouteResult b = mapped.roundtrip(s, t);
+      ASSERT_TRUE(b.ok()) << s << "->" << t;
+      EXPECT_EQ(a.roundtrip_length(), b.roundtrip_length()) << s << "->" << t;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // The checked-in fixture that the CI hygiene gate also runs `rtr_cli

@@ -15,6 +15,7 @@
 
 #include "audit/audit.h"
 #include "graph/dijkstra.h"
+#include "io/arena.h"
 #include "io/snapshot.h"
 #include "net/scheme.h"
 #include "rtz/rtz3_scheme.h"
@@ -55,8 +56,8 @@ const AuditEntry* find_entry(const AuditReport& report,
   return nullptr;
 }
 
-/// First entry whose component starts with the given prefix (v2 arena
-/// section names are scheme-dependent, e.g. "snapshot/scheme/blob").
+/// First entry whose component starts with the given prefix (arena section
+/// names are scheme-dependent, e.g. "snapshot/scheme/ball_key").
 const AuditEntry* find_prefix_entry(const AuditReport& report,
                                     const std::string& component_prefix,
                                     const std::string& invariant) {
@@ -297,21 +298,27 @@ TEST_F(AuditSnapshotTest, CleanSnapshotPasses) {
 }
 
 TEST_F(AuditSnapshotTest, BadSectionCrcFires) {
-  // Probe the intact file for a scheme-owned section's payload range, then
-  // damage one byte inside it.
-  const SnapshotFileStatus status = probe_snapshot(path_);
-  ASSERT_TRUE(status.all_ok());
-  const auto it = std::find_if(status.sections.begin(), status.sections.end(),
-                               [](const SnapshotSectionStatus& s) {
-                                 return s.name.rfind("scheme/", 0) == 0 &&
-                                        s.bytes > 0;
-                               });
-  ASSERT_NE(it, status.sections.end());
-  flip_byte(static_cast<std::size_t>(it->payload_offset + it->bytes / 2));
+  // Find a non-empty scheme-owned section's payload range in the intact
+  // file, then damage one byte inside it.
+  std::string name;
+  std::uint64_t offset = 0;
+  {
+    const ArenaView view(map_arena_file(path_));
+    view.verify_section_crcs();
+    for (const ArenaDirEntry& e : view.entries()) {
+      if (e.name_str().rfind("scheme/", 0) == 0 && e.byte_size() > 0) {
+        name = e.name_str();
+        offset = e.offset + e.byte_size() / 2;
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(name.empty());
+  flip_byte(static_cast<std::size_t>(offset));
 
   AuditReport report;
   audit_snapshot_file(path_, report);
-  expect_fired(report, "snapshot/" + it->name, "crc");
+  expect_fired(report, "snapshot/" + name, "crc");
   // The untouched sections still audit clean.
   EXPECT_TRUE(find_entry(report, "snapshot/graph/offset", "crc")->ok);
   EXPECT_TRUE(find_entry(report, "snapshot/names/name_of", "crc")->ok);

@@ -11,8 +11,7 @@
 #include "graph/churn.h"
 #include "graph/generators.h"
 #include "graph/scc.h"
-#include "io/snapshot.h"
-#include "io/snapshot_format.h"
+#include "io/arena.h"
 #include "test_support.h"
 
 namespace rtr {
@@ -125,9 +124,9 @@ TEST(Churn, SelfLoopAndDuplicateFree) {
 }
 
 std::vector<std::uint8_t> graph_bytes(const Digraph& g) {
-  SnapshotWriter w;
-  save_digraph(w, g);
-  return w.bytes();
+  ArenaWriter w;
+  g.save_arena(w);
+  return w.finalize("graph", g.node_count(), g.edge_count());
 }
 
 // Builder/freeze round-trips must be loss-free at the byte level: thawing a
@@ -156,8 +155,7 @@ TEST(Churn, FreezeRoundTripsAreSnapshotByteIdentical) {
   EXPECT_EQ(graph_bytes(next), bytes);
 
   // And the snapshot loader rebuilds the same bytes from them.
-  SnapshotReader r(bytes.data(), bytes.size());
-  const Digraph loaded = load_digraph(r);
+  const Digraph loaded = Digraph::from_arena(ArenaView(make_owned_arena(bytes)));
   EXPECT_EQ(graph_bytes(loaded), bytes);
 }
 

@@ -3,9 +3,14 @@
 // forwarding loops.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core/exstretch.h"
 #include "core/polystretch.h"
 #include "core/stretch6.h"
+#include "io/snapshot.h"
+#include "net/scheme_adapter.h"
 #include "net/simulator.h"
 #include "rtz/rtz3_scheme.h"
 #include "test_support.h"
@@ -60,21 +65,59 @@ TEST_F(FailureInjectionTest, CorruptModeThrowsEverywhere) {
   }
 }
 
-TEST_F(FailureInjectionTest, ForeignTreeLegIsRejected) {
-  // Hand the poly scheme a leg naming a tree the current node is not in.
-  auto h = poly_->make_packet(inst_.names.name_of(5));
-  (void)poly_->forward(0, h);  // establish real state at the source
-  // Find a node outside the leg's tree and make it "receive" the packet.
-  const DoubleTree& tree = poly_->hierarchy().tree(h.leg.tree);
+/// A packet's first leg and a node outside that leg's double tree.
+struct ForeignLeg {
+  NodeId src = kNoNode;
+  NodeName dest = kNoNode;
   NodeId outsider = kNoNode;
-  for (NodeId v = 0; v < inst_.n(); ++v) {
-    if (!tree.contains(v)) {
-      outsider = v;
-      break;
+};
+
+/// Scans (source, destination) pairs for a first leg launched inside a tree
+/// that misses some node, found through the scheme's own cover-table rows.
+ForeignLeg find_foreign_leg(const PolyStretchScheme& poly, const Instance& inst) {
+  const CoverTable& cover = poly.cover();
+  for (NodeId s = 0; s < inst.n(); ++s) {
+    for (NodeId t = 0; t < inst.n(); ++t) {
+      if (s == t) continue;
+      auto h = poly.make_packet(inst.names.name_of(t));
+      if (poly.forward(s, h).deliver) continue;
+      for (NodeId v = 0; v < inst.n(); ++v) {
+        if (cover.find(v, h.leg.tree) == CoverTable::kNotMember) {
+          return ForeignLeg{s, inst.names.name_of(t), v};
+        }
+      }
     }
   }
-  if (outsider == kNoNode) GTEST_SKIP() << "level tree spans V here";
-  EXPECT_THROW((void)poly_->forward(outsider, h), std::logic_error);
+  return ForeignLeg{};
+}
+
+void expect_foreign_leg_rejected(const PolyStretchScheme& poly,
+                                 const ForeignLeg& leg) {
+  auto h = poly.make_packet(leg.dest);
+  ASSERT_FALSE(poly.forward(leg.src, h).deliver);  // real state at the source
+  // The outsider "receives" a packet whose leg names a tree it is not in.
+  EXPECT_THROW((void)poly.forward(leg.outsider, h), std::logic_error);
+}
+
+TEST_F(FailureInjectionTest, ForeignTreeLegIsRejected) {
+  const ForeignLeg leg = find_foreign_leg(*poly_, inst_);
+  ASSERT_NE(leg.outsider, kNoNode)
+      << "every first leg on this instance runs in a tree spanning V";
+  expect_foreign_leg_rejected(*poly_, leg);
+
+  // A mapped snapshot of the same build forwards through the same rows.
+  BuildContext ctx = inst_.context(78);
+  SchemeHandle built(ctx.graph, ctx.names,
+                     SchemeRegistry::global().build("polystretch", ctx));
+  const std::string path = ::testing::TempDir() + "rtr_foreign_leg.rtrsnap";
+  save_snapshot(path, "polystretch", built);
+  const SchemeHandle mapped = map_snapshot(path, "polystretch");
+  const auto* adapter =
+      dynamic_cast<const TemplateSchemeAdapter<PolyStretchScheme>*>(
+          &mapped.scheme());
+  ASSERT_NE(adapter, nullptr);
+  expect_foreign_leg_rejected(adapter->impl(), leg);
+  std::remove(path.c_str());
 }
 
 TEST_F(FailureInjectionTest, TamperedWaypointStackFailsLoudly) {

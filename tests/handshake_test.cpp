@@ -16,6 +16,7 @@ class HandshakeTest : public ::testing::Test {
     rev_ = inst_.graph.reversed();
     hierarchy_ =
         std::make_unique<CoverHierarchy>(inst_.graph, rev_, *inst_.metric, k);
+    cover_ = CoverTable(*hierarchy_);
     k_ = k;
   }
 
@@ -24,7 +25,7 @@ class HandshakeTest : public ::testing::Test {
     NodeId at = from;
     Dist total = 0;
     for (int guard = 0; guard < 8 * inst_.n() + 8; ++guard) {
-      DtStep s = dt_step(*hierarchy_, at, leg);
+      DtStep s = dt_step(cover_, at, leg);
       if (s.arrived) return at == expect ? total : -1;
       const Edge* e = inst_.graph.edge_by_port(at, s.port);
       if (e == nullptr) return -1;
@@ -37,6 +38,7 @@ class HandshakeTest : public ::testing::Test {
   Instance inst_;
   Digraph rev_{0};
   std::unique_ptr<CoverHierarchy> hierarchy_;
+  CoverTable cover_;
   int k_ = 0;
 };
 
@@ -91,7 +93,7 @@ TEST_F(HandshakeTest, DtStepRejectsOutsiders) {
     }
     ASSERT_NE(outsider, kNoNode);
     DtLeg leg{TreeRef{0, t}, tree.out_router().label(tree.center()), true};
-    EXPECT_THROW((void)dt_step(*hierarchy_, outsider, leg), std::logic_error);
+    EXPECT_THROW((void)dt_step(cover_, outsider, leg), std::logic_error);
     return;
   }
   GTEST_SKIP() << "all level-0 trees span V on this instance";
@@ -99,8 +101,8 @@ TEST_F(HandshakeTest, DtStepRejectsOutsiders) {
 
 TEST_F(HandshakeTest, HierarchyNodeStatsArePositiveAndBounded) {
   Build(Family::kRandom, 48, 3, 4);
-  TableStats stats = hierarchy_node_stats(*hierarchy_, inst_.n(),
-                                          inst_.n(), inst_.graph.port_space());
+  TableStats stats =
+      hierarchy_node_stats(cover_, inst_.n(), inst_.graph.port_space());
   EXPECT_GT(stats.max_entries(), 0);
   // Every node is in >= 1 tree per level (its home), <= 2k n^{1/k}.
   const double per_level_bound =

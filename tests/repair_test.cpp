@@ -26,7 +26,6 @@
 #include "graph/churn_delta.h"
 #include "graph/digraph.h"
 #include "graph/generators.h"
-#include "io/snapshot_format.h"
 #include "net/scheme.h"
 #include "rt/metric.h"
 #include "serve/epoch_manager.h"
@@ -46,13 +45,6 @@ Digraph initial_graph(NodeId n, std::uint64_t seed) {
 NameAssignment fixed_names(NodeId n, std::uint64_t seed) {
   Rng rng(seed);
   return NameAssignment::random(n, rng);
-}
-
-std::vector<std::uint8_t> scheme_bytes(const std::string& scheme_name,
-                                       const Scheme& scheme) {
-  SnapshotWriter w;
-  SchemeRegistry::global().saver(scheme_name)(scheme, w);
-  return w.bytes();
 }
 
 BuildContext context_for(std::shared_ptr<const Digraph> graph,
@@ -105,8 +97,8 @@ int run_differential(const std::string& scheme_name, NodeId n,
       // An empty delta splices trivially; only a real delta counts toward
       // the non-vacuousness bar the callers assert.
       if (!delta.empty()) ++repaired_epochs;
-      EXPECT_EQ(scheme_bytes(scheme_name, *repaired),
-                scheme_bytes(scheme_name, *full))
+      EXPECT_EQ(testing::scheme_arena_bytes(scheme_name, *repaired),
+                testing::scheme_arena_bytes(scheme_name, *full))
           << scheme_name << " epoch " << e << ": snapshot bytes diverged";
 
       const TableStats rs = repaired->table_stats();
@@ -302,8 +294,8 @@ TEST(RepairDifferential, TargetedPortRelabelIsRealChurn) {
     auto full = registry.build(
         scheme_name, context_for(new_graph, names, seed, MetricMode::kSparse));
     ASSERT_NE(repaired, nullptr) << scheme_name;
-    EXPECT_EQ(scheme_bytes(scheme_name, *repaired),
-              scheme_bytes(scheme_name, *full))
+    EXPECT_EQ(testing::scheme_arena_bytes(scheme_name, *repaired),
+              testing::scheme_arena_bytes(scheme_name, *full))
         << scheme_name << ": port relabel not honored";
   }
 }

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "io/snapshot_format.h"
+#include "io/arena.h"
 #include "net/simulator.h"
 #include "rtz/rtz3_scheme.h"
 #include "test_support.h"
@@ -116,21 +116,24 @@ TEST(Rtz3, AddressLookupMatchesOwnAddress) {
   }
 }
 
-// The flat CSR tables must behave identically whether they were flattened
-// from the build path or from a v1 streamed decode: same routes, same
-// per-hop lookup results, same table accounting, same snapshot bytes.  The
-// bench harness's rtz3-flat-dicts hot-path delta relies on this equivalence
-// being airtight.
-TEST(Rtz3, V1RoundTripPreservesTablesProbeForProbe) {
+// The flat CSR tables must behave identically whether they were built in
+// process or viewed in place from arena sections: same routes, same per-hop
+// lookup results, same table accounting, same snapshot bytes.  The bench
+// harness's rtz3-flat-dicts hot-path delta relies on this equivalence being
+// airtight.
+TEST(Rtz3, ArenaRoundTripPreservesTablesProbeForProbe) {
   Instance inst = make_instance(Family::kRandom, 60, 4, 21);
   Rng rng(22);
   const Rtz3Scheme built(inst.graph, *inst.metric, inst.names, rng);
 
-  SnapshotWriter w;
-  built.save(w);
-  SnapshotReader r(w.bytes().data(), w.bytes().size());
-  const Rtz3Scheme loaded(r, inst.graph);
-  r.expect_exhausted("rtz3 v1 stream");
+  const auto arena_bytes = [&inst](const Rtz3Scheme& s) {
+    ArenaWriter w;
+    s.save_arena(w, "scheme/");
+    return w.finalize("rtz3", inst.n(), inst.graph.edge_count());
+  };
+  const std::vector<std::uint8_t> bytes = arena_bytes(built);
+  const Rtz3Scheme loaded = Rtz3Scheme::from_arena(
+      ArenaView(make_owned_arena(bytes)), "scheme/", inst.graph, inst.names);
 
   // Per-hop lookups agree probe for probe (hits and misses).
   for (NodeId at = 0; at < inst.n(); ++at) {
@@ -177,10 +180,8 @@ TEST(Rtz3, V1RoundTripPreservesTablesProbeForProbe) {
   EXPECT_EQ(built.table_stats().max_entries(),
             loaded.table_stats().max_entries());
 
-  // Re-saving the loaded scheme reproduces the stream byte for byte.
-  SnapshotWriter w2;
-  loaded.save(w2);
-  EXPECT_EQ(w.bytes(), w2.bytes());
+  // Re-saving the loaded scheme reproduces the arena byte for byte.
+  EXPECT_EQ(arena_bytes(loaded), bytes);
 }
 
 }  // namespace

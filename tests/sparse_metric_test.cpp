@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "io/snapshot_format.h"
 #include "net/scheme.h"
 #include "rt/metric.h"
 #include "test_support.h"
@@ -86,9 +85,7 @@ std::vector<std::uint8_t> scheme_snapshot_bytes(const std::string& name,
                                                 const BuildContext& ctx) {
   const std::shared_ptr<const Scheme> scheme =
       SchemeRegistry::global().build(name, ctx);
-  SnapshotWriter w;
-  SchemeRegistry::global().saver(name)(*scheme, w);
-  return w.bytes();
+  return testing::scheme_arena_bytes(name, *scheme);
 }
 
 class SparseSchemeDifferentialTest

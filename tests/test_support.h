@@ -14,6 +14,7 @@
 #include "graph/digraph.h"
 #include "graph/generators.h"
 #include "graph/scc.h"
+#include "io/arena.h"
 #include "net/scheme.h"
 #include "rt/metric.h"
 #include "util/rng.h"
@@ -82,6 +83,16 @@ inline std::string family_param_name(const FamilyParam& p) {
     if (c == '+' || c == '-') c = '_';
   }
   return name + "_n" + std::to_string(n) + "_s" + std::to_string(seed);
+}
+
+/// A scheme's snapshot sections (its registry arena hooks, nothing else)
+/// framed as one arena image: the canonical encoding makes byte equality the
+/// strongest available "same tables" check.
+inline std::vector<std::uint8_t> scheme_arena_bytes(
+    const std::string& scheme_name, const Scheme& scheme) {
+  ArenaWriter w;
+  SchemeRegistry::global().arena_saver(scheme_name)(scheme, w);
+  return w.finalize(scheme_name, 0, 0);
 }
 
 }  // namespace rtr::testing

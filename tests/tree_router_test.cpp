@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "graph/dijkstra.h"
 #include "graph/generators.h"
-#include "io/snapshot_format.h"
+#include "io/arena.h"
 #include "treeroute/tree_router.h"
 #include "util/rng.h"
 
@@ -188,24 +190,34 @@ TEST(LightHops, SequenceSemanticsAcrossTheSpillBoundary) {
 }
 
 TEST(LightHops, SnapshotWireFormatIsPinned) {
-  // The small-buffer change is storage-only: the on-disk encoding must stay
-  // i32 dfs, u64 count, then (i32 tail_dfs, i32 port) per hop, all LE.
+  // The small-buffer LightHops is a storage change only: packed into arena
+  // sections, labels are an i32 dfs array, i32 hop offsets (count + 1), and
+  // (i32 tail_dfs, i32 port) hop pairs, all LE.
   TreeLabel label;
   label.dfs_in = 5;
   label.light_hops = {{1, 2}, {3, 4}};
-  SnapshotWriter w;
-  save_tree_label(w, label);
-  const std::vector<std::uint8_t> expected = {
-      5, 0, 0, 0,              // dfs_in
-      2, 0, 0, 0, 0, 0, 0, 0,  // hop count (u64)
-      1, 0, 0, 0, 2, 0, 0, 0,  // hop (1, 2)
-      3, 0, 0, 0, 4, 0, 0, 0,  // hop (3, 4)
+  TreeLabel leaf;
+  leaf.dfs_in = 7;
+  ArenaWriter w;
+  PackedLabels<std::int32_t>({label, leaf}).save_arena(w, "l/");
+  const ArenaView view(make_owned_arena(w.finalize("labels", 0, 0)));
+  const auto section = [&view](const std::string& name) {
+    const ArenaDirEntry& e = view.entry(name);
+    const std::uint8_t* p = view.storage()->data() + e.offset;
+    return std::vector<std::uint8_t>(p, p + e.byte_size());
   };
-  EXPECT_EQ(w.bytes(), expected);
-  SnapshotReader r(w.bytes().data(), w.bytes().size());
-  const TreeLabel back = load_tree_label(r);
-  EXPECT_EQ(back.dfs_in, label.dfs_in);
-  EXPECT_EQ(back.light_hops, label.light_hops);
+  EXPECT_EQ(section("l/dfs"),
+            (std::vector<std::uint8_t>{5, 0, 0, 0, 7, 0, 0, 0}));
+  EXPECT_EQ(section("l/hop_off"),
+            (std::vector<std::uint8_t>{0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0}));
+  EXPECT_EQ(section("l/hops"),
+            (std::vector<std::uint8_t>{1, 0, 0, 0, 2, 0, 0, 0,    // hop (1, 2)
+                                       3, 0, 0, 0, 4, 0, 0, 0}));  // hop (3, 4)
+  const auto back = PackedLabels<std::int32_t>::from_arena(view, "l/", 2);
+  EXPECT_EQ(back.at(0).dfs_in, label.dfs_in);
+  EXPECT_EQ(back.at(0).light_hops, label.light_hops);
+  EXPECT_EQ(back.at(1).dfs_in, leaf.dfs_in);
+  EXPECT_TRUE(back.at(1).light_hops.empty());
 }
 
 TEST(LightHops, DeepTreeLabelsSpillAndStillRouteAndRoundtrip) {
@@ -245,16 +257,20 @@ TEST(LightHops, DeepTreeLabelsSpillAndStillRouteAndRoundtrip) {
               tree.dist[static_cast<std::size_t>(target)]);
   }
 
-  // Save -> load -> save is byte-identical with spilled labels in play.
+  // Pack -> view -> repack is byte-identical with spilled labels in play.
   const TreeLabel deep_label = router.label(deepest);
-  SnapshotWriter wa;
-  save_tree_label(wa, deep_label);
-  SnapshotReader r(wa.bytes().data(), wa.bytes().size());
-  const TreeLabel loaded = load_tree_label(r);
+  const auto packed_bytes = [](const TreeLabel& l) {
+    ArenaWriter w;
+    PackedLabels<std::int32_t>({l}).save_arena(w, "l/");
+    return w.finalize("labels", 0, 0);
+  };
+  const std::vector<std::uint8_t> bytes = packed_bytes(deep_label);
+  const TreeLabel loaded =
+      PackedLabels<std::int32_t>::from_arena(
+          ArenaView(make_owned_arena(bytes)), "l/", 1)
+          .at(0);
   EXPECT_EQ(loaded.light_hops, deep_label.light_hops);
-  SnapshotWriter wb;
-  save_tree_label(wb, loaded);
-  EXPECT_EQ(wa.bytes(), wb.bytes());
+  EXPECT_EQ(packed_bytes(loaded), bytes);
   EXPECT_EQ(tree_label_bits(loaded, n, 4 * n),
             tree_label_bits(deep_label, n, 4 * n));
 }

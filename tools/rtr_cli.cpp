@@ -20,14 +20,11 @@
 //       Load a snapshot into a ready-to-serve handle; optionally run one
 //       roundtrip query against it.
 //   rtr_cli snapshot info <path>
-//       Probe framing and per-section checksums; print the header and the
+//       Check framing and per-section checksums; print the header and the
 //       section table with each section's CRC status.  Non-zero exit when
-//       any section is damaged.
-//   rtr_cli snapshot pack <in> <out>
-//       Repack any loadable snapshot (v1 or v2) as a v2 relocatable arena
-//       at <out> -- the migration path that makes old caches mmap-able.
+//       the framing or any section is damaged.
 //   rtr_cli snapshot map-info <path>
-//       mmap(2) a v2 arena in place (the zero-copy serving path), verify
+//       mmap(2) the arena in place (the zero-copy serving path), verify
 //       every section CRC against the directory, and print the mapped
 //       layout: per-section offset, element size/count, and CRC.  Non-zero
 //       exit when the file cannot be mapped or any CRC fails.
@@ -90,7 +87,6 @@ int usage() {
             << "  rtr_cli snapshot save <scheme> <path> <family> <n> [seed]\n"
             << "  rtr_cli snapshot load <path> [src dst]\n"
             << "  rtr_cli snapshot info <path>\n"
-            << "  rtr_cli snapshot pack <in> <out>\n"
             << "  rtr_cli snapshot map-info <path>\n"
             << "  rtr_cli snapshot bench <scheme> <family> <n> [pairs] "
                "[seed]\n"
@@ -210,55 +206,50 @@ void print_snapshot_info(const SnapshotInfo& info) {
             << "bytes:    " << info.file_bytes << "\n"
             << "sections:\n";
   for (const auto& s : info.sections) {
-    std::printf("  %-8s %12llu bytes  crc32 %08x\n", s.name.c_str(),
+    std::printf("  %-31s %12llu bytes  crc32 %08x\n", s.name.c_str(),
                 static_cast<unsigned long long>(s.bytes), s.crc);
   }
 }
 
-/// Probe-based `snapshot info`: prints the header and every section with its
-/// CRC health; returns non-zero when the file is damaged anywhere.
+/// `snapshot info`: prints the header and every section with its CRC
+/// health; returns non-zero when the file is damaged anywhere.  Damaged
+/// framing stops the walk; a damaged section does not hide the others.
 int run_snapshot_info(const std::string& path) {
-  const SnapshotFileStatus status = probe_snapshot(path);
-  if (!status.framing_error.empty() && status.scheme.empty()) {
+  const std::shared_ptr<const ArenaStorage> storage = map_arena_file(path);
+  ArenaView view;
+  try {
+    view = ArenaView(storage);
+  } catch (const SnapshotError& e) {
     std::cout << "file:     " << path << "\n"
-              << "bytes:    " << status.file_bytes << "\n"
-              << "framing:  BAD (" << status.framing_error << ")\n";
+              << "bytes:    " << storage->size() << "\n"
+              << "framing:  BAD (" << e.what() << ")\n";
     return 1;
   }
-  std::cout << "scheme:   " << status.scheme << "\n"
-            << "version:  " << status.version << "\n"
-            << "nodes:    " << status.node_count << "\n"
-            << "edges:    " << status.edge_count << "\n"
-            << "bytes:    " << status.file_bytes << "\n"
-            << "framing:  "
-            << (status.framing_ok ? "ok" : "BAD (" + status.framing_error + ")")
-            << "\n"
+  std::cout << "scheme:   " << view.scheme() << "\n"
+            << "version:  " << kSnapshotVersion << "\n"
+            << "nodes:    " << view.header().node_count << "\n"
+            << "edges:    " << view.header().edge_count << "\n"
+            << "bytes:    " << view.file_bytes() << "\n"
+            << "framing:  ok\n"
             << "sections:\n";
-  for (const auto& s : status.sections) {
-    if (s.crc_ok) {
-      std::printf("  %-8s %12llu bytes  crc32 %08x  ok\n", s.name.c_str(),
-                  static_cast<unsigned long long>(s.bytes), s.stored_crc);
+  bool all_ok = true;
+  for (const ArenaDirEntry& e : view.entries()) {
+    const std::uint32_t actual =
+        crc32(storage->data() + e.offset,
+              static_cast<std::size_t>(e.byte_size()));
+    if (actual == e.crc) {
+      std::printf("  %-31s %12llu bytes  crc32 %08x  ok\n",
+                  e.name_str().c_str(),
+                  static_cast<unsigned long long>(e.byte_size()), e.crc);
     } else {
-      std::printf("  %-8s %12llu bytes  crc32 %08x  BAD (recomputed %08x)\n",
-                  s.name.c_str(), static_cast<unsigned long long>(s.bytes),
-                  s.stored_crc, s.actual_crc);
+      all_ok = false;
+      std::printf("  %-31s %12llu bytes  crc32 %08x  BAD (recomputed %08x)\n",
+                  e.name_str().c_str(),
+                  static_cast<unsigned long long>(e.byte_size()), e.crc,
+                  actual);
     }
   }
-  return status.all_ok() ? 0 : 1;
-}
-
-/// `snapshot pack`: load any version with full verification, re-save as a
-/// v2 arena.  The registry name comes from the file itself, so packing
-/// needs no scheme argument.
-int run_snapshot_pack(const std::string& in, const std::string& out) {
-  const SnapshotInfo info = inspect_snapshot(in);
-  SchemeHandle handle = load_snapshot(in, info.scheme);
-  save_snapshot(out, info.scheme, handle, SchemeRegistry::global(),
-                kSnapshotVersionV2);
-  std::cout << "packed " << in << " (v" << info.version << ") -> " << out
-            << " (v" << kSnapshotVersionV2 << ")\n";
-  print_snapshot_info(inspect_snapshot(out));
-  return 0;
+  return all_ok ? 0 : 1;
 }
 
 /// `snapshot map-info`: the zero-copy path end to end -- mmap, framing
@@ -445,10 +436,6 @@ int run_snapshot(int argc, char** argv) {
   if (sub == "info") {
     if (argc != 4) return usage();
     return run_snapshot_info(argv[3]);
-  }
-  if (sub == "pack") {
-    if (argc != 5) return usage();
-    return run_snapshot_pack(argv[3], argv[4]);
   }
   if (sub == "map-info") {
     if (argc != 4) return usage();
