@@ -15,11 +15,9 @@
 #include "core/names.h"
 #include "graph/apsp.h"
 #include "graph/churn.h"
-#include "graph/dijkstra.h"
 #include "io/snapshot.h"
 #include "net/scheme.h"
 #include "rt/metric.h"
-#include "rtz/rtz3_scheme.h"
 #include "serve/epoch_manager.h"
 #include "server/loadgen.h"
 #include "server/route_server.h"
@@ -313,324 +311,6 @@ CellResult run_cell(const Instance& inst, const std::string& scheme_name,
   return cell;
 }
 
-// ------------------------------------------------- hot-path delta measures --
-
-IterationPolicy delta_policy() {
-  IterationPolicy policy;
-  policy.warmup_reps = 1;
-  policy.min_reps = 2;
-  policy.max_reps = 3;
-  policy.min_rep_ms = 25;
-  return policy;
-}
-
-/// Before/after for the Dijkstra arena: the seed implementation (fresh
-/// buffers + std::priority_queue per source) vs the workspace + Dial fast
-/// path streaming the frozen graph's flat arc arrays.  Both live in this
-/// binary, so the record is re-measured on every bench run.
-HotPathDelta measure_dijkstra_delta(Family family, NodeId n, Weight max_weight,
-                                    std::uint64_t seed) {
-  Rng rng(seed);
-  const Digraph g = make_family(family, n, max_weight, rng).freeze();
-  const NodeId nodes = g.node_count();
-
-  const auto run_reference = [&] {
-    for (NodeId s = 0; s < nodes; ++s) {
-      volatile Dist sink = dijkstra_distances_reference(g, s)[0];
-      (void)sink;
-    }
-  };
-  DijkstraWorkspace ws;
-  std::vector<Dist> row(static_cast<std::size_t>(nodes));
-  const auto run_arena = [&] {
-    for (NodeId s = 0; s < nodes; ++s) {
-      dijkstra_distances_into(g, s, ws, row);
-      volatile Dist sink = row[0];
-      (void)sink;
-    }
-  };
-
-  HotPathDelta d;
-  d.name = "dijkstra-arena-dial";
-  d.metric = "apsp_ms";
-  d.family = family_name(family);
-  d.n = nodes;
-  d.before = run_timed(delta_policy(), run_reference).best_ms;
-  d.after = run_timed(delta_policy(), run_arena).best_ms;
-  d.improvement_pct =
-      d.before > 0 ? 100.0 * (d.before - d.after) / d.before : 0;
-  return d;
-}
-
-/// Before/after for the full all_pairs_shortest_paths entry point: the seed
-/// APSP engine (one dijkstra_distances_reference per source, fresh buffers
-/// and std::priority_queue each) vs the production path -- the frozen-CSR
-/// arena fanned out across the resolved thread pool.  On a single-core host
-/// the arena term carries the whole delta; every extra core compounds it
-/// (rows are independent).  The two matrices are asserted bit-identical,
-/// which re-pins the pool's determinism on every bench run.
-HotPathDelta measure_apsp_delta(Family family, NodeId n, Weight max_weight,
-                                std::uint64_t seed, int threads) {
-  Rng rng(seed);
-  const Digraph g = make_family(family, n, max_weight, rng).freeze();
-  const NodeId nodes = g.node_count();
-  const int workers = resolve_apsp_threads(threads);
-
-  DistMatrix reference(nodes, kInfDist);
-  const auto run_reference = [&] {
-    for (NodeId s = 0; s < nodes; ++s) {
-      const std::vector<Dist> dist = dijkstra_distances_reference(g, s);
-      std::copy(dist.begin(), dist.end(), reference.row(s).begin());
-    }
-  };
-  DistMatrix current(0, 0);
-  const auto run_parallel = [&] { current = all_pairs_shortest_paths(g, workers); };
-
-  HotPathDelta d;
-  d.name = "apsp-parallel-sources";
-  d.metric = "apsp_ms";
-  d.family = family_name(family);
-  d.n = nodes;
-  d.before = run_timed(delta_policy(), run_reference).best_ms;
-  d.after = run_timed(delta_policy(), run_parallel).best_ms;
-  for (NodeId u = 0; u < nodes; ++u) {
-    const auto ref_row = reference.row(u);
-    const auto cur_row = current.row(u);
-    if (!std::equal(ref_row.begin(), ref_row.end(), cur_row.begin())) {
-      throw std::logic_error(
-          "bench_harness: parallel APSP diverged from the reference matrix");
-    }
-  }
-  d.improvement_pct =
-      d.before > 0 ? 100.0 * (d.before - d.after) / d.before : 0;
-  return d;
-}
-
-/// Before/after for the frozen graph's port resolution: the seed linear row
-/// scan (edge_by_port_linear, retained in-binary) vs the per-node sorted
-/// port index.  Measured on a complete digraph with adversarial ports --
-/// the degree-skewed regime where the O(d) scan actually hurts and the
-/// reason has_edge/port_of_edge moved to the same resolution tables.
-HotPathDelta measure_port_index_delta(NodeId n, std::uint64_t seed) {
-  Rng rng(seed);
-  GraphBuilder builder = complete_digraph(n, 4, rng);
-  builder.assign_adversarial_ports(rng);
-  const Digraph g = builder.freeze();
-
-  // Probe every (node, port) pair once per rep plus one absent port per
-  // edge, in a fixed shuffled order so consecutive probes land on different
-  // nodes' rows.  The mix mirrors real resolution traffic: the forwarding
-  // walk resolves present ports, while has_edge / port_of_edge preprocessing
-  // checks mostly miss -- and a miss is the linear scan's worst case (the
-  // whole row) but still O(log d) for the index.
-  std::vector<std::pair<NodeId, Port>> probes;
-  probes.reserve(2 * static_cast<std::size_t>(g.edge_count()));
-  const auto space = static_cast<Port>(g.port_space());
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    for (const Edge& e : g.out_edges(u)) {
-      probes.emplace_back(u, e.port);
-      // Deterministic likely-miss probe; both paths agree on it either way.
-      probes.emplace_back(u, static_cast<Port>((e.port + 1) % space));
-    }
-  }
-  rng.shuffle(probes);
-
-  std::int64_t sum_linear = 0, sum_indexed = 0;
-  const auto run_linear = [&] {
-    std::int64_t acc = 0;
-    for (const auto& [u, p] : probes) {
-      const Edge* e = g.edge_by_port_linear(u, p);
-      acc += e == nullptr ? -1 : e->to;
-    }
-    sum_linear = acc;
-  };
-  const auto run_indexed = [&] {
-    std::int64_t acc = 0;
-    for (const auto& [u, p] : probes) {
-      const Edge* e = g.edge_by_port(u, p);
-      acc += e == nullptr ? -1 : e->to;
-    }
-    sum_indexed = acc;
-  };
-
-  HotPathDelta d;
-  d.name = "digraph-port-index";
-  d.metric = "lookup_ms";
-  d.family = "complete";
-  d.n = g.node_count();
-  d.before = run_timed(delta_policy(), run_linear).best_ms;
-  d.after = run_timed(delta_policy(), run_indexed).best_ms;
-  if (sum_linear != sum_indexed) {
-    throw std::logic_error(
-        "bench_harness: indexed edge_by_port diverged from the linear scan");
-  }
-  d.improvement_pct =
-      d.before > 0 ? 100.0 * (d.before - d.after) / d.before : 0;
-  return d;
-}
-
-/// Before/after for the rtz3 per-node dictionaries: the retained reference
-/// layout (per-node array-of-pairs NameDicts, entries ~100 bytes wide) vs
-/// the flat CSR arrays the scheme now serves every probe from (keys packed
-/// 4 bytes apart inside one global array).  The mirrors are populated FROM
-/// the built scheme through the same probe API, so both sides answer from
-/// identical contents and the summed probe outcomes are asserted equal.
-/// Probes are the exact forwarding-time lookups (find_ball_label /
-/// find_member_up_port / find_member_table) in a node-shuffled order, so
-/// every probe binary-searches a different node's row -- the per-hop
-/// cache-miss pattern the packing targets.  The effect is a CACHE effect:
-/// the dictionaries of a sweep-sized instance (n = 256) fit in L2 whole, so
-/// the caller hands in an instance big enough (n ~ 4096, ~O(n sqrt n) total
-/// dictionary bytes) that cross-node probes actually miss.
-HotPathDelta measure_rtz3_dict_delta(const Instance& inst, Family family,
-                                     std::uint64_t seed) {
-  Rng rng(seed);
-  const Rtz3Scheme scheme(*inst.graph, *inst.metric, inst.names, rng,
-                          Rtz3Scheme::Options{});
-  const BallSystem& balls = scheme.balls();
-  const NodeId n = inst.graph->node_count();
-
-  // Reference dictionaries with the same contents: ball rows give the label
-  // keys; cluster rows give the membership keys (v stores state for root r
-  // iff v is in r's ball, i.e. r is in v's cluster).
-  struct Mirror {
-    NameDict<TreeLabel> ball;
-    NameDict<TreeNodeTable> tab;
-    NameDict<Port> up;
-  };
-  std::vector<Mirror> mirrors(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    Mirror& m = mirrors[static_cast<std::size_t>(v)];
-    for (const NodeId w : balls.ball(v)) {
-      const NodeName key = inst.names.name_of(w);
-      const auto label = scheme.find_ball_label(v, key);
-      if (!label.has_value()) {
-        throw std::logic_error(
-            "bench_harness: ball member missing from the label dictionary");
-      }
-      m.ball.add(key, *label);
-    }
-    for (const NodeId root : balls.cluster(v)) {
-      const NodeName key = inst.names.name_of(root);
-      const TreeNodeTable* tab = scheme.find_member_table(v, key);
-      const Port* up = scheme.find_member_up_port(v, key);
-      if (tab == nullptr || up == nullptr) {
-        throw std::logic_error(
-            "bench_harness: cluster root missing from the member dictionaries");
-      }
-      m.tab.add(key, *tab);
-      m.up.add(key, *up);
-    }
-    m.ball.finalize();
-    m.tab.finalize();
-    m.up.finalize();
-  }
-
-  // Probe set: for every node, each of its ball members' names (dictionary
-  // hits) plus one arbitrary name per node (mostly misses).  Shuffled so
-  // consecutive probes touch different nodes' tables.
-  std::vector<std::pair<NodeId, NodeName>> probes;
-  for (NodeId v = 0; v < n; ++v) {
-    for (const NodeId w : balls.ball(v)) {
-      probes.emplace_back(v, inst.names.name_of(w));
-      probes.emplace_back(w, inst.names.name_of(v));
-    }
-    probes.emplace_back(v, inst.names.name_of((v + n / 2) % n));
-  }
-  Rng shuffle_rng(seed + 1);
-  shuffle_rng.shuffle(probes);
-
-  std::int64_t sum_before = 0, sum_after = 0;
-  const auto run_reference = [&] {
-    std::int64_t acc = 0;
-    for (const auto& [at, key] : probes) {
-      const Mirror& m = mirrors[static_cast<std::size_t>(at)];
-      if (const TreeLabel* label = m.ball.find(key)) acc += label->dfs_in;
-      if (const Port* up = m.up.find(key)) acc += *up;
-      if (const TreeNodeTable* tab = m.tab.find(key)) acc += tab->heavy_port;
-    }
-    sum_before = acc;
-  };
-  const auto run_flat = [&] {
-    std::int64_t acc = 0;
-    for (const auto& [at, key] : probes) {
-      if (const auto label = scheme.find_ball_label(at, key)) {
-        acc += label->dfs_in;
-      }
-      if (const Port* up = scheme.find_member_up_port(at, key)) acc += *up;
-      if (const TreeNodeTable* tab = scheme.find_member_table(at, key)) {
-        acc += tab->heavy_port;
-      }
-    }
-    sum_after = acc;
-  };
-  HotPathDelta d;
-  d.name = "rtz3-flat-dicts";
-  d.metric = "dict_lookup_ms";
-  d.scheme = "rtz3";
-  d.family = family_name(family);
-  d.n = n;
-  d.before = run_timed(delta_policy(), run_reference).best_ms;
-  d.after = run_timed(delta_policy(), run_flat).best_ms;
-  if (sum_before != sum_after) {
-    throw std::logic_error(
-        "bench_harness: flat rtz3 dictionaries diverged from the reference "
-        "layout");
-  }
-  d.improvement_pct =
-      d.before > 0 ? 100.0 * (d.before - d.after) / d.before : 0;
-  return d;
-}
-
-/// Before/after for the batch query path: the seed reference loop
-/// (array-of-structs, per-hop type-erased Packet walk, per-hop header
-/// re-measurement) vs run_batch's structure-of-arrays fast path.  Identical
-/// reports are asserted -- a mismatch invalidates the measurement.
-HotPathDelta measure_query_delta(const Instance& inst,
-                                 const std::string& scheme_name,
-                                 Family family, std::int64_t pair_budget,
-                                 std::uint64_t seed) {
-  BuildContext ctx = BuildContext::wrap(inst.graph, inst.metric, inst.names,
-                                        seed);
-  auto scheme = SchemeRegistry::global().build(scheme_name, ctx);
-  QueryEngineOptions opts;
-  opts.threads = 1;
-  QueryEngine engine(inst.graph, inst.metric, inst.names, scheme, opts);
-  const auto pairs = QueryEngine::sample_pairs(inst.graph->node_count(),
-                                               pair_budget, seed + 1);
-  IterationPolicy policy;
-  policy.warmup_reps = 1;
-  policy.min_reps = 2;
-  policy.max_reps = 4;
-  policy.min_rep_ms = 25;
-  StretchReport before_rep, after_rep;
-  const TimedPhase before =
-      run_timed(policy, [&] { before_rep = engine.run_serial(pairs); });
-  const TimedPhase after =
-      run_timed(policy, [&] { after_rep = engine.run_batch(pairs); });
-  if (before_rep.mean_stretch != after_rep.mean_stretch ||
-      before_rep.failures != after_rep.failures ||
-      before_rep.max_header_bits != after_rep.max_header_bits) {
-    throw std::logic_error(
-        "bench_harness: fast query path diverged from the reference walk");
-  }
-  HotPathDelta d;
-  d.name = "query-batch-fast-walk";
-  d.metric = "qps";
-  d.scheme = scheme_name;
-  d.family = family_name(family);
-  d.n = inst.graph->node_count();
-  d.before = before.best_ms > 0
-                 ? static_cast<double>(before_rep.pairs) / (before.best_ms / 1e3)
-                 : 0;
-  d.after = after.best_ms > 0
-                ? static_cast<double>(after_rep.pairs) / (after.best_ms / 1e3)
-                : 0;
-  d.improvement_pct =
-      d.before > 0 ? 100.0 * (d.after - d.before) / d.before : 0;
-  return d;
-}
-
 // ------------------------------------------------------- net serving cell --
 
 /// The end-to-end serving measurement: the rtr_routed core (RouteServer over
@@ -716,18 +396,6 @@ CellResult run_net_serving_cell(const BenchConfig& config,
 SuiteResult run_suite(const BenchConfig& config, std::ostream* progress) {
   SuiteResult result;
   const std::vector<std::string> schemes = resolve_schemes(config);
-  const NodeId delta_n =
-      config.sizes.empty()
-          ? 0
-          : *std::max_element(config.sizes.begin(), config.sizes.end());
-  const Family delta_family =
-      config.families.empty() ? Family::kRandom : config.families.front();
-  // The delta phase reuses the sweep's (front family, largest n) instance --
-  // the costliest APSP of the run -- instead of rebuilding it (same seed
-  // formula, so the reuse is exact).  Instance holds shared_ptrs, so keeping
-  // the copy alive is cheap.
-  Instance delta_inst;
-  bool have_delta_inst = false;
   for (const Family family : config.families) {
     for (const NodeId n : config.sizes) {
       const Instance inst = build_instance(
@@ -735,10 +403,6 @@ SuiteResult run_suite(const BenchConfig& config, std::ostream* progress) {
           config.seed + static_cast<std::uint64_t>(n) * 31 +
               static_cast<std::uint64_t>(family),
           config.metric_mode, config.threads);
-      if (family == delta_family && n == delta_n && !have_delta_inst) {
-        delta_inst = inst;
-        have_delta_inst = true;
-      }
       for (const std::string& scheme : schemes) {
         CellResult cell = run_cell(inst, scheme, family, n, config);
         if (progress != nullptr) {
@@ -770,45 +434,6 @@ SuiteResult run_suite(const BenchConfig& config, std::ostream* progress) {
                 << "\n";
     }
     result.cells.push_back(std::move(cell));
-  }
-  if (config.hot_path_deltas && have_delta_inst) {
-    // One delta record each, on the largest configured size (most signal).
-    const NodeId n = delta_n;
-    const Family family = delta_family;
-    result.deltas.push_back(
-        measure_dijkstra_delta(family, n, config.max_weight, config.seed));
-    result.deltas.push_back(measure_apsp_delta(family, n, config.max_weight,
-                                               config.seed, config.threads));
-    // Port resolution is degree-bound, not n-bound: measure where degree is
-    // the workload (complete digraph), independent of the sweep sizes.
-    result.deltas.push_back(measure_port_index_delta(256, config.seed));
-    const Instance& inst = delta_inst;
-    // The flat-dictionary delta is a cache effect; measure it on an instance
-    // whose dictionaries outgrow L2 (reused from the sweep when the sweep is
-    // already that big).
-    const NodeId dict_n = std::max<NodeId>(n, 4096);
-    const Instance dict_inst =
-        dict_n == n ? inst
-                    : build_instance(family, dict_n, config.max_weight,
-                                     config.seed + static_cast<std::uint64_t>(dict_n),
-                                     config.metric_mode, config.threads);
-    result.deltas.push_back(
-        measure_rtz3_dict_delta(dict_inst, family, config.seed));
-    for (const std::string& scheme :
-         {std::string("stretch6"), std::string("rtz3")}) {
-      if (SchemeRegistry::global().contains(scheme)) {
-        result.deltas.push_back(measure_query_delta(
-            inst, scheme, family, config.pair_budget, config.seed));
-      }
-    }
-    if (progress != nullptr) {
-      for (const auto& d : result.deltas) {
-        *progress << "delta " << d.name << (d.scheme.empty() ? "" : " " + d.scheme)
-                  << " n=" << d.n << " before=" << d.before
-                  << " after=" << d.after << " (" << d.improvement_pct
-                  << "% better)\n";
-      }
-    }
   }
   return result;
 }
@@ -885,32 +510,6 @@ CellResult cell_from_json(const Json& j) {
 
 namespace {
 
-Json delta_to_json(const HotPathDelta& d) {
-  Json j{JsonObject{}};
-  j.set("name", d.name);
-  j.set("metric", d.metric);
-  j.set("scheme", d.scheme);
-  j.set("family", d.family);
-  j.set("n", static_cast<std::int64_t>(d.n));
-  j.set("before", d.before);
-  j.set("after", d.after);
-  j.set("improvement_pct", d.improvement_pct);
-  return j;
-}
-
-HotPathDelta delta_from_json(const Json& j) {
-  HotPathDelta d;
-  d.name = j.at("name").as_string();
-  d.metric = j.at("metric").as_string();
-  d.scheme = j.at("scheme").as_string();
-  d.family = j.at("family").as_string();
-  d.n = static_cast<NodeId>(j.at("n").as_int());
-  d.before = j.at("before").as_double();
-  d.after = j.at("after").as_double();
-  d.improvement_pct = j.at("improvement_pct").as_double();
-  return d;
-}
-
 void check_schema(const Json& doc) {
   if (!doc.is_object() || !doc.has("schema") ||
       doc.at("schema").as_string() != kSchemaVersion) {
@@ -966,11 +565,6 @@ Json suite_to_json(const SuiteResult& result, const BenchConfig& config,
   JsonArray cells;
   for (const CellResult& c : result.cells) cells.push_back(cell_to_json(c));
   doc.set("cells", std::move(cells));
-  JsonArray deltas;
-  for (const HotPathDelta& d : result.deltas) {
-    deltas.push_back(delta_to_json(d));
-  }
-  doc.set("hot_path_deltas", std::move(deltas));
   return doc;
 }
 #if defined(__GNUC__) && !defined(__clang__)
@@ -982,16 +576,6 @@ std::vector<CellResult> cells_from_json(const Json& doc) {
   std::vector<CellResult> out;
   for (const Json& j : doc.at("cells").as_array()) {
     out.push_back(cell_from_json(j));
-  }
-  return out;
-}
-
-std::vector<HotPathDelta> deltas_from_json(const Json& doc) {
-  check_schema(doc);
-  std::vector<HotPathDelta> out;
-  if (!doc.has("hot_path_deltas")) return out;
-  for (const Json& j : doc.at("hot_path_deltas").as_array()) {
-    out.push_back(delta_from_json(j));
   }
   return out;
 }
@@ -1278,16 +862,6 @@ std::vector<std::string> compare_to_baseline(const Json& baseline,
     // repair must not regress, and neither may the full rebuild it replaces.
     check_phase("repair_ms", b.repair_ms, c.repair_ms);
     check_phase("full_rebuild_ms", b.full_rebuild_ms, c.full_rebuild_ms);
-  }
-  for (const HotPathDelta& d : deltas_from_json(current)) {
-    if (d.improvement_pct < options.delta_floor_pct) {
-      char buf[160];
-      std::snprintf(buf, sizeof buf,
-                    "hot-path delta %s: %.1f%% improvement is below the "
-                    "%.1f%% floor",
-                    d.name.c_str(), d.improvement_pct, options.delta_floor_pct);
-      violations.emplace_back(buf);
-    }
   }
   return violations;
 }

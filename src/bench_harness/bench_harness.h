@@ -90,8 +90,8 @@ struct BenchConfig {
   std::vector<NodeId> sizes = {128, 256};
   std::int64_t pair_budget = 4000;    ///< sampled ordered pairs per cell
   std::int64_t latency_sample = 1000; ///< individually-timed queries (p50/p99)
-  /// Engine workers for the qps phase and thread pool width for the
-  /// parallel-APSP delta; 0 = hardware concurrency.  The resolved value is
+  /// Engine workers for the qps phase and thread pool width for each
+  /// instance's APSP build; 0 = hardware concurrency.  The resolved value is
   /// stamped into the document's host block (threads_configured) so
   /// baselines from differently-threaded runs are never silently compared.
   int threads = 0;
@@ -102,7 +102,6 @@ struct BenchConfig {
   /// rows beyond, which is what lets the full sweep pass 4096.
   MetricMode metric_mode = MetricMode::kAuto;
   bool snapshot_phase = true;   ///< measure snapshot save+load per cell
-  bool hot_path_deltas = true;  ///< record the in-binary before/after deltas
   /// Measure the network serving path end to end: RouteServer (the
   /// rtr_routed core) over an EpochManager, driven by the loadgen across
   /// loopback TCP while one epoch swap publishes mid-run.  Emits one cell
@@ -164,22 +163,8 @@ struct CellResult {
   std::string first_error;
 };
 
-/// One recorded hot-path before/after measurement: both implementations live
-/// in this binary, so the delta is re-measured (not transcribed) every run.
-struct HotPathDelta {
-  std::string name;    ///< e.g. "dijkstra-arena-dial"
-  std::string metric;  ///< e.g. "apsp_ms" (lower better) or "qps" (higher)
-  std::string scheme;  ///< "" when scheme-independent
-  std::string family;
-  NodeId n = 0;
-  double before = 0;
-  double after = 0;
-  double improvement_pct = 0;  ///< positive = after is better
-};
-
 struct SuiteResult {
   std::vector<CellResult> cells;
-  std::vector<HotPathDelta> deltas;
 };
 
 /// Runs the sweep.  `progress` (optional) gets one line per cell.
@@ -188,14 +173,13 @@ struct SuiteResult {
 
 // ------------------------------------------------------------------- json --
 
-/// The full document: schema tag, rev, config echo, cells, deltas.
+/// The full document: schema tag, rev, config echo, host stamp, cells.
 [[nodiscard]] Json suite_to_json(const SuiteResult& result,
                                             const BenchConfig& config,
                                             const std::string& rev);
 
-/// Cells/deltas parsed back from a document (schema-checked).
+/// Cells parsed back from a document (schema-checked).
 [[nodiscard]] std::vector<CellResult> cells_from_json(const Json& doc);
-[[nodiscard]] std::vector<HotPathDelta> deltas_from_json(const Json& doc);
 
 [[nodiscard]] Json cell_to_json(const CellResult& cell);
 [[nodiscard]] CellResult cell_from_json(const Json& j);
@@ -212,7 +196,6 @@ void write_text_file(const std::string& path, const std::string& content);
 struct GateOptions {
   double qps_drop_tolerance = 0.25;  ///< fail when qps drops more than this
   double stretch_epsilon = 1e-9;     ///< fail on any avg-stretch increase
-  double delta_floor_pct = 0.0;      ///< hot-path deltas must beat this
   /// Snapshot-phase (load/map) regression tolerance: the current cell may be
   /// up to (1 + this) x the baseline's time.  Generous because each phase is
   /// a single-shot measurement, not a steady-state best-of.
@@ -276,10 +259,9 @@ class GrowthGateError : public std::runtime_error {
 /// Compares `current` against `baseline` cell-by-cell (keyed by scheme,
 /// family, n).  Returns human-readable violations; empty means the gate
 /// passes.  Machine-independent checks (stretch increases, failed queries,
-/// missing cells, hot-path delta floor -- the deltas are relative, measured
-/// in-binary) always apply; the absolute-qps check is only armed when both
-/// documents carry the same host CPU fingerprint, because throughput from
-/// different hardware is not comparable (a baseline generated elsewhere
+/// missing cells) always apply; the absolute-qps check is only armed when
+/// both documents carry the same host CPU fingerprint, because throughput
+/// from different hardware is not comparable (a baseline generated elsewhere
 /// would make the gate red -- or vacuous -- by construction).  Documents
 /// without a host stamp are assumed comparable.  `notes`, when non-null,
 /// receives non-failing diagnostics such as "qps gate skipped".

@@ -36,46 +36,36 @@ int resolve_apsp_threads(int requested) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-DistMatrix all_pairs_shortest_paths_serial(const Digraph& g) {
+DistMatrix all_pairs_shortest_paths(const Digraph& g, int threads) {
   const NodeId n = g.node_count();
+  const int workers =
+      std::min<int>(resolve_apsp_threads(threads), std::max<NodeId>(1, n));
   DistMatrix m(n, kInfDist);
   // Arena layout for the n-Dijkstra loop: the frozen graph's own flat arc
-  // arrays are the CSR, one workspace (heap + Dial buckets) is shared by
-  // every run, each run distance-only (no parent arrays), results written
-  // directly into the matrix row.  After the first run the loop performs no
-  // heap allocation at all.
-  DijkstraWorkspace ws;
-  for (NodeId src = 0; src < n; ++src) {
-    dijkstra_distances_into(g, src, ws, m.row(src));
-  }
-  return m;
-}
-
-DistMatrix all_pairs_shortest_paths(const Digraph& g, int threads) {
-  const int workers = std::min<int>(resolve_apsp_threads(threads),
-                                    std::max<NodeId>(1, g.node_count()));
-  if (workers <= 1) return all_pairs_shortest_paths_serial(g);
-
-  const NodeId n = g.node_count();
-  DistMatrix m(n, kInfDist);
+  // arrays are the CSR, each worker owns one workspace (heap + Dial buckets)
+  // shared by all its runs, each run distance-only (no parent arrays),
+  // results written directly into the matrix row.  After a worker's first
+  // run its loop performs no heap allocation at all.
+  //
   // Dynamic source claiming: rows cost wildly different amounts only on
   // degenerate graphs, but an atomic ticket is cheap enough (one RMW per
-  // source) that static striping has no advantage.  Each worker owns its
-  // DijkstraWorkspace; rows never overlap, so no synchronization beyond the
-  // ticket and the join is needed, and every row is computed by the same
-  // deterministic routine the serial loop runs.
+  // source) that static striping has no advantage.  Rows never overlap, so
+  // no synchronization beyond the ticket and the join is needed, and every
+  // row is computed by the same deterministic routine whichever worker
+  // claims it.  The calling thread is one of the workers, so one worker
+  // spawns no thread.
   std::atomic<NodeId> next{0};
+  const auto work = [&g, &m, &next, n] {
+    DijkstraWorkspace ws;
+    for (NodeId src = next.fetch_add(1, std::memory_order_relaxed); src < n;
+         src = next.fetch_add(1, std::memory_order_relaxed)) {
+      dijkstra_distances_into(g, src, ws, m.row(src));
+    }
+  };
   std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int t = 0; t < workers; ++t) {
-    pool.emplace_back([&g, &m, &next, n] {
-      DijkstraWorkspace ws;
-      for (NodeId src = next.fetch_add(1, std::memory_order_relaxed); src < n;
-           src = next.fetch_add(1, std::memory_order_relaxed)) {
-        dijkstra_distances_into(g, src, ws, m.row(src));
-      }
-    });
-  }
+  pool.reserve(static_cast<std::size_t>(workers - 1));
+  for (int t = 1; t < workers; ++t) pool.emplace_back(work);
+  work();
   for (std::thread& t : pool) t.join();
   return m;
 }

@@ -57,18 +57,14 @@ class DistMatrix {
 /// pool: each worker owns a DijkstraWorkspace and claims sources from a
 /// shared atomic counter, writing distances straight into its matrix row.
 /// Every row is computed by the identical per-source routine regardless of
-/// which thread claims it, so the result is bit-identical to the serial
-/// path for any thread count (pinned by test, including under TSAN).
+/// which thread claims it, so the result is the same for any thread count
+/// (pinned by test against dijkstra_distances_reference, including under
+/// TSAN).
 ///
-/// `threads` <= 0 resolves via default_apsp_threads(); 1 runs the serial
-/// loop inline with no thread spawned.
+/// `threads` <= 0 resolves via default_apsp_threads(); the calling thread
+/// is one of the workers, so 1 runs the loop inline with no thread spawned.
 [[nodiscard]] DistMatrix all_pairs_shortest_paths(const Digraph& g,
                                                   int threads = 0);
-
-/// The single-threaded arena loop (PR 4's APSP path), retained in-binary as
-/// the before-side of the bench harness's parallel-APSP hot_path_delta and
-/// as the differential oracle for the pool.
-[[nodiscard]] DistMatrix all_pairs_shortest_paths_serial(const Digraph& g);
 
 /// Resolves a requested thread count: values >= 1 pass through; <= 0 means
 /// the process-wide default (set_default_apsp_threads), which itself falls

@@ -29,13 +29,6 @@ const Edge* Digraph::edge_by_port(NodeId u, Port p) const {
   return &edges_[b + static_cast<std::size_t>(port_slot_[k])];
 }
 
-const Edge* Digraph::edge_by_port_linear(NodeId u, Port p) const {
-  for (const Edge& e : out_edges(u)) {
-    if (e.port == p) return &e;
-  }
-  return nullptr;
-}
-
 const Edge* Digraph::find_by_head(NodeId u, NodeId v) const {
   const auto b = static_cast<std::size_t>(offset_[static_cast<std::size_t>(u)]);
   const auto e =

@@ -107,11 +107,6 @@ class Digraph {
   /// port-sorted resolution table.
   [[nodiscard]] const Edge* edge_by_port(NodeId u, Port p) const;
 
-  /// The seed implementation of edge_by_port (linear scan over the row),
-  /// retained so the bench harness re-measures the indexed lookup against it
-  /// on every run (hot_path_deltas).  Not for production callers.
-  [[nodiscard]] const Edge* edge_by_port_linear(NodeId u, Port p) const;
-
   /// The port of edge u -> v, or kNoPort.  Preprocessing-only helper (a
   /// distributed node knows its own ports); never used during forwarding.
   /// O(log degree).

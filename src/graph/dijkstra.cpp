@@ -335,8 +335,8 @@ void dijkstra_distances_into(const Digraph& g, NodeId src,
 }
 
 std::vector<Dist> dijkstra_distances_reference(const Digraph& g, NodeId src) {
-  // The seed implementation, verbatim: fresh vectors and a std::priority_queue
-  // per call.  tests/bench compare the workspace path against this oracle.
+  // Test oracle: fresh vectors and a std::priority_queue per call.  The
+  // tests compare the workspace path and APSP against it.
   const auto n = static_cast<std::size_t>(g.node_count());
   std::vector<Dist> dist(n, kInfDist);
   std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> pq;

@@ -14,9 +14,9 @@
 // cluster) pass a DijkstraWorkspace so the distance array and the binary-heap
 // buffer are allocated once and reused: after the first run the hot loop
 // performs no heap allocation at all.  The workspace-free overloads remain
-// for one-shot callers.  dijkstra_distances_reference() preserves the seed
-// implementation (std::priority_queue, fresh buffers per call) as the
-// differential oracle the arena is tested bit-identical against.
+// for one-shot callers.  dijkstra_distances_reference() is the test oracle
+// (std::priority_queue, fresh buffers per call) the arena is tested
+// bit-identical against.
 #ifndef RTR_GRAPH_DIJKSTRA_H
 #define RTR_GRAPH_DIJKSTRA_H
 
@@ -146,8 +146,8 @@ void dijkstra_distances_into(const Digraph& g, NodeId src, DijkstraWorkspace& ws
 void dijkstra_distances_into(const Digraph& g, NodeId src, DijkstraWorkspace& ws,
                              std::span<Dist> out);
 
-/// The seed implementation (std::priority_queue, fresh buffers per call),
-/// kept as the differential oracle for the workspace fast path.
+/// Test oracle: the plain textbook loop (std::priority_queue, fresh buffers
+/// per call) that the workspace fast path and APSP are tested against.
 [[nodiscard]] std::vector<Dist> dijkstra_distances_reference(const Digraph& g,
                                                              NodeId src);
 

@@ -158,7 +158,7 @@ void unlink_arena_shm(const std::string& shm_name) {
 
 // ----------------------------------------------------------------- writer --
 
-ArenaWriter::ArenaWriter() { bytes_.resize(kArenaSectionStart, 0); }
+ArenaWriter::ArenaWriter() : bytes_(kArenaSectionStart, 0) {}
 
 void ArenaWriter::add_raw(const std::string& name, const std::uint8_t* data,
                           std::size_t count, std::size_t elem_size) {

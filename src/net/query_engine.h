@@ -149,9 +149,9 @@ class QueryEngine {
       const std::vector<RoundtripQuery>& queries,
       const BatchOptions& options = {}) const;
 
-  /// Reference single-thread loop over the same batch, in the seed's
-  /// array-of-structs layout (per-query validate + name lookup inline).
-  /// Kept as the perf baseline the SoA path is measured against.
+  /// Test oracle: a plain single-thread loop over the same batch in
+  /// array-of-structs layout (per-query validate + name lookup inline).  The
+  /// tests compare run_batch's report against it.
   [[nodiscard]] StretchReport run_serial(
       const std::vector<RoundtripQuery>& queries) const;
 
@@ -170,7 +170,7 @@ class QueryEngine {
   void run_one(std::size_t index, NodeId src, NodeId dst,
                WorkerTally& tally) const;
   /// `fast_walk` selects Scheme::simulate (one dispatch per roundtrip; the
-  /// batch path) vs the per-hop Packet walk (the seed reference loop).
+  /// batch path) vs the per-hop Packet walk (the run_serial oracle).
   void run_one_resolved(std::size_t index, NodeId src, NodeId dst,
                         NodeName dst_name, bool fast_walk,
                         WorkerTally& tally) const;

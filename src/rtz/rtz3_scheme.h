@@ -60,13 +60,11 @@ class ArenaView;
 class ArenaWriter;
 struct ChurnDelta;   // graph/churn_delta.h
 
-/// A small per-node dictionary keyed by NodeName: one sorted vector of
-/// (key, payload) pairs, binary-searched.  The scheme itself serves hot
-/// probes from flat CSR arrays (see the header comment); NameDict remains as
-/// (a) the staging structure construction scatters into before flattening, and (b) the reference array-of-pairs layout the
-/// bench harness mirrors a built scheme's tables into, so the flat-vs-AoS
-/// hot-path delta is re-measured against identical probe outcomes on every
-/// run.
+/// A small per-node dictionary keyed by NodeName: one vector of
+/// (key, payload) pairs, sorted by key.  The scheme itself serves hot
+/// probes from flat CSR arrays (see the header comment); NameDict is the
+/// staging structure construction and repair scatter into before
+/// flattening.
 template <typename V>
 class NameDict {
  public:
@@ -80,14 +78,6 @@ class NameDict {
     std::sort(entries_.begin(), entries_.end(),
               [](const std::pair<NodeName, V>& a,
                  const std::pair<NodeName, V>& b) { return a.first < b.first; });
-  }
-
-  /// Binary search; nullptr when absent.
-  [[nodiscard]] const V* find(NodeName key) const {
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), key,
-        [](const std::pair<NodeName, V>& p, NodeName k) { return p.first < k; });
-    return it != entries_.end() && it->first == key ? &it->second : nullptr;
   }
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }

@@ -162,10 +162,15 @@ std::shared_ptr<const Epoch> EpochManager::repair_epoch(
   try {
     scheme = registry_.repair(scheme_name_, base.handle.scheme(),
                               base.handle.graph(), ctx, delta);
+  } catch (const std::logic_error&) {
+    // A repair that breaks an invariant (a failed RTR_AUDIT_ON_BUILD audit,
+    // a violated precondition) is a bug, not a fallback: it reaches the
+    // rebuild thread's handler, so the current epoch keeps serving and
+    // last_error() carries the message.
+    throw;
   } catch (const std::exception&) {
-    // A failed repair (including a failed RTR_AUDIT_ON_BUILD audit) is a
-    // fallback, never an outage: the counters expose it, the full build
-    // supplies the epoch.
+    // Any other failed repair is a fallback, never an outage: the counters
+    // expose it, the full build supplies the epoch.
     scheme = nullptr;
   }
   if (scheme == nullptr) return nullptr;

@@ -187,7 +187,8 @@ class EpochManager {
     std::uint64_t repairs = 0;  ///< epochs published via incremental repair
     /// Non-empty deltas that went through a full build despite repair being
     /// enabled: over repair_max_fraction, declined by the scheme's hook, or
-    /// a failed repair attempt.
+    /// a repair attempt that threw anything but std::logic_error (a
+    /// logic_error is a bug: the rebuild fails and last_error() says why).
     std::uint64_t repair_fallbacks = 0;
     /// Wall ms of the most recent background epoch preprocess (repair or
     /// full build; 0 until the first rebuild completes).

@@ -481,7 +481,7 @@ Json RouteServer::stats_json() const {
   doc.set("batched_queries", static_cast<std::int64_t>(s.batched_queries));
   doc.set("max_batch", static_cast<std::int64_t>(s.max_batch));
   doc.set("protocol_errors", static_cast<std::int64_t>(s.protocol_errors));
-  const ServingSource::RebuildStats r = source_.rebuild_stats();
+  const EpochManager::Counters r = source_.epoch_counters();
   doc.set("epochs_built", static_cast<std::int64_t>(r.epochs_built));
   doc.set("repairs", static_cast<std::int64_t>(r.repairs));
   doc.set("repair_fallbacks", static_cast<std::int64_t>(r.repair_fallbacks));

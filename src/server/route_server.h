@@ -39,25 +39,19 @@ namespace rtr {
 /// thread-safe: every connection thread and the dispatcher call these.
 class ServingSource {
  public:
-  /// Epoch preprocessing counters surfaced through /stats: how the epochs
-  /// this source serves came to be (full rebuilds vs incremental repairs)
-  /// and what the most recent preprocess cost.
-  struct RebuildStats {
-    std::uint64_t epochs_built = 0;
-    std::uint64_t repairs = 0;
-    std::uint64_t repair_fallbacks = 0;
-    double last_rebuild_ms = 0.0;
-    double last_repair_ms = 0.0;
-  };
-
   virtual ~ServingSource() = default;
   /// The epoch to answer from; nullptr means kEpochUnavailable.
   [[nodiscard]] virtual std::shared_ptr<const Epoch> current_epoch() const = 0;
   /// The fixed TINN naming queries are keyed by.
   [[nodiscard]] virtual const NameAssignment& names() const = 0;
   [[nodiscard]] virtual const std::string& scheme_name() const = 0;
-  /// All-zero default: a static source never rebuilds.
-  [[nodiscard]] virtual RebuildStats rebuild_stats() const { return {}; }
+  /// Epoch preprocessing counters surfaced through /stats: how the epochs
+  /// this source serves came to be (full rebuilds vs incremental repairs)
+  /// and what the most recent preprocess cost.  All-zero default: a static
+  /// source never rebuilds.
+  [[nodiscard]] virtual EpochManager::Counters epoch_counters() const {
+    return {};
+  }
 };
 
 /// Serves whatever epoch the manager currently publishes (live churn).
@@ -74,10 +68,8 @@ class ManagerServingSource final : public ServingSource {
   [[nodiscard]] const std::string& scheme_name() const override {
     return manager_.scheme_name();
   }
-  [[nodiscard]] RebuildStats rebuild_stats() const override {
-    const EpochManager::Counters c = manager_.counters();
-    return RebuildStats{c.epochs_built, c.repairs, c.repair_fallbacks,
-                        c.last_rebuild_ms, c.last_repair_ms};
+  [[nodiscard]] EpochManager::Counters epoch_counters() const override {
+    return manager_.counters();
   }
 
  private:

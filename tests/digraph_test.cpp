@@ -66,12 +66,14 @@ TEST(Digraph, AdversarialPortsAreUniquePerNodeAndResolve) {
       EXPECT_GE(e.port, 0);
       EXPECT_LT(e.port, g.port_space());
       EXPECT_TRUE(ports.insert(e.port).second) << "duplicate port at " << u;
-      const Edge* back = g.edge_by_port(u, e.port);
-      ASSERT_NE(back, nullptr);
-      EXPECT_EQ(back->to, e.to);
-      // The indexed lookup and the retained linear reference agree edge for
-      // edge.
-      EXPECT_EQ(g.edge_by_port_linear(u, e.port), back);
+      // The indexed lookup resolves a present port to exactly its edge.
+      EXPECT_EQ(g.edge_by_port(u, e.port), &e);
+    }
+    // Every other port in the space is absent at u.
+    for (Port p = 0; p < g.port_space(); ++p) {
+      if (ports.count(p) == 0) {
+        EXPECT_EQ(g.edge_by_port(u, p), nullptr) << "port " << p << " at " << u;
+      }
     }
   }
 }

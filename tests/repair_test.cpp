@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -345,6 +346,57 @@ TEST(RepairEpochManager, GlobalPortRelabelFallsBackToFullBuild) {
   EXPECT_GT(c.last_rebuild_ms, 0.0);
   const auto& names = mgr.names();
   EXPECT_TRUE(mgr.roundtrip_by_name(names.name_of(1), names.name_of(5)).ok());
+}
+
+// A repair hook that throws std::logic_error has hit a bug (an audit or
+// invariant failure), which must not hide in the fallback counter: the
+// rebuild fails, the current epoch keeps serving, and last_error() says why.
+// Any other exception is still a fallback to a full build.
+TEST(RepairEpochManager, RepairLogicErrorFailsTheRebuildInsteadOfFallingBack) {
+  const NodeId n = 64;
+  Digraph g = initial_graph(n, 801);
+  SchemeRegistry registry;
+  register_builtin_schemes(registry);
+  bool throw_logic_error = true;
+  registry.set_repair_hook(
+      "rtz3", [&throw_logic_error](const Scheme&, const Digraph&,
+                                   const BuildContext&, const ChurnDelta&)
+                  -> std::shared_ptr<const Scheme> {
+        if (throw_logic_error) {
+          throw std::logic_error("repair invariant broken");
+        }
+        throw std::runtime_error("repair ran out of room");
+      });
+  EpochManagerOptions opt;
+  opt.enable_repair = true;
+  opt.repair_max_fraction = 0.25;
+  EpochManager mgr("rtz3", fixed_names(n, 802), Digraph(g), opt, registry);
+
+  ChurnOptions churn = gentle_churn();
+  Rng churn_rng(803);
+  g = churn_step(g, churn, churn_rng);
+  const auto before = mgr.current();
+  ASSERT_TRUE(mgr.begin_rebuild(Digraph(g)));
+  mgr.wait_for_rebuild();
+  EXPECT_EQ(mgr.current().get(), before.get());
+  EXPECT_EQ(mgr.epoch(), 0u);
+  EXPECT_NE(mgr.last_error().find("repair invariant broken"),
+            std::string::npos)
+      << mgr.last_error();
+  auto c = mgr.counters();
+  EXPECT_EQ(c.repair_fallbacks, 0u);
+  EXPECT_EQ(c.epochs_built, 0u);
+  const auto& names = mgr.names();
+  EXPECT_TRUE(mgr.roundtrip_by_name(names.name_of(1), names.name_of(5)).ok());
+
+  throw_logic_error = false;
+  mgr.rebuild_now(Digraph(g));
+  EXPECT_EQ(mgr.epoch(), 1u);
+  EXPECT_EQ(mgr.last_error(), "");
+  c = mgr.counters();
+  EXPECT_EQ(c.repair_fallbacks, 1u);
+  EXPECT_EQ(c.repairs, 0u);
+  EXPECT_EQ(c.epochs_built, 1u);
 }
 
 // Two managers over the same pinned seed and the same churn sequence: one

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -131,6 +132,29 @@ class TestClient {
   return r;
 }
 
+// The epoch-counter block of an rtr-stats/1 document, pinned key by key and
+// type by type: five members right after "protocol_errors", in this order,
+// carrying the source's EpochManager counters (integers, then two doubles).
+void expect_epoch_counter_block(const Json& stats,
+                                const EpochManager::Counters& c) {
+  const JsonObject& fields = stats.as_object();
+  const auto first =
+      std::find_if(fields.begin(), fields.end(),
+                   [](const auto& kv) { return kv.first == "epochs_built"; });
+  ASSERT_NE(first, fields.begin());
+  ASSERT_GE(fields.end() - first, 5);
+  EXPECT_EQ((first - 1)->first, "protocol_errors");
+  const JsonObject expected = {
+      {"epochs_built", Json(static_cast<std::int64_t>(c.epochs_built))},
+      {"repairs", Json(static_cast<std::int64_t>(c.repairs))},
+      {"repair_fallbacks", Json(static_cast<std::int64_t>(c.repair_fallbacks))},
+      {"last_rebuild_ms", Json(c.last_rebuild_ms)},
+      {"last_repair_ms", Json(c.last_repair_ms)},
+  };
+  EXPECT_TRUE(JsonObject(first, first + 5) == expected)
+      << Json(JsonObject(first, first + 5)).dump();
+}
+
 class RouteServerTest : public ::testing::Test {
  protected:
   static constexpr NodeId kNodes = 48;
@@ -188,6 +212,12 @@ TEST_F(RouteServerTest, HealthzAndStatsAnswerInline) {
   Json stats = Json::parse(body);
   EXPECT_EQ(stats.at("schema").as_string(), "rtr-stats/1");
   EXPECT_GE(stats.at("connections").as_int(), 1);
+  // No rebuild has run: the block is all zeros, integers then doubles.
+  expect_epoch_counter_block(stats, manager_.counters());
+  EXPECT_NE(body.find("\"repair_fallbacks\": 0,\n  \"last_rebuild_ms\": 0.0,\n"
+                      "  \"last_repair_ms\": 0.0"),
+            std::string::npos)
+      << body;
 }
 
 TEST_F(RouteServerTest, UnknownNameIs400InvalidName) {
@@ -383,6 +413,10 @@ TEST(RouteServerChurn, ZeroDroppedQueriesAcrossLiveEpochSwaps) {
             0u)
       << "an epoch swap must never surface as unavailability";
   EXPECT_EQ(stats.errors[static_cast<int>(ServingError::kSchemeFailure)], 0u);
+  const EpochManager::Counters counters = manager.counters();
+  EXPECT_EQ(counters.epochs_built, 3u);
+  EXPECT_GT(counters.last_rebuild_ms, 0.0);
+  expect_epoch_counter_block(server.stats_json(), counters);
   server.stop();
 }
 

@@ -118,9 +118,8 @@ TEST(Rtz3, AddressLookupMatchesOwnAddress) {
 
 // The flat CSR tables must behave identically whether they were built in
 // process or viewed in place from arena sections: same routes, same per-hop
-// lookup results, same table accounting, same snapshot bytes.  The bench
-// harness's rtz3-flat-dicts hot-path delta relies on this equivalence being
-// airtight.
+// lookup results, same table accounting, same snapshot bytes.  Mapped
+// serving (snapshots, shm epochs) relies on this equivalence being airtight.
 TEST(Rtz3, ArenaRoundTripPreservesTablesProbeForProbe) {
   Instance inst = make_instance(Family::kRandom, 60, 4, 21);
   Rng rng(22);

@@ -24,7 +24,7 @@ using ::rtr::testing::make_instance;
 
 TEST(SchemeRegistry, ListsEveryBuiltinScheme) {
   const auto names = SchemeRegistry::global().names();
-  for (const std::string& expected :
+  for (const std::string expected :
        {"stretch6", "stretch6-detour", "exstretch", "polystretch", "rtz3",
         "fulltable", "hashed64"}) {
     EXPECT_TRUE(SchemeRegistry::global().contains(expected)) << expected;

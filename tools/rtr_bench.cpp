@@ -3,20 +3,20 @@
 //   rtr_bench [--quick|--full] [--out FILE] [--rev REV]
 //             [--families a,b,...] [--sizes 128,256,...]
 //             [--schemes s1,s2,...] [--pairs N] [--threads N] [--seed S]
-//             [--no-snapshot-phase] [--no-deltas] [--no-net-serving]
+//             [--metric auto|dense|sparse]
+//             [--no-snapshot-phase] [--no-net-serving]
 //       Sweeps schemes x graph families x sizes, measures the construction /
-//       batch-query / snapshot-load phases plus table and memory accounting,
-//       runs the end-to-end net_serving cell (RouteServer + loadgen over
-//       loopback TCP across a live epoch swap), re-measures the recorded
-//       hot-path before/after deltas, and writes a schema-versioned
+//       batch-query / snapshot-load phases plus table and memory accounting
+//       (the paper's stretch and per-node table size columns), runs the
+//       end-to-end net_serving cell (RouteServer + loadgen over loopback TCP
+//       across a live epoch swap), and writes a schema-versioned
 //       BENCH_<rev>.json.
 //
 //   rtr_bench --check BASELINE CURRENT [--qps-tolerance 0.25]
-//             [--delta-floor PCT]
-//       The CI perf gate: exits non-zero when CURRENT regresses qps by more
-//       than the tolerance on any baseline cell, increases any cell's avg
-//       stretch, reports failed queries, or records a hot-path delta below
-//       the floor.
+//       The CI perf gate: exits non-zero when CURRENT misses a baseline cell,
+//       reports failed queries, increases any cell's avg stretch, regresses
+//       qps by more than the tolerance, or regresses a snapshot/repair phase
+//       time (timings only gated when host and thread count match).
 //
 //   rtr_bench --check-growth FILE
 //       The nightly full-sweep gate: exits non-zero when a sqrt-n scheme's
@@ -57,10 +57,8 @@ int usage(const char* argv0) {
                "          [--families f1,f2] [--sizes n1,n2] [--schemes s1,s2]\n"
                "          [--pairs N] [--threads N (0 = hardware)] [--seed S]\n"
                "          [--metric auto|dense|sparse]\n"
-               "          [--no-snapshot-phase] [--no-deltas] "
-               "[--no-net-serving]\n"
+               "          [--no-snapshot-phase] [--no-net-serving]\n"
                "       %s --check BASELINE CURRENT [--qps-tolerance T]\n"
-               "          [--delta-floor PCT]\n"
                "       %s --check-growth FILE\n"
                "       %s --audit [--families ...] [--sizes ...] "
                "[--schemes ...] [--rev REV] [--out FILE]\n",
@@ -236,8 +234,6 @@ int main(int argc, char** argv) {
         config.metric_mode = rtr::parse_metric_mode(next());
       } else if (arg == "--no-snapshot-phase") {
         config.snapshot_phase = false;
-      } else if (arg == "--no-deltas") {
-        config.hot_path_deltas = false;
       } else if (arg == "--no-net-serving") {
         config.net_serving = false;
       } else if (arg == "--check") {
@@ -249,8 +245,6 @@ int main(int argc, char** argv) {
         audit_mode = true;
       } else if (arg == "--qps-tolerance") {
         gate.qps_drop_tolerance = std::stod(next());
-      } else if (arg == "--delta-floor") {
-        gate.delta_floor_pct = std::stod(next());
       } else if (arg == "--help" || arg == "-h") {
         return usage(argv[0]);
       } else {
@@ -279,8 +273,8 @@ int main(int argc, char** argv) {
     }
 
     // --threads (default: hardware concurrency) drives the QueryEngine
-    // worker pool, the parallel-APSP delta, and -- via the process default
-    // -- every all_pairs_shortest_paths call the sweep makes.  The resolved
+    // worker pool and -- via the process default -- every
+    // all_pairs_shortest_paths call the sweep makes.  The resolved
     // value lands in the document's host block.
     set_default_apsp_threads(config.threads);
 
@@ -290,9 +284,8 @@ int main(int argc, char** argv) {
     write_text_file(path, suite_to_json(result, config, rev).dump());
     std::int64_t failures = 0;
     for (const auto& cell : result.cells) failures += cell.failures;
-    std::printf("wrote %s (%zu cells, %zu hot-path deltas, %lld failed queries)\n",
-                path.c_str(), result.cells.size(), result.deltas.size(),
-                static_cast<long long>(failures));
+    std::printf("wrote %s (%zu cells, %lld failed queries)\n", path.c_str(),
+                result.cells.size(), static_cast<long long>(failures));
     // The orchestrator itself gates on correctness: a failed roundtrip in any
     // cell is an error exit, so smoke jobs cannot silently pass on a broken
     // scheme.
