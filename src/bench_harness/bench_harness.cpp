@@ -317,7 +317,7 @@ CellResult run_cell(const Instance& inst, const std::string& scheme_name,
 /// an EpochManager) driven by the loadgen across loopback TCP, with one live
 /// epoch swap deliberately overlapping the measured load.  qps and the
 /// latency percentiles are socket-to-socket, so this column prices the whole
-/// front end (parse, coalesce, batch, format) rather than the bare engine.
+/// front end (parse, serve, format) rather than the bare engine.
 /// `failures` is the availability gate: every request must come back with a
 /// definitive answer even while the next epoch builds and publishes.
 CellResult run_net_serving_cell(const BenchConfig& config,

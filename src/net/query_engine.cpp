@@ -237,39 +237,6 @@ ServingResult QueryEngine::serve(NodeId src, NodeId dst) const {
   return ServingResult::success(std::move(res), /*epoch_seq=*/0);
 }
 
-std::vector<ServingResult> QueryEngine::serve_batch(
-    const std::vector<RoundtripQuery>& queries,
-    const BatchOptions& options) const {
-  std::vector<ServingResult> results(queries.size());
-  const int workers = effective_workers(options.threads, queries.size());
-  // results[i] is written by exactly one worker (contiguous disjoint slices),
-  // so no synchronization is needed beyond the joins.
-  const auto run = [this, &queries, &results](std::size_t begin,
-                                              std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      results[i] = serve(queries[i].src, queries[i].dst);
-    }
-  };
-  if (workers <= 1 || queries.size() <= 1) {
-    run(0, queries.size());
-    return results;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  const std::size_t per = queries.size() / static_cast<std::size_t>(workers);
-  const std::size_t extra = queries.size() % static_cast<std::size_t>(workers);
-  std::size_t begin = 0;
-  for (int w = 0; w < workers; ++w) {
-    const std::size_t share =
-        per + (static_cast<std::size_t>(w) < extra ? 1 : 0);
-    const std::size_t end = begin + share;
-    pool.emplace_back([&run, begin, end] { run(begin, end); });
-    begin = end;
-  }
-  for (auto& t : pool) t.join();
-  return results;
-}
-
 StretchReport QueryEngine::run_batch(const std::vector<RoundtripQuery>& queries,
                                      const BatchOptions& options) const {
   const auto start = std::chrono::steady_clock::now();

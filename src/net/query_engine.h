@@ -21,9 +21,6 @@
 //                                  (the determinism regression test pins it).
 //   * serve(src, dst)           -- one query, typed ServingResult, never
 //                                  throws; the serving stack's entry point.
-//   * serve_batch(queries, opts)-- per-query ServingResults (the rtr_routed
-//                                  request-coalescing path), sharded like
-//                                  run_batch.
 //   * roundtrip(src, dst)       -- one query, on the caller's thread; throws
 //                                  on bad ids (measurement/debug use).
 //
@@ -74,12 +71,11 @@ struct QueryEngineOptions {
   SimOptions sim;
 };
 
-/// The one knob bag every batch entry point shares (and the server's
-/// coalescing path reuses).  Replaces the former loose (budget, seed)
-/// parameter overloads.
+/// The one knob bag every batch entry point shares.  Replaces the former
+/// loose (budget, seed) parameter overloads.
 struct BatchOptions {
-  /// Pairs run_sampled draws; ignored by run_batch/serve_batch (the caller's
-  /// batch is the pair list there).
+  /// Pairs run_sampled draws; ignored by run_batch (the caller's batch is
+  /// the pair list there).
   std::int64_t pair_budget = 0;
   /// Sampling seed for run_sampled's pair list.
   std::uint64_t seed = 0;
@@ -128,14 +124,6 @@ class QueryEngine {
   /// kSchemeFailure (message = e.what()), an undelivered leg kUnreachable.
   /// `epoch` is left 0 -- the serving layer that pinned an epoch fills it in.
   [[nodiscard]] ServingResult serve(NodeId src, NodeId dst) const;
-
-  /// serve() over a batch, sharded across the worker pool like run_batch
-  /// (contiguous slices into a preallocated result vector; disjoint writes,
-  /// no locks).  results[i] always answers queries[i].  This is the server's
-  /// request-coalescing path.
-  [[nodiscard]] std::vector<ServingResult> serve_batch(
-      const std::vector<RoundtripQuery>& queries,
-      const BatchOptions& options = {}) const;
 
   /// Executes the batch across the worker pool.
   ///

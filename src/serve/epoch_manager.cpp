@@ -198,35 +198,35 @@ bool EpochManager::begin_rebuild(Digraph next) {
                                  g = std::move(next)]() mutable {
     const auto start = std::chrono::steady_clock::now();
     try {
+      // The naming is fixed for the manager's lifetime, so a topology over a
+      // different node set can never become an epoch: refuse it before any
+      // APSP or build work.
+      if (g.node_count() != names_.node_count()) {
+        throw std::invalid_argument(
+            "EpochManager: node count changed: the next topology has " +
+            std::to_string(g.node_count()) + " nodes, the naming " +
+            std::to_string(names_.node_count()));
+      }
       std::shared_ptr<const Epoch> epoch;
       bool noop = false;
       bool repaired = false;
       if (options_.enable_repair) {
-        bool have_delta = false;
-        ChurnDelta delta;
-        try {
-          delta = diff_graphs(base->handle.graph(), g);
-          have_delta = true;
-        } catch (const std::exception&) {
-          have_delta = false;  // node count changed: always a full build
-        }
-        if (have_delta && delta.empty()) {
+        const ChurnDelta delta = diff_graphs(base->handle.graph(), g);
+        if (delta.empty()) {
           // Identical topology: publishing a new epoch would only churn
           // caches and sessions.  Keep serving the same epoch object.
           noop = true;
-        } else if (have_delta) {
-          if (delta.fraction() <= options_.repair_max_fraction) {
-            auto graph = std::make_shared<const Digraph>(std::move(g));
-            epoch = repair_epoch(seq, *base, graph, delta, start);
-            if (epoch != nullptr) {
-              repaired = true;
-            } else {
-              repair_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-              epoch = build_epoch(seq, std::move(graph));
-            }
+        } else if (delta.fraction() <= options_.repair_max_fraction) {
+          auto graph = std::make_shared<const Digraph>(std::move(g));
+          epoch = repair_epoch(seq, *base, graph, delta, start);
+          if (epoch != nullptr) {
+            repaired = true;
           } else {
             repair_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+            epoch = build_epoch(seq, std::move(graph));
           }
+        } else {
+          repair_fallbacks_.fetch_add(1, std::memory_order_relaxed);
         }
       }
       if (!noop) {
@@ -274,26 +274,31 @@ std::string EpochManager::last_error() const {
   return last_error_;
 }
 
-ServingResult EpochManager::roundtrip_by_name(NodeName src,
-                                              NodeName dst) const {
-  // One shared_ptr copy pins the whole (graph, scheme, names) triple: the
-  // query below cannot observe a swap, and the epoch cannot be destroyed
-  // until the copy goes out of scope.
-  const std::shared_ptr<const Epoch> epoch = current();
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  const NodeName n = names_.node_count();
+ServingResult serve_by_name(std::shared_ptr<const Epoch> epoch, NodeName src,
+                            NodeName dst) {
+  // `epoch` pins the whole (graph, scheme, names) triple: the query below
+  // cannot observe a swap, and the epoch cannot be destroyed before it ends.
+  if (epoch == nullptr) {
+    return ServingResult::failure(ServingError::kEpochUnavailable,
+                                  "no epoch available");
+  }
+  const NameAssignment& names = epoch->engine->names();
+  const NodeName n = names.node_count();
   if (src < 0 || src >= n || dst < 0 || dst >= n) {
-    // Unknown name: the caller's data, reported typed -- never a throw into
-    // a client thread (the old path threw out_of_range here) and never a
-    // swallowed count the caller cannot interpret.
-    failures_.fetch_add(1, std::memory_order_relaxed);
     return ServingResult::failure(
         ServingError::kInvalidName,
         "unknown name " + std::to_string(src < 0 || src >= n ? src : dst),
         epoch->seq);
   }
-  ServingResult res = epoch->engine->serve(names_.id_of(src), names_.id_of(dst));
+  ServingResult res = epoch->engine->serve(names.id_of(src), names.id_of(dst));
   res.epoch = epoch->seq;
+  return res;
+}
+
+ServingResult EpochManager::roundtrip_by_name(NodeName src,
+                                              NodeName dst) const {
+  ServingResult res = serve_by_name(current(), src, dst);
+  queries_.fetch_add(1, std::memory_order_relaxed);
   if (!res.ok()) failures_.fetch_add(1, std::memory_order_relaxed);
   return res;
 }

@@ -71,6 +71,14 @@ struct Epoch {
   double build_seconds;     ///< wall time to preprocess this epoch
 };
 
+/// One roundtrip keyed by TINN names against `epoch`, which the argument
+/// pins for the whole query.  Never throws: a null epoch answers
+/// kEpochUnavailable; an unknown name answers kInvalidName; everything else
+/// is QueryEngine::serve's answer.  Every answer from a non-null epoch
+/// carries that epoch's seq.
+[[nodiscard]] ServingResult serve_by_name(std::shared_ptr<const Epoch> epoch,
+                                          NodeName src, NodeName dst);
+
 struct EpochManagerOptions {
   /// Directory for per-epoch snapshot warm-start files; empty disables the
   /// cache (every epoch builds from scratch).  An unwritable directory
@@ -153,7 +161,8 @@ class EpochManager {
   /// the swap happens automatically when the build completes.  Returns false
   /// (and does nothing) when a rebuild is already in flight.  Build failures
   /// (e.g. a disconnected graph) leave the current epoch serving and are
-  /// reported by last_error().
+  /// reported by last_error().  A topology whose node count differs from the
+  /// naming fails that way before any preprocessing.
   bool begin_rebuild(Digraph next);
 
   /// Blocks until the in-flight rebuild (if any) has published or failed.
@@ -170,11 +179,9 @@ class EpochManager {
   /// Message of the most recent failed rebuild ("" when none).
   [[nodiscard]] std::string last_error() const;
 
-  /// One roundtrip keyed by TINN names -- the session-facing API.  Pins the
-  /// current epoch for the whole query and never throws: unknown names come
-  /// back kInvalidName, everything else carries the QueryEngine's typed code,
-  /// and `result.epoch` records which epoch answered.  Failures of any kind
-  /// still increment the failure counter.
+  /// One roundtrip keyed by TINN names -- the session-facing API:
+  /// serve_by_name on the current epoch, counted in queries and (when not
+  /// ok) failures.
   [[nodiscard]] ServingResult roundtrip_by_name(NodeName src,
                                                 NodeName dst) const;
 

@@ -126,7 +126,6 @@ RouteServer::RouteServer(const ServingSource& source,
     port_ = static_cast<int>(ntohs(bound.sin_port));
   }
 
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
   const int acceptors = std::max(options_.acceptor_threads, 1);
   acceptors_.reserve(static_cast<std::size_t>(acceptors));
   for (int i = 0; i < acceptors; ++i) {
@@ -150,16 +149,13 @@ void RouteServer::stop() {
     listen_fd_ = -1;
   }
   // Connection threads notice stop_ at their next recv timeout, finish any
-  // in-flight request (the dispatcher is still running), and exit.
+  // in-flight request, and exit.
   std::vector<Conn> conns;
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
     conns.swap(connections_);
   }
   for (auto& c : conns) c.thread.join();
-  // With every producer joined, let the dispatcher drain and exit.
-  batch_cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
 }
 
 void RouteServer::accept_loop() {
@@ -195,28 +191,13 @@ void RouteServer::accept_loop() {
 }
 
 ServingResult RouteServer::serve_query(NodeName src, NodeName dst) {
-  // Unknown names are rejected here, against the fixed naming, without a
-  // round-trip through the batcher (mirrors EpochManager::roundtrip_by_name).
-  const NodeName n = source_.names().node_count();
-  ServingResult result;
-  if (src < 0 || src >= n || dst < 0 || dst >= n) {
-    result = ServingResult::failure(
-        ServingError::kInvalidName,
-        "unknown name " + std::to_string((src < 0 || src >= n) ? src : dst));
-  } else {
-    // The batcher works in node ids: translate through the fixed TINN
-    // naming exactly as EpochManager::roundtrip_by_name does.
-    std::future<ServingResult> answer;
-    {
-      std::lock_guard<std::mutex> lock(batch_mutex_);
-      PendingQuery pending;
-      pending.query =
-          RoundtripQuery{source_.names().id_of(src), source_.names().id_of(dst)};
-      answer = pending.promise.get_future();
-      pending_.push_back(std::move(pending));
-    }
-    batch_cv_.notify_one();
-    result = answer.get();
+  const ServingResult result =
+      serve_by_name(source_.current_epoch(), src, dst);
+  // serve() never answers these two codes, so any other answer walked the
+  // scheme: a batch of one in the rtr-stats/1 batch counters.
+  if (result.error != ServingError::kInvalidName &&
+      result.error != ServingError::kEpochUnavailable) {
+    routed_.fetch_add(1, std::memory_order_relaxed);
   }
   count_result(result);
   return result;
@@ -228,55 +209,6 @@ void RouteServer::count_result(const ServingResult& result) {
   } else {
     const auto code = static_cast<std::size_t>(result.error);
     error_counts_[code < 6 ? code : 0].fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void RouteServer::dispatch_loop() {
-  while (true) {
-    std::vector<PendingQuery> batch;
-    {
-      std::unique_lock<std::mutex> lock(batch_mutex_);
-      batch_cv_.wait(lock, [this] {
-        return stop_.load(std::memory_order_acquire) || !pending_.empty();
-      });
-      if (pending_.empty()) {
-        // stop() only sets stop_ after joining every connection thread, so
-        // an empty queue here means no producer can appear: safe to exit.
-        if (stop_.load(std::memory_order_acquire)) return;
-        continue;
-      }
-      batch.swap(pending_);
-    }
-
-    // ONE epoch pin for the whole coalesced batch: every query in it is
-    // answered by the same (graph, scheme, names) triple even if an epoch
-    // swap lands mid-batch.
-    const std::shared_ptr<const Epoch> epoch = source_.current_epoch();
-    if (epoch == nullptr) {
-      for (auto& p : batch) {
-        p.promise.set_value(ServingResult::failure(
-            ServingError::kEpochUnavailable, "no epoch available"));
-      }
-      continue;
-    }
-    std::vector<RoundtripQuery> queries;
-    queries.reserve(batch.size());
-    for (const auto& p : batch) queries.push_back(p.query);
-    BatchOptions batch_options;
-    batch_options.threads = options_.batch_threads;
-    std::vector<ServingResult> results =
-        epoch->engine->serve_batch(queries, batch_options);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      results[i].epoch = epoch->seq;
-      batch[i].promise.set_value(std::move(results[i]));
-    }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    batched_queries_.fetch_add(batch.size(), std::memory_order_relaxed);
-    std::uint64_t seen = max_batch_.load(std::memory_order_relaxed);
-    while (batch.size() > seen &&
-           !max_batch_.compare_exchange_weak(seen, batch.size(),
-                                             std::memory_order_relaxed)) {
-    }
   }
 }
 
@@ -293,8 +225,9 @@ std::string RouteServer::handle_http(const HttpRequest& request) {
     Json body{JsonObject{}};
     body.set("status", epoch != nullptr ? "ok" : "unavailable");
     body.set("scheme", source_.scheme_name());
-    body.set("nodes", static_cast<std::int64_t>(source_.names().node_count()));
     if (epoch != nullptr) {
+      body.set("nodes",
+               static_cast<std::int64_t>(epoch->engine->names().node_count()));
       body.set("epoch", static_cast<std::int64_t>(epoch->seq));
     }
     return make_http_response(epoch != nullptr ? 200 : 503, body.dump(),
@@ -455,9 +388,9 @@ RouteServerStats RouteServer::stats() const {
   for (std::size_t i = 0; i < 6; ++i) {
     s.errors[i] = error_counts_[i].load(std::memory_order_relaxed);
   }
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.batched_queries = batched_queries_.load(std::memory_order_relaxed);
-  s.max_batch = max_batch_.load(std::memory_order_relaxed);
+  s.batches = routed_.load(std::memory_order_relaxed);
+  s.batched_queries = s.batches;
+  s.max_batch = s.batches > 0 ? 1 : 0;
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   return s;
 }

@@ -5,11 +5,12 @@
 // protocol is sniffed from the first byte of the connection (binary sessions
 // open with the "RTRWIRE1" preamble, and no HTTP method starts with 'R').
 //
-// Request flow: connection threads parse and validate, then submit
-// route queries to a coalescing batcher -- a dispatcher thread drains every
-// in-flight query into ONE QueryEngine::serve_batch call against ONE pinned
-// epoch, so concurrent clients amortize the dispatch overhead and an epoch
-// swap never straddles a batch.  /healthz and /stats answer inline.
+// Request flow: every accepted connection gets its own thread, which parses
+// each request and answers it in place -- a route query pins the current
+// epoch, validates and translates the names, and walks the scheme with
+// QueryEngine::serve (serve_by_name), so an epoch swap never straddles a
+// query.  Connections share nothing on this path but the epoch pointer and
+// the stat counters.
 //
 // The server reads its epochs through the ServingSource interface: the
 // EpochManager adapter serves live-churn traffic (queries keep completing
@@ -20,9 +21,7 @@
 #define RTR_SERVER_ROUTE_SERVER_H
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -36,14 +35,13 @@
 namespace rtr {
 
 /// Where the server gets the epoch it serves.  Implementations must be
-/// thread-safe: every connection thread and the dispatcher call these.
+/// thread-safe: every connection thread calls these concurrently.
 class ServingSource {
  public:
   virtual ~ServingSource() = default;
-  /// The epoch to answer from; nullptr means kEpochUnavailable.
+  /// The epoch to answer from; nullptr means kEpochUnavailable.  Its
+  /// engine's naming is the fixed TINN naming queries are keyed by.
   [[nodiscard]] virtual std::shared_ptr<const Epoch> current_epoch() const = 0;
-  /// The fixed TINN naming queries are keyed by.
-  [[nodiscard]] virtual const NameAssignment& names() const = 0;
   [[nodiscard]] virtual const std::string& scheme_name() const = 0;
   /// Epoch preprocessing counters surfaced through /stats: how the epochs
   /// this source serves came to be (full rebuilds vs incremental repairs)
@@ -61,9 +59,6 @@ class ManagerServingSource final : public ServingSource {
       : manager_(manager) {}
   [[nodiscard]] std::shared_ptr<const Epoch> current_epoch() const override {
     return manager_.current();
-  }
-  [[nodiscard]] const NameAssignment& names() const override {
-    return manager_.names();
   }
   [[nodiscard]] const std::string& scheme_name() const override {
     return manager_.scheme_name();
@@ -85,9 +80,6 @@ class StaticServingSource final : public ServingSource {
   [[nodiscard]] std::shared_ptr<const Epoch> current_epoch() const override {
     return epoch_;
   }
-  [[nodiscard]] const NameAssignment& names() const override {
-    return epoch_->engine->names();
-  }
   [[nodiscard]] const std::string& scheme_name() const override {
     return scheme_name_;
   }
@@ -106,8 +98,8 @@ struct RouteServerOptions {
   /// set to the core count; every accepted connection still gets its own
   /// handler thread so keep-alive sessions cannot starve the accept loop).
   int acceptor_threads = 1;
-  /// Per-batch worker cap handed to QueryEngine::serve_batch (0 = the
-  /// engine's configured width).
+  /// Ignored: each query is answered on its connection thread.  Still
+  /// declared so existing callers compile.
   int batch_threads = 0;
   /// How often blocked reads re-check the stop flag.
   int poll_interval_ms = 50;
@@ -121,6 +113,8 @@ struct RouteServerStats {
   std::uint64_t queries_ok = 0;
   /// Indexed by ServingError enumerator value (0 unused -- that's kNone).
   std::uint64_t errors[6] = {0, 0, 0, 0, 0, 0};
+  /// Queries that reached QueryEngine::serve, each counted as a batch of
+  /// one: batches == batched_queries, and max_batch is 1 once any has.
   std::uint64_t batches = 0;
   std::uint64_t batched_queries = 0;
   std::uint64_t max_batch = 0;
@@ -129,8 +123,8 @@ struct RouteServerStats {
 
 class RouteServer {
  public:
-  /// Binds and starts serving immediately (acceptors + dispatcher running
-  /// when the constructor returns).  Throws std::runtime_error when the
+  /// Binds and starts serving immediately (acceptors running when the
+  /// constructor returns).  Throws std::runtime_error when the
   /// socket cannot be bound.  `source` must outlive the server.
   RouteServer(const ServingSource& source, RouteServerOptions options = {});
   ~RouteServer();
@@ -152,10 +146,6 @@ class RouteServer {
   [[nodiscard]] Json stats_json() const;
 
  private:
-  struct PendingQuery {
-    RoundtripQuery query;
-    std::promise<ServingResult> promise;
-  };
   /// One live connection-handler thread; `done` lets the accept loop reap
   /// finished sessions instead of accumulating joinable threads forever.
   struct Conn {
@@ -165,10 +155,8 @@ class RouteServer {
 
   void accept_loop();
   void handle_connection(int fd);
-  void dispatch_loop();
 
-  /// Validates names against the current naming and either answers
-  /// immediately (invalid name, no epoch) or submits to the batcher.
+  /// Answers one route query on the calling thread and counts it.
   [[nodiscard]] ServingResult serve_query(NodeName src, NodeName dst);
 
   [[nodiscard]] std::string handle_http(const HttpRequest& request);
@@ -181,11 +169,6 @@ class RouteServer {
 
   std::atomic<bool> stop_{false};
 
-  std::mutex batch_mutex_;
-  std::condition_variable batch_cv_;
-  std::vector<PendingQuery> pending_;
-  std::thread dispatcher_;
-
   std::vector<std::thread> acceptors_;
   std::mutex connections_mutex_;
   std::vector<Conn> connections_;
@@ -195,9 +178,7 @@ class RouteServer {
   std::atomic<std::uint64_t> wire_requests_{0};
   std::atomic<std::uint64_t> queries_ok_{0};
   std::atomic<std::uint64_t> error_counts_[6] = {};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> batched_queries_{0};
-  std::atomic<std::uint64_t> max_batch_{0};
+  std::atomic<std::uint64_t> routed_{0};  ///< queries that reached serve()
   std::atomic<std::uint64_t> protocol_errors_{0};
 };
 

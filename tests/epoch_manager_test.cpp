@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,6 +151,30 @@ TEST(EpochManager, FailedRebuildLeavesTheCurrentEpochServing) {
   mgr.rebuild_now(initial_graph(n, 17));
   EXPECT_EQ(mgr.last_error(), "");
   EXPECT_EQ(mgr.epoch(), 1u);
+}
+
+// The naming is fixed, so a topology over a different node count can never
+// become an epoch.  With or without incremental repair, the rebuild fails
+// up front with a message naming the mismatch, and epoch 0 keeps serving.
+TEST(EpochManager, RebuildOntoADifferentNodeCountFailsAndKeepsServing) {
+  const NodeId n = 32;
+  for (const bool repair : {false, true}) {
+    EpochManagerOptions options;
+    options.enable_repair = repair;
+    EpochManager mgr("stretch6", fixed_names(n, 15), initial_graph(n, 16),
+                     options);
+    EXPECT_THROW(mgr.rebuild_now(initial_graph(n + 8, 17)), std::runtime_error);
+    EXPECT_NE(mgr.last_error().find(
+                  "node count changed: the next topology has 40 nodes, the "
+                  "naming 32"),
+              std::string::npos)
+        << mgr.last_error();
+    EXPECT_EQ(mgr.epoch(), 0u);
+    EXPECT_EQ(mgr.counters().epochs_built, 0u);
+    EXPECT_EQ(mgr.counters().repair_fallbacks, 0u);
+    const auto& names = mgr.names();
+    EXPECT_TRUE(mgr.roundtrip_by_name(names.name_of(3), names.name_of(9)).ok());
+  }
 }
 
 TEST(EpochManager, WarmStartsFromTheSnapshotCacheKeyedByEpoch) {

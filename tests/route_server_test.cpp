@@ -1,10 +1,10 @@
 // RouteServer integration tests over real loopback sockets: golden
 // request/response pairs for both protocols, the malformed-input taxonomy
 // (bad name, oversized URI, truncated binary frame), pipelined keep-alive,
-// and -- the serving property this subsystem exists for -- zero dropped
-// queries while the epoch swaps live under concurrent load.  The
-// *RouteServerChurn* test is a ThreadSanitizer target CI runs with
-// -fsanitize=thread.
+// concurrent pipelined clients answered exactly as QueryEngine::serve
+// answers, and -- the serving property this subsystem exists for -- zero
+// dropped queries while the epoch swaps live under concurrent load.  CI runs
+// every suite in this file under -fsanitize=thread.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,8 +14,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/churn.h"
@@ -221,15 +223,25 @@ TEST_F(RouteServerTest, HealthzAndStatsAnswerInline) {
 }
 
 TEST_F(RouteServerTest, UnknownNameIs400InvalidName) {
+  // Publish epoch 1 first, so the pinned epoch an invalid_name answer
+  // carries differs from the 0 that means "no epoch pinned".
+  manager_.rebuild_now(small_graph(kNodes, 13));
+  const NodeName src = manager_.names().name_of(0);
+  const NodeName dst = kNodes * 1000 + 17;
   TestClient client(server_.port());
   ASSERT_TRUE(client.connected());
-  ASSERT_TRUE(client.send_all(route_request(manager_.names().name_of(0),
-                                            kNodes * 1000 + 17)));
+  ASSERT_TRUE(client.send_all(route_request(src, dst)));
   int status = 0;
   std::string body;
   ASSERT_TRUE(client.read_http_response(status, body));
   EXPECT_EQ(status, 400);
-  EXPECT_EQ(Json::parse(body).at("error").as_string(), "invalid_name");
+  const Json doc = Json::parse(body);
+  EXPECT_EQ(doc.at("error").as_string(), "invalid_name");
+  EXPECT_EQ(doc.at("epoch").as_int(), 1);
+  // The server and the manager's name-keyed path give the same answer.
+  EXPECT_EQ(body, route_response_json(src, dst,
+                                      manager_.roundtrip_by_name(src, dst))
+                      .dump());
 }
 
 TEST_F(RouteServerTest, MissingParamsAre400InvalidQuery) {
@@ -343,6 +355,81 @@ TEST_F(RouteServerTest, TruncatedBinaryFrameClosesWithoutAnAnswer) {
   ASSERT_TRUE(client.send_all(session));
   EXPECT_TRUE(client.closed_by_peer());
   EXPECT_GE(server_.stats().protocol_errors, 1u);
+}
+
+// Connection threads call QueryEngine::serve concurrently, with nothing
+// between them to serialize the walks.  Three clients -- two rtr-wire/1
+// sessions and one HTTP keep-alive connection -- each send pipelined bursts
+// against one static epoch; every answer must be byte-identical to
+// QueryEngine::serve's on that epoch, and every query must count as a batch
+// of one.  ThreadSanitizer target: CI reruns this under -fsanitize=thread.
+TEST(RouteServerConcurrency, PipelinedClientsMatchEngineServe) {
+  const NodeId n = 48;
+  EpochManager manager("rtz3", small_names(n, 30), small_graph(n, 31));
+  // Serve epoch 1, so a missing epoch stamp (0) cannot pass for the real one.
+  manager.rebuild_now(small_graph(n, 32));
+  const std::shared_ptr<const Epoch> epoch = manager.current();
+  StaticServingSource source(epoch, "rtz3");
+  RouteServer server(source);
+  const NameAssignment& names = epoch->engine->names();
+
+  constexpr int kClients = 3;
+  constexpr int kBursts = 25;
+  constexpr int kBurst = 8;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      const bool binary = c != 1;
+      TestClient client(server.port());
+      ASSERT_TRUE(client.connected());
+      if (binary) {
+        ASSERT_TRUE(client.send_all(
+            std::string(kWirePreamble, kWirePreambleBytes)));
+      }
+      Rng rng(static_cast<std::uint64_t>(c) + 300);
+      for (int b = 0; b < kBursts; ++b) {
+        std::vector<std::pair<NodeName, NodeName>> pairs;
+        std::string burst;
+        for (int i = 0; i < kBurst; ++i) {
+          const auto& [src, dst] = pairs.emplace_back(
+              names.name_of(static_cast<NodeId>(rng.index(n))),
+              names.name_of(static_cast<NodeId>(rng.index(n))));
+          burst += binary ? encode_wire_request(WireRequest{src, dst})
+                          : route_request(src, dst);
+        }
+        ASSERT_TRUE(client.send_all(burst));
+        for (const auto& [src, dst] : pairs) {
+          ServingResult want =
+              epoch->engine->serve(names.id_of(src), names.id_of(dst));
+          want.epoch = epoch->seq;
+          std::string got;
+          std::string expect;
+          if (binary) {
+            expect = encode_wire_response(want);
+            while (client.buffer().size() < expect.size()) {
+              ASSERT_TRUE(client.recv_some());
+            }
+            got = client.buffer().substr(0, expect.size());
+            client.buffer().erase(0, expect.size());
+          } else {
+            int status = 0;
+            ASSERT_TRUE(client.read_http_response(status, got));
+            EXPECT_EQ(status, http_status_for(want));
+            expect = route_response_json(src, dst, want).dump();
+          }
+          EXPECT_EQ(got, expect) << "client " << c << ": " << src << "->" << dst;
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  // What GET /stats serves.
+  const Json stats = server.stats_json();
+  const std::int64_t routed = kClients * kBursts * kBurst;
+  EXPECT_EQ(stats.at("batches").as_int(), routed);
+  EXPECT_EQ(stats.at("batched_queries").as_int(), routed);
+  EXPECT_EQ(stats.at("max_batch").as_int(), 1);
 }
 
 // The availability property, asserted end to end: concurrent HTTP clients

@@ -2,7 +2,7 @@
 //
 //   rtr_routed [--scheme NAME] [--family random|grid|ring|scale-free|
 //              bidirected] [--n N] [--max-weight W] [--seed S]
-//              [--metric auto|dense|sparse] [--threads T]
+//              [--metric auto|dense|sparse]
 //              [--bind ADDR] [--port P] [--port-file PATH]
 //              [--duration-s X] [--churn-interval-s X] [--churn-epochs K]
 //              [--repair] [--churn-fraction F] [--acceptors A]
@@ -56,7 +56,6 @@ struct Args {
   Weight max_weight = 16;
   std::uint64_t seed = 1;
   std::string metric = "auto";
-  int threads = 0;
   std::string bind = "127.0.0.1";
   int port = 0;
   std::string port_file;
@@ -98,8 +97,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.seed = static_cast<std::uint64_t>(std::stoull(next()));
     } else if (flag == "--metric") {
       args.metric = next();
-    } else if (flag == "--threads") {
-      args.threads = static_cast<int>(std::stol(next()));
     } else if (flag == "--bind") {
       args.bind = next();
     } else if (flag == "--port") {
@@ -148,7 +145,8 @@ int serve(const Args& args, const ServingSource& source,
   RouteServer server(source, server_options);
 
   std::cout << "rtr_routed serving " << source.scheme_name() << " over "
-            << source.names().node_count() << " nodes on " << args.bind << ":"
+            << source.current_epoch()->engine->names().node_count()
+            << " nodes on " << args.bind << ":"
             << server.port() << std::endl;
   write_port_file(args.port_file, server.port());
 
@@ -214,7 +212,7 @@ int main(int argc, char** argv) {
       std::cout
           << "usage: rtr_routed [--scheme NAME] [--family F] [--n N]\n"
              "  [--max-weight W] [--seed S] [--metric auto|dense|sparse]\n"
-             "  [--threads T] [--bind ADDR] [--port P] [--port-file PATH]\n"
+             "  [--bind ADDR] [--port P] [--port-file PATH]\n"
              "  [--duration-s X] [--churn-interval-s X] [--churn-epochs K]\n"
              "  [--repair] [--acceptors A] [--snapshot FILE [--mapped]]\n";
       return 0;
@@ -225,11 +223,8 @@ int main(int argc, char** argv) {
       SchemeHandle handle =
           args.mapped ? map_snapshot(args.snapshot, args.scheme)
                       : load_snapshot(args.snapshot, args.scheme);
-      QueryEngineOptions engine_options;
-      engine_options.threads = args.threads;
       auto engine = std::make_shared<const QueryEngine>(
-          handle.graph_ptr(), nullptr, handle.names(), handle.scheme_ptr(),
-          engine_options);
+          handle.graph_ptr(), nullptr, handle.names(), handle.scheme_ptr());
       const std::string scheme_name = handle.name();
       auto epoch = std::make_shared<const Epoch>(
           0, std::move(handle), nullptr, std::move(engine),
@@ -248,7 +243,6 @@ int main(int argc, char** argv) {
         NameAssignment::random(graph.node_count(), name_rng);
 
     EpochManagerOptions manager_options;
-    manager_options.query_threads = args.threads;
     manager_options.scheme_seed = args.seed;
     manager_options.metric_mode = parse_metric_mode(args.metric);
     manager_options.enable_repair = args.repair;
