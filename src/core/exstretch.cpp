@@ -298,8 +298,10 @@ Decision ExStretchScheme::forward(NodeId at, Header& h) const {
       return advance(at, h);
     }
     case Mode::kOutbound: {
+      // Mid-leg steps here and in kInbound: dt_step only flips
+      // leg.going_up, which no header_bits term reads.
       DtStep step = dt_step(cover_, at, h.leg);
-      if (!step.arrived) return Decision::forward_on(step.port);
+      if (!step.arrived) return Decision::forward_same_size(step.port);
       if (at_name != h.waypoint) {
         throw std::logic_error("exstretch: leg arrived at a non-waypoint");
       }
@@ -330,7 +332,7 @@ Decision ExStretchScheme::forward(NodeId at, Header& h) const {
     }
     case Mode::kInbound: {
       DtStep step = dt_step(cover_, at, h.leg);
-      if (!step.arrived) return Decision::forward_on(step.port);
+      if (!step.arrived) return Decision::forward_same_size(step.port);
       if (h.stack.empty()) {
         if (at_name != h.src) {
           throw std::logic_error("exstretch: return ended away from source");

@@ -31,6 +31,7 @@
 #include "net/simulator.h"
 #include "rtz/handshake.h"
 #include "util/flat_vec.h"
+#include "util/inline_vec.h"
 
 namespace rtr {
 
@@ -75,7 +76,8 @@ class ExStretchScheme {
     NodeName src = kNoNode;
     std::int32_t hop = 0;          // index i of the current waypoint v_i
     NodeName waypoint = kNoNode;   // head of the in-flight leg
-    std::vector<StackEntry> stack; // WaypointStack of Fig. 6
+    // WaypointStack of Fig. 6: one entry per launched leg, at most k.
+    InlineVec<StackEntry, Alphabet::kMaxK> stack;
     DtLeg leg;
   };
 

@@ -252,8 +252,10 @@ Decision PolyStretchScheme::forward(NodeId at, Header& h) const {
       return start_level(at, h);
     }
     case Mode::kEnroute: {
+      // Mid-leg step: dt_step only flips leg.going_up, which no header_bits
+      // term reads, so the header's encoded size is unchanged.
       DtStep step = dt_step(cover_, at, h.leg);
-      if (!step.arrived) return Decision::forward_on(step.port);
+      if (!step.arrived) return Decision::forward_same_size(step.port);
       if (at_name != h.waypoint) {
         throw std::logic_error("polystretch: trip ended at a non-waypoint");
       }

@@ -22,7 +22,7 @@ void Alphabet::save(SnapshotWriter& w) const {
 
 Alphabet::Alphabet(NodeId n, int k) : n_(n), k_(k) {
   if (n < 1) throw std::invalid_argument("Alphabet: n >= 1");
-  if (k < 2 || k > 20) throw std::invalid_argument("Alphabet: 2 <= k <= 20");
+  if (k < 2 || k > kMaxK) throw std::invalid_argument("Alphabet: 2 <= k <= 20");
   // Smallest q with q^k >= n; start from the floating-point estimate and
   // correct for rounding both ways.
   auto est = static_cast<std::int64_t>(
@@ -46,7 +46,7 @@ Alphabet::Alphabet(NodeId n, int k) : n_(n), k_(k) {
 
 void Alphabet::audit(AuditReport& report) const {
   auto scope = report.scope("alphabet");
-  report.check("params-in-range", n_ >= 1 && k_ >= 2 && k_ <= 20,
+  report.check("params-in-range", n_ >= 1 && k_ >= 2 && k_ <= kMaxK,
                "n=" + std::to_string(n_) + ", k=" + std::to_string(k_));
   bool powers_ok = powers_.size() == static_cast<std::size_t>(k_) + 1 &&
                    !powers_.empty() && powers_[0] == 1;

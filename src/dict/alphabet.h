@@ -31,7 +31,10 @@ using PrefixValue = std::int64_t;
 
 class Alphabet {
  public:
-  /// Requires n >= 1 and 2 <= k <= 20; picks the smallest q with q^k >= n.
+  /// Largest supported k (digits per name).
+  static constexpr int kMaxK = 20;
+
+  /// Requires n >= 1 and 2 <= k <= kMaxK; picks the smallest q with q^k >= n.
   Alphabet(NodeId n, int k);
 
   /// Snapshot path: an alphabet is fully determined by (n, k).
@@ -82,7 +85,7 @@ class Alphabet {
     return powers_[static_cast<std::size_t>(i)];
   }
 
-  /// Auditable: parameter ranges (n >= 1, 2 <= k <= 20), q minimal with
+  /// Auditable: parameter ranges (n >= 1, 2 <= k <= kMaxK), q minimal with
   /// q^k >= n, and the cached power table exactly q^0 .. q^k.  Matters on
   /// the snapshot path, where (n, k) arrive from untrusted bytes.
   void audit(AuditReport& report) const;

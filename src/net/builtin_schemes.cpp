@@ -72,6 +72,17 @@ class Hashed64Adapter final : public Scheme {
     return impl_->table_stats();
   }
 
+  /// The template walk over the concrete scheme, as TemplateSchemeAdapter
+  /// runs it: the header stays on the stack instead of in a Packet (it is
+  /// larger than Packet's inline buffer), and the destination is translated
+  /// to its chosen name once, at injection, exactly as make_packet does.
+  [[nodiscard]] RouteResult simulate(const Digraph& g, NodeId src, NodeId dst,
+                                     NodeName dst_name,
+                                     SimOptions opt = {}) const override {
+    return simulate_roundtrip(g, *impl_, src, dst,
+                              chosen_.of_id(names_.id_of(dst_name)), opt);
+  }
+
   [[nodiscard]] double stretch_bound() const override {
     return impl_->stretch_bound();
   }

@@ -255,8 +255,9 @@ class Scheme {
 
   /// Runs a whole src -> dst -> src walk against `g` (the graph the tables
   /// were built for).  The base implementation is the type-erased Packet
-  /// walk (identical to free simulate_roundtrip); TemplateSchemeAdapter
-  /// overrides it with the concrete-header template walk, which costs ONE
+  /// walk (identical to free simulate_roundtrip); TemplateSchemeAdapter and
+  /// the hashed64 adapter override it with the concrete-header template
+  /// walk, which keeps the header off the heap and costs ONE
   /// virtual dispatch per roundtrip instead of two (plus a Packet decode)
   /// per forwarding hop.  Batch serving (QueryEngine::run_batch) goes
   /// through here; results are identical on both paths by construction --

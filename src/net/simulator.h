@@ -43,10 +43,17 @@ struct Decision {
   /// False promises that this step did not change the header's *encoded
   /// size* (content may still have changed).  With
   /// SimOptions::trust_header_size_hints the simulator then skips the
-  /// per-hop header_bits re-measurement -- the dominant per-hop cost for
-  /// label-carrying schemes -- without altering the reported max (the
-  /// serial-vs-batch report-equality tests pin that the hint is honest).
-  /// The default (true) re-measures every hop, the seed behavior.
+  /// per-hop header_bits re-measurement, the dominant per-hop cost for
+  /// label-carrying schemes.  Schemes give the hint on the hops inside one
+  /// leg that has not arrived, where only the leg's up/down phase changes:
+  /// rtz3 and the schemes riding its legs (stretch6, stretch6-detour,
+  /// hashed64), and the double-tree schemes (exstretch, polystretch,
+  /// HierarchyLabelScheme).  Launches, fallbacks, escalations and returns
+  /// keep the default; fulltable never hints.  Builds without NDEBUG verify
+  /// every hint: they re-measure after each same-size hop and throw
+  /// std::logic_error when the size moved (QueryEngine counts that as a
+  /// failed query), so a wrong hint cannot hide a header that grew.  The
+  /// default (true) re-measures every hop.
   bool header_resized = true;
   static Decision deliver_here() { return Decision{true, kNoPort, true}; }
   static Decision forward_on(Port p) { return Decision{false, p, true}; }
@@ -75,7 +82,7 @@ struct SimOptions {
   bool record_paths = false;
   /// Honor Decision::header_resized == false by skipping the header_bits
   /// re-measurement for that hop.  Off by default (measure every hop, the
-  /// seed behavior); the QueryEngine batch path turns it on.
+  /// seed behavior); QueryEngine's batch and serve paths turn it on.
   bool trust_header_size_hints = false;
 };
 
@@ -84,18 +91,28 @@ struct SimOptions {
 template <typename S>
 concept TemplatedScheme = requires { typename S::Header; };
 
+/// True where simulate_roundtrip checks every same-size hint it is given.
+#ifdef NDEBUG
+inline constexpr bool kVerifyHeaderSizeHints = false;
+#else
+inline constexpr bool kVerifyHeaderSizeHints = true;
+#endif
+
 /// Runs source -> destination -> source.  `src` / `dst` are internal ids (the
 /// injection points); the header the scheme sees carries names only.
-template <TemplatedScheme Scheme>
+/// `dst_name` is whatever the scheme's make_packet takes: a TINN NodeName,
+/// or hashed64's self-chosen 64-bit name.
+template <TemplatedScheme Scheme, typename Name = NodeName>
 RouteResult simulate_roundtrip(const Digraph& g, const Scheme& scheme,
-                               NodeId src, NodeId dst, NodeName dst_name,
+                               NodeId src, NodeId dst, Name dst_name,
                                SimOptions opt = {}) {
   RouteResult res;
   const std::int64_t budget = opt.max_hops_per_leg > 0
                                   ? opt.max_hops_per_leg
                                   : 16 * static_cast<std::int64_t>(g.node_count()) + 64;
   typename Scheme::Header header = scheme.make_packet(dst_name);
-  res.max_header_bits = scheme.header_bits(header);
+  std::int64_t bits = scheme.header_bits(header);  // last measured size
+  res.max_header_bits = bits;
 
   auto run_leg = [&](NodeId from, NodeId expect, Dist& length,
                      std::int64_t& hops, std::vector<NodeId>& path) {
@@ -103,9 +120,15 @@ RouteResult simulate_roundtrip(const Digraph& g, const Scheme& scheme,
     if (opt.record_paths) path.push_back(at);
     for (std::int64_t step = 0; step <= budget; ++step) {
       Decision d = scheme.forward(at, header);
-      if (d.header_resized || !opt.trust_header_size_hints) {
-        res.max_header_bits =
-            std::max(res.max_header_bits, scheme.header_bits(header));
+      if (d.header_resized || !opt.trust_header_size_hints ||
+          kVerifyHeaderSizeHints) {
+        const std::int64_t now = scheme.header_bits(header);
+        if (kVerifyHeaderSizeHints && !d.header_resized && now != bits) {
+          throw std::logic_error(
+              "simulate_roundtrip: a same-size hop changed the header size");
+        }
+        bits = now;
+        res.max_header_bits = std::max(res.max_header_bits, bits);
       }
       if (d.deliver) return at == expect;
       const Edge* e = g.edge_by_port(at, d.port);
@@ -124,7 +147,8 @@ RouteResult simulate_roundtrip(const Digraph& g, const Scheme& scheme,
   if (!res.delivered_out) return res;
 
   scheme.prepare_return(header);
-  res.max_header_bits = std::max(res.max_header_bits, scheme.header_bits(header));
+  bits = scheme.header_bits(header);
+  res.max_header_bits = std::max(res.max_header_bits, bits);
   res.delivered_back =
       run_leg(dst, src, res.back_length, res.back_hops, res.back_path);
   return res;

@@ -66,8 +66,10 @@ Decision HierarchyLabelScheme::forward(NodeId at, Header& h) const {
       throw std::logic_error("hier-label: no common home tree (broken cover)");
     }
     case Mode::kOutbound: {
+      // Mid-leg steps here and in kInbound: header_bits never reads the
+      // leg, so its size is unchanged.
       DtStep step = dt_step(cover_, at, h.leg);
-      if (!step.arrived) return Decision::forward_on(step.port);
+      if (!step.arrived) return Decision::forward_same_size(step.port);
       if (at_name != h.dest) {
         throw std::logic_error("hier-label: leg arrived off-destination");
       }
@@ -85,7 +87,7 @@ Decision HierarchyLabelScheme::forward(NodeId at, Header& h) const {
     }
     case Mode::kInbound: {
       DtStep step = dt_step(cover_, at, h.leg);
-      if (!step.arrived) return Decision::forward_on(step.port);
+      if (!step.arrived) return Decision::forward_same_size(step.port);
       if (at_name != h.src) {
         throw std::logic_error("hier-label: return ended away from source");
       }

@@ -169,6 +169,11 @@ void RouteServer::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     set_recv_timeout(fd, options_.poll_interval_ms);
+    // Each answer goes out with its own send(); without this, Nagle holds
+    // every answer after the first of a pipelined burst until the client's
+    // delayed ACK (~40 ms on Linux).
+    const int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     connections_count_.fetch_add(1, std::memory_order_relaxed);
     auto done = std::make_shared<std::atomic<bool>>(false);
     std::thread handler([this, fd, done] {

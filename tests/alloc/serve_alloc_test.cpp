@@ -1,0 +1,133 @@
+// QueryEngine::serve must not touch the heap once warm: every registered
+// scheme answers a query from its frozen tables with the header on the
+// stack.  This binary replaces the global operator new with a counting one,
+// which is why it is not part of rtr_tests: a replacement applies to the
+// whole program.  Only allocations made on the calling thread are counted.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "net/query_engine.h"
+#include "net/scheme.h"
+#include "test_support.h"
+
+namespace {
+
+thread_local std::int64_t t_allocations = 0;
+
+void* counted_alloc(std::size_t size) noexcept {
+  ++t_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) noexcept {
+  ++t_allocations;
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  return std::aligned_alloc(a, (size + a - 1) / a * a);
+}
+
+// Not inlined: where GCC sees free() meet a pointer from the replaced
+// operator new it warns of a mismatch that is not there (both sides are
+// malloc/free).
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = counted_aligned_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  release(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  release(p);
+}
+
+namespace rtr {
+namespace {
+
+using ::rtr::testing::Instance;
+using ::rtr::testing::make_instance;
+
+struct AllocCase {
+  Family family;
+  NodeId n;
+  std::uint64_t seed;
+};
+
+class ServeAllocationTest : public ::testing::TestWithParam<AllocCase> {};
+
+TEST_P(ServeAllocationTest, ServeAllocatesNothingAfterWarmUp) {
+  const AllocCase c = GetParam();
+  const Instance inst = make_instance(c.family, c.n, 5, c.seed);
+  const auto ctx = inst.context(c.seed + 1);
+  const std::vector<RoundtripQuery> queries =
+      QueryEngine::sample_pairs(inst.n(), 1000, c.seed + 2);
+  constexpr std::size_t kWarmUp = 100;
+  {
+    // The probe itself counts (a call, unlike a new-expression, cannot be
+    // elided).
+    const std::int64_t before = t_allocations;
+    ::operator delete(::operator new(16));
+    ASSERT_EQ(t_allocations - before, 1);
+  }
+  for (const std::string& name : SchemeRegistry::global().names()) {
+    QueryEngineOptions opts;
+    opts.threads = 1;
+    const QueryEngine engine =
+        QueryEngine::from_registry(SchemeRegistry::global(), name, ctx, opts);
+    std::int64_t failed = 0;
+    for (std::size_t i = 0; i < kWarmUp; ++i) {
+      failed += engine.serve(queries[i].src, queries[i].dst).ok() ? 0 : 1;
+    }
+    const std::int64_t before = t_allocations;
+    for (std::size_t i = kWarmUp; i < queries.size(); ++i) {
+      failed += engine.serve(queries[i].src, queries[i].dst).ok() ? 0 : 1;
+    }
+    const std::int64_t allocations = t_allocations - before;
+    const auto served = static_cast<double>(queries.size() - kWarmUp);
+    EXPECT_EQ(failed, 0) << name;
+    EXPECT_EQ(allocations, 0)
+        << name << ": " << static_cast<double>(allocations) / served
+        << " heap allocations per serve";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Instances, ServeAllocationTest,
+    ::testing::Values(AllocCase{Family::kRandom, 256, 41},
+                      AllocCase{Family::kScaleFree, 1024, 42}),
+    [](const auto& info) {
+      return (info.param.family == Family::kRandom ? std::string("random_n")
+                                                   : std::string("scale_free_n")) +
+             std::to_string(info.param.n);
+    });
+
+}  // namespace
+}  // namespace rtr

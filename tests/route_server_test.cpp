@@ -2,7 +2,8 @@
 // request/response pairs for both protocols, the malformed-input taxonomy
 // (bad name, oversized URI, truncated binary frame), pipelined keep-alive,
 // concurrent pipelined clients answered exactly as QueryEngine::serve
-// answers, and -- the serving property this subsystem exists for -- zero
+// answers, pipelined bursts answered without Nagle delays, and -- the
+// serving property this subsystem exists for -- zero
 // dropped queries while the epoch swaps live under concurrent load.  CI runs
 // every suite in this file under -fsanitize=thread.
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -430,6 +432,48 @@ TEST(RouteServerConcurrency, PipelinedClientsMatchEngineServe) {
   EXPECT_EQ(stats.at("batches").as_int(), routed);
   EXPECT_EQ(stats.at("batched_queries").as_int(), routed);
   EXPECT_EQ(stats.at("max_batch").as_int(), 1);
+}
+
+// The server writes each pipelined answer with its own send(), so accepted
+// sockets must carry TCP_NODELAY: under Nagle every answer after the first
+// of a burst waits for the client's delayed ACK, about 40 ms a burst on
+// Linux, so these 10 bursts would take at least 400 ms.
+TEST(RouteServerConcurrency, PipelinedBurstsAreNotHeldBackByNagle) {
+  const NodeId n = 48;
+  EpochManager manager("rtz3", small_names(n, 30), small_graph(n, 31));
+  StaticServingSource source(manager.current(), "rtz3");
+  RouteServer server(source);
+  const NameAssignment& names = manager.names();
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(
+      client.send_all(std::string(kWirePreamble, kWirePreambleBytes)));
+  constexpr int kBursts = 10;
+  constexpr int kBurst = 8;
+  const auto start = std::chrono::steady_clock::now();
+  for (int b = 0; b < kBursts; ++b) {
+    std::string burst;
+    for (int i = 0; i < kBurst; ++i) {
+      burst += encode_wire_request(
+          WireRequest{names.name_of(i), names.name_of(kBurst + b + i)});
+    }
+    ASSERT_TRUE(client.send_all(burst));
+    for (int i = 0; i < kBurst; ++i) {
+      WireResponse response;
+      WireParseStatus status = WireParseStatus::kNeedMore;
+      while ((status = parse_wire_response(client.buffer(), response)) ==
+             WireParseStatus::kNeedMore) {
+        ASSERT_TRUE(client.recv_some());
+      }
+      ASSERT_EQ(status, WireParseStatus::kOk);
+      EXPECT_TRUE(response.ok());
+    }
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(200))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms for " << kBursts << " bursts of " << kBurst;
 }
 
 // The availability property, asserted end to end: concurrent HTTP clients

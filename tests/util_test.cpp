@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/bit_cost.h"
+#include "util/inline_vec.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/text_table.h"
@@ -73,6 +79,66 @@ TEST(BitCost, KnownValues) {
   EXPECT_EQ(bits_for(4), 2);
   EXPECT_EQ(bits_for(1024), 10);
   EXPECT_EQ(bits_for(1025), 11);
+}
+
+// bits_for is a bit_width; the counting loop it replaced is the reference.
+TEST(BitCost, MatchesTheCountingLoop) {
+  auto reference = [](std::int64_t n) -> std::int64_t {
+    if (n <= 2) return 1;
+    std::int64_t bits = 0;
+    for (std::int64_t v = n - 1; v > 0; v >>= 1) ++bits;
+    return bits;
+  };
+  for (std::int64_t n = -3; n <= 70000; ++n) {
+    ASSERT_EQ(bits_for(n), reference(n)) << n;
+  }
+  for (int shift = 17; shift < 63; ++shift) {
+    for (std::int64_t delta : {-1, 0, 1}) {
+      const std::int64_t n = (std::int64_t{1} << shift) + delta;
+      ASSERT_EQ(bits_for(n), reference(n)) << n;
+    }
+  }
+  EXPECT_EQ(bits_for(INT64_MAX), 63);
+}
+
+TEST(InlineVec, PushPopKeepsStackOrder) {
+  InlineVec<std::string, 3> v;
+  EXPECT_TRUE(v.empty());
+  v.push_back("a");
+  v.push_back("b");
+  EXPECT_EQ(v.size(), 2u);
+  EXPECT_EQ(v.back(), "b");
+  v.pop_back();
+  EXPECT_EQ(v.back(), "a");
+  v.push_back("c");
+  v.push_back(std::string(100, 'd'));  // beyond any small-string buffer
+  EXPECT_EQ((std::vector<std::string>(v.begin(), v.end())),
+            (std::vector<std::string>{"a", "c", std::string(100, 'd')}));
+  EXPECT_THROW(v.push_back("e"), std::length_error);
+  EXPECT_EQ(v.size(), 3u);
+}
+
+TEST(InlineVec, CopiesAndMovesElementwise) {
+  InlineVec<std::string, 4> v;
+  v.push_back(std::string(50, 'x'));
+  v.push_back("y");
+  InlineVec<std::string, 4> copy(v);
+  EXPECT_EQ(copy.size(), 2u);
+  EXPECT_EQ(copy.back(), "y");
+  EXPECT_EQ(*copy.begin(), std::string(50, 'x'));
+  InlineVec<std::string, 4> moved(std::move(copy));
+  EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move): moved-from is empty
+  EXPECT_EQ(moved.size(), 2u);
+  InlineVec<std::string, 4> assigned;
+  assigned.push_back("z");
+  assigned = v;
+  EXPECT_EQ(assigned.size(), 2u);
+  EXPECT_EQ(assigned.back(), "y");
+  assigned = std::move(moved);
+  EXPECT_EQ(*assigned.begin(), std::string(50, 'x'));
+  EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+  assigned.clear();
+  EXPECT_TRUE(assigned.empty());
 }
 
 TEST(Summary, BasicStatistics) {
