@@ -28,7 +28,8 @@ PartialCoverResult partial_cover(const std::vector<SeedCluster>& r_clusters,
   // invocation received (the active set).
   const double r_pow = std::pow(static_cast<double>(active_count), 1.0 / k);
 
-  // node -> active clusters containing it (for incremental intersection).
+  // node -> clusters active at entry that contain it (for incremental
+  // intersection); clusters a batch has taken are skipped, not erased.
   std::vector<std::vector<std::int32_t>> clusters_at(static_cast<std::size_t>(n));
   for (std::int32_t c = 0; c < cluster_count; ++c) {
     if (!is_active[static_cast<std::size_t>(c)]) continue;
@@ -109,14 +110,11 @@ PartialCoverResult partial_cover(const std::vector<SeedCluster>& r_clusters,
     }
     result.merged.push_back(std::move(merged));
 
-    // U <- U \ Z: deactivate every cluster of Z and unhook its nodes.
-    for (std::int32_t c : z_clusters) {
-      is_active[static_cast<std::size_t>(c)] = 0;
-      for (NodeId v : r_clusters[static_cast<std::size_t>(c)].members) {
-        auto& list = clusters_at[static_cast<std::size_t>(v)];
-        list.erase(std::remove(list.begin(), list.end(), c), list.end());
-      }
-    }
+    // U <- U \ Z.  The clusters stay in clusters_at: cluster_in_z is never
+    // reset, so the growth loop above already skips every cluster a batch
+    // has taken, and erasing them from each member's list would cost
+    // O(list length) per (cluster, member) pair for nothing.
+    for (std::int32_t c : z_clusters) is_active[static_cast<std::size_t>(c)] = 0;
     // Reset the node markers touched by this batch.
     for (NodeId v : z_nodes) node_in_z[static_cast<std::size_t>(v)] = 0;
   }
