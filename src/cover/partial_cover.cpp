@@ -110,10 +110,9 @@ PartialCoverResult partial_cover(const std::vector<SeedCluster>& r_clusters,
     }
     result.merged.push_back(std::move(merged));
 
-    // U <- U \ Z.  The clusters stay in clusters_at: cluster_in_z is never
-    // reset, so the growth loop above already skips every cluster a batch
-    // has taken, and erasing them from each member's list would cost
-    // O(list length) per (cluster, member) pair for nothing.
+    // U <- U \ Z.  The clusters stay listed in clusters_at: cluster_in_z is
+    // never reset, so the growth loop above skips every cluster a batch has
+    // taken.
     for (std::int32_t c : z_clusters) is_active[static_cast<std::size_t>(c)] = 0;
     // Reset the node markers touched by this batch.
     for (NodeId v : z_nodes) node_in_z[static_cast<std::size_t>(v)] = 0;
