@@ -19,10 +19,6 @@ namespace rtr {
 template <typename T, std::size_t N>
 class InlineVec {
  public:
-  using value_type = T;
-  using iterator = T*;
-  using const_iterator = const T*;
-
   // Not `= default`: storage_ must stay uninitialised.
   InlineVec() noexcept {}  // NOLINT(modernize-use-equals-default)
   InlineVec(const InlineVec& other) {
@@ -67,10 +63,8 @@ class InlineVec {
   }
 
   [[nodiscard]] T& back() { return data()[size_ - 1]; }
-  [[nodiscard]] const T& back() const { return data()[size_ - 1]; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] static constexpr std::size_t capacity() noexcept { return N; }
 
   [[nodiscard]] T* begin() noexcept { return data(); }
   [[nodiscard]] T* end() noexcept { return data() + size_; }

@@ -1,8 +1,8 @@
 // Decision::header_resized == false is a promise that the hop left the
 // header's encoded size alone; the fast walk (QueryEngine's batch and serve
 // paths) then skips re-measuring it.  Builds without NDEBUG verify every
-// hint inside simulate_roundtrip, but tier-1 builds define NDEBUG, so this
-// suite checks the promise itself: every registered scheme, walked through
+// hint inside simulate_roundtrip, but the default RelWithDebInfo build
+// defines NDEBUG, so this suite checks the promise itself: every registered scheme, walked through
 // the virtual interface on a seeded sample, must report the same
 // header_bits after each hinted hop as before it.  Comparing only the
 // walk's maximum (QueryEngine.FastBatchWalkMatchesReferenceForEveryScheme)
