@@ -15,12 +15,18 @@ namespace rtr {
 
 namespace {
 
-/// One dictionary entry while building.
+/// One dictionary entry while building: the entry's label is the own label
+/// of membership `owner` (the nearest member's, in the same tree).
 struct DictEntry {
   std::uint16_t key = 0;
   NodeName node = kNoNode;
-  TreeLabel label;
+  std::int64_t owner = -1;
 };
+
+/// One tree's members grouped by name prefix: entry j maps a (j+1)-digit
+/// prefix value to the members carrying it, for nearest-extension queries.
+using PrefixIndex =
+    std::vector<std::unordered_map<std::int64_t, std::vector<NodeId>>>;
 
 }  // namespace
 
@@ -87,40 +93,49 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
   const auto memberships = static_cast<std::size_t>(cover_.size());
   std::vector<TreeLabel> own(memberships);
   std::vector<std::vector<DictEntry>> dicts(memberships);
+  struct Membership {
+    std::int32_t tree;
+    NodeId member;
+    std::int64_t slot;  // cover-table index
+  };
   for (std::int32_t level = 0; level < hierarchy_->level_count(); ++level) {
     const HierarchyLevel& lvl = hierarchy_->level(level);
+    // Every membership's own label is minted once, and every tree's prefix
+    // index built, before the level's dictionaries read them.
+    std::vector<PrefixIndex> by_prefix(lvl.trees.size(),
+                                       PrefixIndex(static_cast<std::size_t>(k)));
+    std::vector<Membership> items;
     for (std::int32_t t = 0; t < static_cast<std::int32_t>(lvl.trees.size()); ++t) {
       const DoubleTree& tree = lvl.trees[static_cast<std::size_t>(t)];
-      const TreeRef ref{level, t};
-      // Group members by (j+1)-digit name prefix for nearest-extension
-      // queries: prefix value -> member ids.
-      std::vector<std::unordered_map<std::int64_t, std::vector<NodeId>>>
-          by_prefix(static_cast<std::size_t>(k));
+      PrefixIndex& index = by_prefix[static_cast<std::size_t>(t)];
       for (NodeId v : tree.members()) {
+        const std::int64_t slot = cover_.find(v, TreeRef{level, t});
+        own[static_cast<std::size_t>(slot)] = tree.out_router().label(v);
+        items.push_back(Membership{t, v, slot});
         const NodeName vn = names_.name_of(v);
         for (int j = 0; j < k; ++j) {
-          by_prefix[static_cast<std::size_t>(j)][alphabet_.prefix_value(vn, j + 1)]
+          index[static_cast<std::size_t>(j)][alphabet_.prefix_value(vn, j + 1)]
               .push_back(v);
         }
       }
-      // Tree members are unique, so each ticket writes a distinct
-      // membership's staging; the by_prefix index and the metric are only
-      // read.
-      const std::vector<NodeId>& members = tree.members();
-      parallel_tickets(static_cast<std::int64_t>(members.size()), threads, [&] {
-        return [&](std::int64_t ticket) {
-        const NodeId u = members[static_cast<std::size_t>(ticket)];
-        const auto m = static_cast<std::size_t>(cover_.find(u, ref));
-        own[m] = tree.out_router().label(u);
-        auto& dict = dicts[m];
+    }
+    // One ticket per membership of the level: each writes only its own
+    // dictionary; labels, prefix indexes, cover table and metric are read.
+    parallel_tickets(static_cast<std::int64_t>(items.size()), threads, [&] {
+      return [&](std::int64_t ticket) {
+        const Membership& item = items[static_cast<std::size_t>(ticket)];
+        const NodeId u = item.member;
+        const TreeRef ref{level, item.tree};
+        const PrefixIndex& index = by_prefix[static_cast<std::size_t>(item.tree)];
+        auto& dict = dicts[static_cast<std::size_t>(item.slot)];
         const NodeName un = names_.name_of(u);
         // (2c): for every j and tau, the nearest member extending u's own
         // j-digit prefix with digit tau, if one exists.
         for (int j = 0; j < k; ++j) {
           for (int tau = 0; tau < q; ++tau) {
             const PrefixValue p = alphabet_.prefix_value(un, j) * q + tau;
-            auto it = by_prefix[static_cast<std::size_t>(j)].find(p);
-            if (it == by_prefix[static_cast<std::size_t>(j)].end()) continue;
+            auto it = index[static_cast<std::size_t>(j)].find(p);
+            if (it == index[static_cast<std::size_t>(j)].end()) continue;
             NodeId best = kNoNode;
             Dist best_r = kInfDist;
             for (NodeId v : it->second) {
@@ -140,12 +155,11 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
             dict.push_back(DictEntry{
                 static_cast<std::uint16_t>(static_cast<std::int64_t>(j) * q +
                                            tau),
-                names_.name_of(best), tree.out_router().label(best)});
+                names_.name_of(best), cover_.find(best, ref)});
           }
         }
-        };
-      });
-    }
+      };
+    });
   }
 
   std::vector<std::int64_t> dict_off{0};
@@ -156,7 +170,7 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
     for (const DictEntry& e : dict) {
       dict_key.push_back(e.key);
       dict_node.push_back(e.node);
-      dict_label.add(e.label);
+      dict_label.add(own[static_cast<std::size_t>(e.owner)]);
     }
     dict_off.push_back(static_cast<std::int64_t>(dict_key.size()));
   }

@@ -3,8 +3,9 @@
 // Forwarding inside a double tree (rtz/handshake.h's dt_step) needs, at the
 // current node and for the leg's tree only: whether the node is the tree's
 // center, its up-port toward the center, and its Lemma 14 table in the
-// OutTree.  CoverHierarchy keeps that state tree-major in n-length arrays
-// per tree, which is what construction wants but not what a node stores.
+// OutTree.  CoverHierarchy keeps that state tree-major, in per-tree arrays
+// over the tree's members, which is what construction wants but not what a
+// node stores.
 // CoverTable is the node-major view the paper accounts for (Sections 3-4):
 // row v lists exactly the trees containing v, sorted by (level, tree), with
 // those three fields per tree, plus v's home tree at every level.  Rows are

@@ -24,17 +24,18 @@ CoverHierarchy::CoverHierarchy(const Digraph& g, const Digraph& reversed,
     level.radius = radius;
     level.home_of = cover.home_of;
     // Per-cluster double trees are independent (each reads the graph, writes
-    // its own slot), so they fan out; the in-order move keeps level.trees
-    // identical to the serial build.
+    // its own slot), so they fan out, each worker with its own scratch; the
+    // in-order move keeps level.trees identical to the serial build.
     std::vector<std::optional<DoubleTree>> built(cover.clusters.size());
     parallel_tickets(static_cast<std::int64_t>(cover.clusters.size()), workers,
                      [&] {
-                       return [&](std::int64_t c) {
+                       return [&, ws = DoubleTreeWorkspace{}](
+                                  std::int64_t c) mutable {
                          auto& cluster =
                              cover.clusters[static_cast<std::size_t>(c)];
                          built[static_cast<std::size_t>(c)].emplace(
                              g, reversed, cluster.center,
-                             std::move(cluster.members));
+                             std::move(cluster.members), ws);
                        };
                      });
     level.trees.reserve(cover.clusters.size());

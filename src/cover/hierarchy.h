@@ -7,10 +7,16 @@
 // double-tree at each level: one spanning its whole ball N-hat^{2^i}(v)
 // (guaranteed to exist by Theorem 13(1)).
 //
-// Guarantees carried by construction, tested in tests/cover_test.cpp:
+// Guarantees carried by construction, tested in tests/hierarchy_test.cpp:
 //   * home tree of v at level i contains every w with r(v,w) <= 2^i,
 //   * RTHeight of level-i trees <= (2k-1) 2^i,
 //   * each node is in at most 2k n^{1/k} trees per level.
+//
+// Cost: a level's double trees hold O(their memberships) words in all
+// (see double_tree.h); each level adds O(n) words of per-node home and
+// trees_of lists, and each building worker one O(n) rank map per level.
+// So the whole hierarchy is O(memberships + levels * n), not
+// O(trees * n).
 #ifndef RTR_COVER_HIERARCHY_H
 #define RTR_COVER_HIERARCHY_H
 

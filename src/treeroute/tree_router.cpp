@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <stack>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -13,101 +14,170 @@
 
 namespace rtr {
 
-TreeRouter::TreeRouter(const OutTree& tree) : root_(tree.root) {
-  const auto n = tree.dist.size();
-  tables_.assign(n, TreeNodeTable{});
-  parent_.assign(n, kNoNode);
-  parent_port_.assign(n, kNoPort);
-  heavy_child_.assign(n, kNoNode);
+TreeRouter::TreeRouter(std::vector<NodeId> members, std::vector<NodeId> parent,
+                       std::vector<Port> parent_port)
+    : member_count_(static_cast<NodeId>(members.size())),
+      members_(std::move(members)),
+      parent_(std::move(parent)),
+      parent_port_(std::move(parent_port)) {
+  const auto m = members_.size();
+  if (parent_.size() != m || parent_port_.size() != m) {
+    throw std::invalid_argument("TreeRouter: member arrays differ in size");
+  }
+  if (m == 0) return;
+  if (members_.front() < 0 ||
+      std::adjacent_find(members_.begin(), members_.end(),
+                         std::greater_equal<>{}) != members_.end()) {
+    throw std::invalid_argument("TreeRouter: members not strictly ascending");
+  }
+  tables_.assign(m, TreeNodeTable{});
+  heavy_child_.assign(m, kNoNode);
 
-  // Children lists over reachable members only.
-  std::vector<std::vector<NodeId>> children(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (tree.dist[v] >= kInfDist) continue;
-    members_.push_back(static_cast<NodeId>(v));
-    parent_[v] = tree.parent[v];
-    parent_port_[v] = tree.parent_port[v];
-    if (tree.parent[v] != kNoNode) {
-      children[static_cast<std::size_t>(tree.parent[v])].push_back(
-          static_cast<NodeId>(v));
+  // Children in CSR form, each list in ascending rank -- which is ascending
+  // node order, the order the heavy-child ties and the DFS depend on.
+  NodeId root = kNoNode;
+  std::vector<std::int32_t> child_off(m + 1, 0);
+  for (std::size_t v = 0; v < m; ++v) {
+    const NodeId p = parent_[v];
+    if (p == kNoNode) {
+      if (root != kNoNode) {
+        throw std::invalid_argument("TreeRouter: more than one root");
+      }
+      root = static_cast<NodeId>(v);
+    } else if (p < 0 || static_cast<std::size_t>(p) >= m) {
+      throw std::invalid_argument("TreeRouter: parent rank out of range");
+    } else {
+      ++child_off[static_cast<std::size_t>(p) + 1];
     }
   }
-  member_count_ = static_cast<NodeId>(members_.size());
-  if (member_count_ == 0) return;
-
-  // Subtree sizes by processing members in decreasing tree depth order
-  // (distance order suffices: a child is strictly farther than its parent).
-  std::vector<NodeId> by_depth = members_;
-  std::sort(by_depth.begin(), by_depth.end(), [&](NodeId a, NodeId b) {
-    return tree.dist[static_cast<std::size_t>(a)] >
-           tree.dist[static_cast<std::size_t>(b)];
-  });
-  std::vector<std::int64_t> subtree(n, 1);
-  for (NodeId v : by_depth) {
-    NodeId p = parent_[static_cast<std::size_t>(v)];
-    if (p != kNoNode) subtree[static_cast<std::size_t>(p)] += subtree[static_cast<std::size_t>(v)];
-  }
-
-  // Heavy child per node.
-  for (NodeId v : members_) {
-    std::int64_t best = -1;
-    for (NodeId c : children[static_cast<std::size_t>(v)]) {
-      if (subtree[static_cast<std::size_t>(c)] > best) {
-        best = subtree[static_cast<std::size_t>(c)];
-        heavy_child_[static_cast<std::size_t>(v)] = c;
-        tables_[static_cast<std::size_t>(v)].heavy_port =
-            parent_port_[static_cast<std::size_t>(c)];
+  if (root == kNoNode) throw std::invalid_argument("TreeRouter: no root");
+  root_ = members_[static_cast<std::size_t>(root)];
+  for (std::size_t v = 0; v < m; ++v) child_off[v + 1] += child_off[v];
+  std::vector<NodeId> children(m - 1);
+  {
+    std::vector<std::int32_t> fill(child_off.begin(), child_off.end() - 1);
+    for (std::size_t v = 0; v < m; ++v) {
+      const NodeId p = parent_[v];
+      if (p != kNoNode) {
+        children[static_cast<std::size_t>(fill[static_cast<std::size_t>(p)]++)] =
+            static_cast<NodeId>(v);
       }
     }
   }
+  const auto kids = [&](NodeId v) {
+    const auto i = static_cast<std::size_t>(v);
+    return std::span<const NodeId>(children.data() + child_off[i],
+                                   children.data() + child_off[i + 1]);
+  };
 
-  // Iterative preorder DFS assigns dfs_in.
-  std::int32_t counter = 0;
-  std::stack<NodeId> todo;
-  todo.push(root_);
+  // Iterative preorder DFS assigns dfs_in; the last child pushed is the
+  // first visited.
+  std::vector<NodeId> preorder;
+  preorder.reserve(m);
+  std::vector<NodeId> todo{root};
   while (!todo.empty()) {
-    NodeId v = todo.top();
-    todo.pop();
-    tables_[static_cast<std::size_t>(v)].dfs_in = counter++;
-    for (NodeId c : children[static_cast<std::size_t>(v)]) todo.push(c);
+    const NodeId v = todo.back();
+    todo.pop_back();
+    tables_[static_cast<std::size_t>(v)].dfs_in =
+        static_cast<std::int32_t>(preorder.size());
+    preorder.push_back(v);
+    for (const NodeId c : kids(v)) todo.push_back(c);
   }
+  if (preorder.size() != m) {
+    throw std::invalid_argument("TreeRouter: parents do not form one tree");
+  }
+
+  // Subtree sizes bottom-up (reverse preorder sees children first), then
+  // the heavy child: the first child of largest subtree.
+  std::vector<std::int64_t> subtree(m, 1);
+  for (auto it = preorder.rbegin(); it != preorder.rend(); ++it) {
+    const NodeId p = parent_[static_cast<std::size_t>(*it)];
+    if (p != kNoNode) {
+      subtree[static_cast<std::size_t>(p)] +=
+          subtree[static_cast<std::size_t>(*it)];
+    }
+  }
+  for (std::size_t v = 0; v < m; ++v) {
+    std::int64_t best = -1;
+    for (const NodeId c : kids(static_cast<NodeId>(v))) {
+      if (subtree[static_cast<std::size_t>(c)] > best) {
+        best = subtree[static_cast<std::size_t>(c)];
+        heavy_child_[v] = c;
+        tables_[v].heavy_port = parent_port_[static_cast<std::size_t>(c)];
+      }
+    }
+  }
+}
+
+namespace {
+
+// The reachable nodes of an OutTree, ranked in node order, as a compact tree.
+TreeRouter compact_router(const OutTree& tree) {
+  const auto n = tree.dist.size();
+  std::vector<NodeId> rank(n, kNoNode);
+  std::vector<NodeId> members;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (tree.dist[v] >= kInfDist) continue;
+    rank[v] = static_cast<NodeId>(members.size());
+    members.push_back(static_cast<NodeId>(v));
+  }
+  std::vector<NodeId> parent;
+  std::vector<Port> parent_port;
+  parent.reserve(members.size());
+  parent_port.reserve(members.size());
+  for (const NodeId v : members) {
+    const NodeId p = tree.parent[static_cast<std::size_t>(v)];
+    parent.push_back(p == kNoNode ? kNoNode : rank[static_cast<std::size_t>(p)]);
+    parent_port.push_back(tree.parent_port[static_cast<std::size_t>(v)]);
+  }
+  return TreeRouter(std::move(members), std::move(parent),
+                    std::move(parent_port));
+}
+
+}  // namespace
+
+TreeRouter::TreeRouter(const OutTree& tree) : TreeRouter(compact_router(tree)) {}
+
+const TreeNodeTable& TreeRouter::table(NodeId v) const {
+  const NodeId r = rank_of(v);
+  if (r == kNoNode) {
+    throw std::invalid_argument("TreeRouter::table: not a member");
+  }
+  return tables_[static_cast<std::size_t>(r)];
 }
 
 void TreeRouter::audit(AuditReport& report) const {
   auto scope = report.scope("tree");
-  const auto n = tables_.size();
+  const auto m = static_cast<std::size_t>(member_count_);
 
-  report.check("arrays-sized",
-               parent_.size() == n && parent_port_.size() == n &&
-                   heavy_child_.size() == n &&
-                   members_.size() == static_cast<std::size_t>(member_count_),
-               "per-node arrays and the member list must agree");
-  if (parent_.size() != n || parent_port_.size() != n ||
-      heavy_child_.size() != n ||
-      members_.size() != static_cast<std::size_t>(member_count_)) {
-    return;  // the walks below index these arrays per member
-  }
-  if (member_count_ == 0) {
+  const bool sized = members_.size() == m && tables_.size() == m &&
+                     parent_.size() == m && parent_port_.size() == m &&
+                     heavy_child_.size() == m;
+  report.check("arrays-sized", sized,
+               "per-rank arrays and the member list must agree");
+  if (!sized) return;  // the walks below index these arrays per rank
+  if (m == 0) {
     report.check("root-is-member", true, "empty tree");
     return;
   }
 
-  bool members_ok = contains(root_) &&
-                    parent_[static_cast<std::size_t>(root_)] == kNoNode;
+  // Ranks must be node order, or rank_of's search finds the wrong slot.
+  const NodeId root = rank_of(root_);
+  bool members_ok = members_.front() >= 0 &&
+                    std::adjacent_find(members_.begin(), members_.end(),
+                                       std::greater_equal<>{}) ==
+                        members_.end() &&
+                    root != kNoNode &&
+                    parent_[static_cast<std::size_t>(root)] == kNoNode;
   std::string member_detail =
-      members_ok ? "" : "root missing or has a parent";
-  for (const NodeId v : members_) {
-    if (!members_ok) break;
-    if (!contains(v)) {
+      members_ok ? "" : "members unsorted, or root missing or has a parent";
+  for (std::size_t v = 0; members_ok && v < m; ++v) {
+    const NodeId p = parent_[v];
+    if (static_cast<NodeId>(v) != root &&
+        (p < 0 || static_cast<std::size_t>(p) >= m)) {
       members_ok = false;
-      member_detail = "listed member " + std::to_string(v) + " has no table";
-    } else if (v != root_) {
-      const NodeId p = parent_[static_cast<std::size_t>(v)];
-      if (p == kNoNode || !contains(p)) {
-        members_ok = false;
-        member_detail = "member " + std::to_string(v) +
-                        " has a missing or non-member parent";
-      }
+      member_detail = "member " + std::to_string(members_[v]) +
+                      " has a missing or non-member parent";
     }
   }
   report.check("root-is-member", members_ok, std::move(member_detail));
@@ -117,16 +187,16 @@ void TreeRouter::audit(AuditReport& report) const {
   // the member count has necessarily revisited a node.
   bool acyclic = true;
   std::string cycle_detail;
-  for (const NodeId v : members_) {
-    NodeId x = v;
+  for (std::size_t v = 0; v < m; ++v) {
+    NodeId x = static_cast<NodeId>(v);
     NodeId steps = 0;
-    while (x != root_ && steps <= member_count_) {
+    while (x != root && steps <= member_count_) {
       x = parent_[static_cast<std::size_t>(x)];
       ++steps;
     }
-    if (x != root_) {
+    if (x != root) {
       acyclic = false;
-      cycle_detail = "parent chain of member " + std::to_string(v) +
+      cycle_detail = "parent chain of member " + std::to_string(members_[v]) +
                      " does not reach the root (cycle)";
       break;
     }
@@ -135,13 +205,13 @@ void TreeRouter::audit(AuditReport& report) const {
 
   bool dfs_ok = true;
   std::string dfs_detail;
-  std::vector<bool> dfs_seen(static_cast<std::size_t>(member_count_), false);
-  for (const NodeId v : members_) {
-    const std::int32_t dfs = tables_[static_cast<std::size_t>(v)].dfs_in;
+  std::vector<bool> dfs_seen(m, false);
+  for (std::size_t v = 0; v < m; ++v) {
+    const std::int32_t dfs = tables_[v].dfs_in;
     if (dfs < 0 || dfs >= member_count_ ||
         dfs_seen[static_cast<std::size_t>(dfs)]) {
       dfs_ok = false;
-      dfs_detail = "dfs number of member " + std::to_string(v) +
+      dfs_detail = "dfs number of member " + std::to_string(members_[v]) +
                    " out of range or duplicated";
       break;
     }
@@ -154,22 +224,23 @@ void TreeRouter::audit(AuditReport& report) const {
   // leaf condition tree_next_port uses to detect off-path packets).
   bool heavy_ok = true;
   std::string heavy_detail;
-  for (const NodeId v : members_) {
-    const NodeId h = heavy_child_[static_cast<std::size_t>(v)];
-    const Port hp = tables_[static_cast<std::size_t>(v)].heavy_port;
+  for (std::size_t v = 0; v < m; ++v) {
+    const NodeId h = heavy_child_[v];
+    const Port hp = tables_[v].heavy_port;
     if (h == kNoNode) {
       if (hp != kNoPort) {
         heavy_ok = false;
-        heavy_detail = "member " + std::to_string(v) +
+        heavy_detail = "member " + std::to_string(members_[v]) +
                        " has a heavy port but no heavy child";
         break;
       }
       continue;
     }
-    if (!contains(h) || parent_[static_cast<std::size_t>(h)] != v ||
+    if (h < 0 || static_cast<std::size_t>(h) >= m ||
+        parent_[static_cast<std::size_t>(h)] != static_cast<NodeId>(v) ||
         hp != parent_port_[static_cast<std::size_t>(h)]) {
       heavy_ok = false;
-      heavy_detail = "heavy link of member " + std::to_string(v) +
+      heavy_detail = "heavy link of member " + std::to_string(members_[v]) +
                      " is not a child edge with the matching port";
       break;
     }
@@ -178,9 +249,10 @@ void TreeRouter::audit(AuditReport& report) const {
 
   if (acyclic) {
     std::int64_t max_hops = 0;
-    for (const NodeId v : members_) {
-      max_hops = std::max(
-          max_hops, static_cast<std::int64_t>(label(v).light_hops.size()));
+    for (std::size_t v = 0; v < m; ++v) {
+      max_hops = std::max(max_hops, static_cast<std::int64_t>(
+                                        label_at(static_cast<NodeId>(v))
+                                            .light_hops.size()));
     }
     const double budget =
         report.budgets().label_slack *
@@ -266,13 +338,20 @@ template class PackedLabels<std::int32_t>;
 template class PackedLabels<std::int64_t>;
 
 TreeLabel TreeRouter::label(NodeId v) const {
-  if (!contains(v)) throw std::invalid_argument("TreeRouter::label: not a member");
+  const NodeId r = rank_of(v);
+  if (r == kNoNode) {
+    throw std::invalid_argument("TreeRouter::label: not a member");
+  }
+  return label_at(r);
+}
+
+TreeLabel TreeRouter::label_at(NodeId rank) const {
   TreeLabel lab;
-  lab.dfs_in = tables_[static_cast<std::size_t>(v)].dfs_in;
+  lab.dfs_in = tables_[static_cast<std::size_t>(rank)].dfs_in;
   // Walk v -> root collecting light edges, then reverse into root->v order.
-  NodeId x = v;
+  NodeId x = rank;
   while (parent_[static_cast<std::size_t>(x)] != kNoNode) {
-    NodeId p = parent_[static_cast<std::size_t>(x)];
+    const NodeId p = parent_[static_cast<std::size_t>(x)];
     if (heavy_child_[static_cast<std::size_t>(p)] != x) {
       lab.light_hops.emplace_back(tables_[static_cast<std::size_t>(p)].dfs_in,
                                   parent_port_[static_cast<std::size_t>(x)]);

@@ -147,28 +147,54 @@ struct TreeLabel {
 /// Immutable routing structure for one tree.  Holds every member's
 /// TreeNodeTable and can mint labels; per-member state is O(1) words as
 /// Lemma 14 requires (labels are computed from the tree, not stored).
+///
+/// Cost: every array is indexed by member rank -- the position of a node in
+/// the ascending member list -- so a tree of m members holds O(m) words and
+/// builds in O(m) time, whatever the graph's size.  Node ids translate to
+/// ranks by binary search over the member list, or directly when the members
+/// are exactly 0 .. m-1 (a tree spanning the whole graph).
 class TreeRouter {
  public:
-  /// Builds from a shortest-path out-tree; nodes unreachable in the tree
-  /// (dist == kInfDist) are not members.
+  /// The one construction path, over a compact tree of m members:
+  /// `members` holds their node ids in strictly ascending order, `parent[i]`
+  /// is the rank of member i's parent (kNoNode at the root, and only there)
+  /// and `parent_port[i]` the port at that parent leading to member i.
+  /// Throws std::invalid_argument when the arrays disagree in size, the
+  /// members are not strictly ascending, or the parents do not form one
+  /// tree.
+  TreeRouter(std::vector<NodeId> members, std::vector<NodeId> parent,
+             std::vector<Port> parent_port);
+
+  /// Builds from a shortest-path out-tree over the whole node range: the
+  /// reachable nodes (dist < kInfDist) are the members, relabelled to their
+  /// ranks in node order.
   explicit TreeRouter(const OutTree& tree);
 
   [[nodiscard]] NodeId root() const { return root_; }
-  [[nodiscard]] bool contains(NodeId v) const {
-    return v >= 0 && static_cast<std::size_t>(v) < tables_.size() &&
-           tables_[static_cast<std::size_t>(v)].dfs_in >= 0;
-  }
+  [[nodiscard]] bool contains(NodeId v) const { return rank_of(v) >= 0; }
   [[nodiscard]] NodeId member_count() const { return member_count_; }
 
-  /// The O(1)-word table node v stores.  Requires contains(v).
-  [[nodiscard]] const TreeNodeTable& table(NodeId v) const {
-    return tables_[static_cast<std::size_t>(v)];
+  /// v's position in members(), or kNoNode when v is not a member.
+  [[nodiscard]] NodeId rank_of(NodeId v) const {
+    if (member_count_ == 0) return kNoNode;
+    if (members_.back() == member_count_ - 1) {  // members are 0 .. m-1
+      return v >= 0 && v < member_count_ ? v : kNoNode;
+    }
+    const auto it = std::lower_bound(members_.begin(), members_.end(), v);
+    return it != members_.end() && *it == v
+               ? static_cast<NodeId>(it - members_.begin())
+               : kNoNode;
   }
 
-  /// The address of v (root->v light edges).  Requires contains(v).
+  /// The O(1)-word table node v stores.  Throws std::invalid_argument
+  /// unless contains(v).
+  [[nodiscard]] const TreeNodeTable& table(NodeId v) const;
+
+  /// The address of v (root->v light edges).  Throws std::invalid_argument
+  /// unless contains(v).
   [[nodiscard]] TreeLabel label(NodeId v) const;
 
-  /// Members in no particular order.
+  /// Members in ascending node order (rank i is members()[i]).
   [[nodiscard]] const std::vector<NodeId>& members() const { return members_; }
 
   /// Auditable: member bookkeeping, acyclic parent pointers reaching the
@@ -179,13 +205,16 @@ class TreeRouter {
 
  private:
   friend struct AuditTestPeer;
-  NodeId root_ = kNoNode;
+  [[nodiscard]] TreeLabel label_at(NodeId rank) const;
+
+  NodeId root_ = kNoNode;          // node id of the root
   NodeId member_count_ = 0;
+  std::vector<NodeId> members_;    // rank -> node id, ascending
+  // Per rank:
   std::vector<TreeNodeTable> tables_;
-  std::vector<NodeId> parent_;      // within-tree parent (for label walks)
+  std::vector<NodeId> parent_;      // parent's rank (for label walks)
   std::vector<Port> parent_port_;   // port at parent toward this node
-  std::vector<NodeId> heavy_child_;
-  std::vector<NodeId> members_;
+  std::vector<NodeId> heavy_child_; // heavy child's rank
 };
 
 /// A sequence of tree labels in flat, arena-storable form: label i is

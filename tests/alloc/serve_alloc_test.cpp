@@ -1,8 +1,10 @@
 // QueryEngine::serve must not touch the heap once warm: every registered
 // scheme answers a query from its frozen tables with the header on the
-// stack.  This binary replaces the global operator new with a counting one,
-// which is why it is not part of rtr_tests: a replacement applies to the
-// whole program.  Only allocations made on the calling thread are counted.
+// stack.  And a cover hierarchy's double trees allocate in proportion to
+// their memberships, not to trees x n.  This binary replaces the global
+// operator new with one that counts allocations and bytes, which is why it
+// is not part of rtr_tests: a replacement applies to the whole program.
+// Only allocations made on the calling thread are counted.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "cover/hierarchy.h"
+#include "cover/sparse_cover.h"
 #include "net/query_engine.h"
 #include "net/scheme.h"
 #include "test_support.h"
@@ -18,14 +22,17 @@
 namespace {
 
 thread_local std::int64_t t_allocations = 0;
+thread_local std::int64_t t_allocated_bytes = 0;
 
 void* counted_alloc(std::size_t size) noexcept {
   ++t_allocations;
+  t_allocated_bytes += static_cast<std::int64_t>(size);
   return std::malloc(size == 0 ? 1 : size);
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) noexcept {
   ++t_allocations;
+  t_allocated_bytes += static_cast<std::int64_t>(size);
   const auto a = static_cast<std::size_t>(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
   return std::aligned_alloc(a, (size + a - 1) / a * a);
@@ -128,6 +135,44 @@ INSTANTIATE_TEST_SUITE_P(
                                                    : std::string("scale_free_n")) +
              std::to_string(info.param.n);
     });
+
+// The double trees of a cover hierarchy cost O(their members) each, so the
+// bytes a build allocates stay within c * (memberships + levels * n): the
+// levels * n term pays for the per-node home and trees_of lists and the
+// per-worker rank map.  Trees sized to the graph allocate ~90 bytes per
+// tree per node instead: 301 MB for this instance's 3253 trees, where
+// member-local trees take 2.3 MB against a bound of 7 MB.  The
+// sparse covers the hierarchy consumes are its input, not its trees:
+// replaying them on their own measures the bytes to leave out.
+TEST(HierarchyAllocationTest, TreesAllocateInProportionToMemberships) {
+  const Instance inst = make_instance(Family::kScaleFree, 1024, 5, 42);
+  const Digraph reversed = inst.graph.reversed();
+  constexpr int kK = 3;  // polystretch's default
+  std::int64_t before = t_allocated_bytes;
+  const CoverHierarchy hierarchy(inst.graph, reversed, *inst.metric, kK, 1);
+  const std::int64_t hierarchy_bytes = t_allocated_bytes - before;
+
+  std::int64_t cover_bytes = 0;
+  std::int64_t memberships = 0;
+  std::int64_t trees = 0;
+  for (std::int32_t level = 0; level < hierarchy.level_count(); ++level) {
+    const HierarchyLevel& lvl = hierarchy.level(level);
+    before = t_allocated_bytes;
+    const SparseCoverResult cover =
+        build_sparse_cover(*inst.metric, kK, lvl.radius);
+    cover_bytes += t_allocated_bytes - before;
+    trees += static_cast<std::int64_t>(lvl.trees.size());
+    for (const DoubleTree& tree : lvl.trees) memberships += tree.member_count();
+  }
+  const std::int64_t tree_bytes = hierarchy_bytes - cover_bytes;
+  const std::int64_t levels = hierarchy.level_count();
+  constexpr std::int64_t kBytesPerUnit = 512;
+  const std::int64_t bound =
+      kBytesPerUnit * (memberships + levels * inst.n());
+  EXPECT_LT(tree_bytes, bound)
+      << trees << " trees, " << memberships << " memberships, " << levels
+      << " levels: " << tree_bytes << " bytes allocated outside the covers";
+}
 
 }  // namespace
 }  // namespace rtr

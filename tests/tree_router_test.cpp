@@ -133,6 +133,44 @@ TEST(TreeRouter, LabelForNonMemberThrows) {
   EXPECT_THROW(router.label(2), std::invalid_argument);
 }
 
+TEST(TreeRouter, CompactTreeOverSparseNodeIds) {
+  // Members 10 < 20 < 30 < 40: root 20 with children 10 and 40, and 30
+  // under 40.  Ranks follow node order, so the heavy child of 20 is 40
+  // (subtree 2) and the first-pushed child 10 is visited last.
+  TreeRouter router({10, 20, 30, 40}, {1, kNoNode, 3, 1}, {5, kNoPort, 7, 6});
+  EXPECT_EQ(router.root(), 20);
+  EXPECT_EQ(router.member_count(), 4);
+  for (const NodeId v : {0, 15, 25, 41}) EXPECT_FALSE(router.contains(v));
+  EXPECT_EQ(router.rank_of(30), 2);
+  EXPECT_EQ(router.table(20).dfs_in, 0);
+  EXPECT_EQ(router.table(20).heavy_port, 6);
+  EXPECT_EQ(router.table(40).dfs_in, 1);
+  EXPECT_EQ(router.table(30).dfs_in, 2);
+  EXPECT_EQ(router.table(10).dfs_in, 3);
+  EXPECT_EQ(router.label(10).light_hops, (LightHops{{0, 5}}));
+  EXPECT_TRUE(router.label(30).light_hops.empty());
+  EXPECT_THROW((void)router.table(15), std::invalid_argument);
+}
+
+TEST(TreeRouter, CompactTreeRejectsMalformedInput) {
+  // Sizes disagree.
+  EXPECT_THROW(TreeRouter({0, 1}, {kNoNode}, {kNoPort, 1}),
+               std::invalid_argument);
+  // Members not strictly ascending.
+  EXPECT_THROW(TreeRouter({1, 0}, {kNoNode, 0}, {kNoPort, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(TreeRouter({1, 1}, {kNoNode, 0}, {kNoPort, 1}),
+               std::invalid_argument);
+  // Two roots, no root, a parent rank out of range, a cycle off the root.
+  EXPECT_THROW(TreeRouter({0, 1}, {kNoNode, kNoNode}, {kNoPort, kNoPort}),
+               std::invalid_argument);
+  EXPECT_THROW(TreeRouter({0, 1}, {1, 0}, {1, 1}), std::invalid_argument);
+  EXPECT_THROW(TreeRouter({0, 1}, {kNoNode, 2}, {kNoPort, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(TreeRouter({0, 1, 2}, {kNoNode, 2, 1}, {kNoPort, 1, 1}),
+               std::invalid_argument);
+}
+
 TEST(TreeRouter, OffPathLeafThrows) {
   // Deliver at a leaf that is not the target: defensive logic_error.
   GraphBuilder b(3);
