@@ -19,7 +19,13 @@
 // sized to the graph once per worker and reset through the member list, so
 // no tree allocates or clears anything of size n.  Node-id queries
 // (contains, down_dist, up_dist, up_port) binary-search the member list;
-// they serve construction and audits, while forwarding reads CoverTable.
+// they serve construction and audits, while forwarding reads flat tables.
+//
+// Two builders make double trees, each with one workspace per worker:
+// CoverHierarchy keeps one per cover cluster (the cover schemes forward
+// from the CoverTable built out of them), and Rtz3Scheme builds one per
+// ball, copies its labels, tables and up-ports into its own dictionaries,
+// and drops it.
 #ifndef RTR_COVER_DOUBLE_TREE_H
 #define RTR_COVER_DOUBLE_TREE_H
 

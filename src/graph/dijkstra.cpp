@@ -373,12 +373,6 @@ OutTree dijkstra_out_tree(const Digraph& g, NodeId root, DijkstraWorkspace& ws) 
 OutTree dijkstra_out_tree_within(const Digraph& g, NodeId root,
                                  const std::vector<char>& member_mask) {
   DijkstraWorkspace ws;
-  return dijkstra_out_tree_within(g, root, member_mask, ws);
-}
-
-OutTree dijkstra_out_tree_within(const Digraph& g, NodeId root,
-                                 const std::vector<char>& member_mask,
-                                 DijkstraWorkspace& ws) {
   OutTree t;
   t.root = root;
   run_tree(g, root, &member_mask, t.dist, t.parent, t.parent_port, ws);
@@ -433,12 +427,6 @@ InTree dijkstra_in_tree(const Digraph& g, const Digraph& reversed, NodeId root,
 InTree dijkstra_in_tree_within(const Digraph& g, const Digraph& reversed,
                                NodeId root, const std::vector<char>& member_mask) {
   DijkstraWorkspace ws;
-  return in_tree_run(g, reversed, root, &member_mask, ws);
-}
-
-InTree dijkstra_in_tree_within(const Digraph& g, const Digraph& reversed,
-                               NodeId root, const std::vector<char>& member_mask,
-                               DijkstraWorkspace& ws) {
   return in_tree_run(g, reversed, root, &member_mask, ws);
 }
 

@@ -8,10 +8,11 @@
 //    (and its port) on a shortest path toward the root.  This is InTree(C).
 //
 // Restricted variants compute the same trees inside the subgraph induced by a
-// member mask, which Section 4's cluster double-trees require.
+// member mask, over n-length arrays; they are the dense oracles that the
+// member-local double trees (cover/double_tree.h) are tested against.
 //
-// Repeated-run callers (APSP is n runs, cover construction is one run per
-// cluster) pass a DijkstraWorkspace so the distance array and the binary-heap
+// Repeated-run callers (APSP is n runs, rtz3's center phase two per
+// center) pass a DijkstraWorkspace so the distance array and the binary-heap
 // buffer are allocated once and reused: after the first run the hot loop
 // performs no heap allocation at all.  The workspace-free overloads remain
 // for one-shot callers.  dijkstra_distances_reference() is the test oracle
@@ -164,21 +165,17 @@ void dijkstra_distances_into(const Digraph& g, NodeId src, DijkstraWorkspace& ws
                                       NodeId root, DijkstraWorkspace& ws);
 
 /// Out-tree restricted to the subgraph induced by member_mask (root must be a
-/// member; non-members keep dist == kInfDist).
+/// member; non-members keep dist == kInfDist).  Every array is n-long, so
+/// these runs are test oracles (induced_roundtrip_from, itself a test and
+/// bench check, uses them too); builders use cover/double_tree.h's
+/// member-local trees, and tools/lint.sh keeps other src/ callers out.
 [[nodiscard]] OutTree dijkstra_out_tree_within(const Digraph& g, NodeId root,
                                                const std::vector<char>& member_mask);
-[[nodiscard]] OutTree dijkstra_out_tree_within(const Digraph& g, NodeId root,
-                                               const std::vector<char>& member_mask,
-                                               DijkstraWorkspace& ws);
 
-/// In-tree restricted to the induced subgraph.
+/// In-tree restricted to the induced subgraph (same caveat).
 [[nodiscard]] InTree dijkstra_in_tree_within(const Digraph& g,
                                              const Digraph& reversed, NodeId root,
                                              const std::vector<char>& member_mask);
-[[nodiscard]] InTree dijkstra_in_tree_within(const Digraph& g,
-                                             const Digraph& reversed, NodeId root,
-                                             const std::vector<char>& member_mask,
-                                             DijkstraWorkspace& ws);
 
 /// Reconstructs the root->v path of an out-tree (node sequence including both
 /// endpoints).  Returns std::nullopt if v is unreachable.

@@ -12,51 +12,42 @@
 //     strictly shorter detour -- rt/repair_oracle.h:
 //     delta_is_strictly_slack): the whole roundtrip metric is proven
 //     unchanged, so memberships, radii, nearest centers, center trees, and
-//     addresses splice wholesale; the only recomputed substructures are
-//     the masked double trees of balls holding BOTH endpoints of a changed
-//     edge whose detour leaves the mask.  Cost: one tiny bounded search
-//     per changed edge plus a few masked Dijkstras -- O(affected region),
+//     addresses splice wholesale; the only rebuilt substructures are the
+//     ball double trees holding BOTH endpoints of a changed edge whose
+//     detour leaves the ball.  Cost: one tiny bounded search per changed
+//     edge plus a few member-local tree builds -- O(affected region),
 //     independent of n.  This is the regime where repair beats a full
 //     rebuild by large factors.
 //
 //   * General path: one center draw + |A| nearest sweeps (shared with a
 //     full build), two budget-bounded multi-source Dijkstras per graph
-//     (the ball oracle), two masked Dijkstras per DIRTY ball, and the
-//     global center phase recomputed outright (center trees span the
+//     (the ball oracle), one member-local double tree per DIRTY ball, and
+//     the global center phase recomputed outright (center trees span the
 //     whole graph, so genuine topology churn almost always touches them).
-//     The saving over a full build is skipping clean balls' Dijkstras and
+//     The saving over a full build is skipping clean balls' trees and
 //     never running the dense APSP (callers hand in a lazy sparse metric).
+//
+// Both phases are the constructor's own (build_center_trees and
+// build_ball_trees); repair hands the ball phase the old scheme and the
+// dirty bits, so clean roots are read back instead of rebuilt.
 #include "rtz/rtz3_scheme.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "graph/apsp.h"
 #include "graph/churn_delta.h"
-#include "graph/dijkstra.h"
 #include "rt/repair_oracle.h"
 #include "rtz/centers.h"
 #include "util/parallel.h"
 
 namespace rtr {
-
-namespace {
-
-std::vector<char> mask_of(NodeId n, std::span<const NodeId> members) {
-  std::vector<char> mask(static_cast<std::size_t>(n), 0);
-  for (NodeId v : members) mask[static_cast<std::size_t>(v)] = 1;
-  return mask;
-}
-
-}  // namespace
 
 std::shared_ptr<const Rtz3Scheme> Rtz3Scheme::repair(
     const Rtz3Scheme& old_scheme, const Digraph& old_graph,
@@ -282,7 +273,6 @@ std::shared_ptr<const Rtz3Scheme> Rtz3Scheme::repair(
   s->port_space_ = new_graph.port_space();
   s->resamples_used_ = 0;
   s->center_count_ = static_cast<std::int64_t>(s->balls_.centers.size());
-  const auto cc = static_cast<std::size_t>(s->center_count_);
 
   // --- global double trees per center, and addresses -----------------------
   // Recomputed verbatim in general (center trees span the whole graph, so
@@ -295,120 +285,20 @@ std::shared_ptr<const Rtz3Scheme> Rtz3Scheme::repair(
     s->center_tree_tab_ = old_scheme.center_tree_tab_;
     s->addresses_ = old_scheme.addresses_;
   } else {
-    std::vector<Port> ctr_up(static_cast<std::size_t>(n) * cc, kNoPort);
-    std::vector<TreeNodeTable> ctr_tab(static_cast<std::size_t>(n) * cc);
-    s->addresses_.resize(static_cast<std::size_t>(n));
-    parallel_tickets(s->center_count_, workers, [&] {
-      return [&, ws = DijkstraWorkspace{}](std::int64_t ci) mutable {
-        const NodeId a = s->balls_.centers[static_cast<std::size_t>(ci)];
-        OutTree out = dijkstra_out_tree(new_graph, a, ws);
-        InTree in = dijkstra_in_tree(new_graph, reversed, a, ws);
-        TreeRouter router(out);
-        for (NodeId v = 0; v < n; ++v) {
-          const std::size_t slot =
-              static_cast<std::size_t>(v) * cc + static_cast<std::size_t>(ci);
-          ctr_up[slot] = in.next_port[static_cast<std::size_t>(v)];
-          ctr_tab[slot] = router.table(v);
-          if (s->balls_.nearest_center[static_cast<std::size_t>(v)] ==
-              static_cast<std::int32_t>(ci)) {
-            s->addresses_[static_cast<std::size_t>(v)] =
-                RtzAddress{names.name_of(v), static_cast<std::int32_t>(ci),
-                           router.label(v)};
-          }
-        }
-      };
-    });
-    s->center_up_port_ = std::move(ctr_up);
-    s->center_tree_tab_ = std::move(ctr_tab);
+    s->build_center_trees(reversed, workers);
   }
   lap("center trees");
 
-  // --- per-node ball double trees: harvest clean roots, rebuild dirty ------
-  // Same chunked fan-out + serial in-v-order scatter as the constructor, so
-  // the staged dictionaries replay the identical add() sequence.  A clean
-  // root's masked trees are bitwise unchanged -- on the general path no
-  // member is roundtrip-near a churn endpoint, on the fast path every
-  // changed edge in the mask has a masked detour -- which lets its
-  // products be read back out of the old scheme's flat arrays.
-  std::vector<NodeTables> tables(static_cast<std::size_t>(n));
-  struct BallProduct {
-    std::vector<TreeLabel> labels;
-    std::vector<TreeNodeTable> tabs;
-    std::vector<Port> up_ports;
-  };
-  std::atomic<bool> splice_failed{false};
-  const NodeId chunk_size = std::max<NodeId>(64, 16 * workers);
-  std::vector<BallProduct> products(
-      static_cast<std::size_t>(std::min<NodeId>(n, chunk_size)));
-  for (NodeId lo = 0; lo < n && !splice_failed.load(); lo += chunk_size) {
-    const NodeId hi = std::min<NodeId>(n, lo + chunk_size);
-    parallel_tickets(hi - lo, workers, [&] {
-      return [&, ws = DijkstraWorkspace{}](std::int64_t ticket) mutable {
-        const NodeId v = lo + static_cast<NodeId>(ticket);
-        const auto vz = static_cast<std::size_t>(v);
-        const auto members = s->balls_.ball(v);
-        BallProduct& prod = products[static_cast<std::size_t>(ticket)];
-        prod.labels.clear();
-        prod.tabs.clear();
-        prod.up_ports.clear();
-        prod.labels.reserve(members.size());
-        prod.tabs.reserve(members.size());
-        prod.up_ports.reserve(members.size());
-        if (dirty[vz] == 0) {
-          const NodeName root_name = names.name_of(v);
-          for (NodeId w : members) {
-            auto label = old_scheme.find_ball_label(v, names.name_of(w));
-            const TreeNodeTable* tab =
-                old_scheme.find_member_table(w, root_name);
-            const Port* up = old_scheme.find_member_up_port(w, root_name);
-            if (!label.has_value() || tab == nullptr || up == nullptr) {
-              // A clean ball whose entries are missing from the old scheme
-              // means the old tables disagree with the old ball system;
-              // refuse to splice from it.
-              splice_failed.store(true, std::memory_order_relaxed);
-              return;
-            }
-            prod.labels.push_back(std::move(*label));
-            prod.tabs.push_back(*tab);
-            prod.up_ports.push_back(*up);
-          }
-          return;
-        }
-        auto mask = mask_of(n, members);
-        OutTree out = dijkstra_out_tree_within(new_graph, v, mask, ws);
-        InTree in = dijkstra_in_tree_within(new_graph, reversed, v, mask, ws);
-        TreeRouter router(out);
-        for (NodeId w : members) {
-          prod.labels.push_back(router.label(w));
-          prod.tabs.push_back(router.table(w));
-          prod.up_ports.push_back(in.next_port[static_cast<std::size_t>(w)]);
-        }
-      };
-    });
-    if (splice_failed.load()) return nullptr;
-    for (NodeId v = lo; v < hi; ++v) {
-      const auto members = s->balls_.ball(v);
-      const BallProduct& prod = products[static_cast<std::size_t>(v - lo)];
-      const NodeName root_name = names.name_of(v);
-      auto& own = tables[static_cast<std::size_t>(v)];
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        const NodeId w = members[i];
-        own.ball_out_label.add(names.name_of(w), prod.labels[i]);
-        auto& member = tables[static_cast<std::size_t>(w)];
-        member.member_out_tab.add(root_name, prod.tabs[i]);
-        member.member_up_port.add(root_name, prod.up_ports[i]);
-      }
-    }
+  // --- per-node ball double trees: read back clean roots, rebuild dirty ----
+  // A clean root's induced trees are bitwise unchanged -- on the general
+  // path no member is roundtrip-near a churn endpoint, on the fast path
+  // every changed edge among the members has a detour among them -- so its
+  // entries are read back out of the old scheme's flat arrays.  Entries
+  // missing there mean the old tables disagree with the old ball system;
+  // refuse to splice from it.
+  if (!s->build_ball_trees(reversed, workers, &old_scheme, dirty)) {
+    return nullptr;
   }
-  parallel_tickets(n, workers, [&] {
-    return [&](std::int64_t v) {
-      auto& t = tables[static_cast<std::size_t>(v)];
-      t.ball_out_label.finalize();
-      t.member_out_tab.finalize();
-      t.member_up_port.finalize();
-    };
-  });
-  s->adopt_tables(std::move(tables));
   lap("ball trees");
   return s;
 }

@@ -1,6 +1,7 @@
 #include "rtz/rtz3_scheme.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <string>
 
 #include "audit/audit.h"
+#include "cover/double_tree.h"
 #include "graph/apsp.h"
 #include "io/arena.h"
 #include "io/snapshot_format.h"
@@ -18,16 +20,6 @@
 #include "util/parallel.h"
 
 namespace rtr {
-
-namespace {
-
-std::vector<char> mask_of(NodeId n, std::span<const NodeId> members) {
-  std::vector<char> mask(static_cast<std::size_t>(n), 0);
-  for (NodeId v : members) mask[static_cast<std::size_t>(v)] = 1;
-  return mask;
-}
-
-}  // namespace
 
 Rtz3Scheme::Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
                        const NameAssignment& names, Rng& rng, Options options)
@@ -80,13 +72,19 @@ Rtz3Scheme::Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
   }
   lap("ball system");
   center_count_ = static_cast<std::int64_t>(balls_.centers.size());
-  const auto cc = static_cast<std::size_t>(center_count_);
+  build_center_trees(reversed, workers);
+  lap("center trees");
+  build_ball_trees(reversed, workers);
+  lap("ball trees");
+}
 
+void Rtz3Scheme::build_center_trees(const Digraph& reversed, int workers) {
+  const NodeId n = graph_.node_count();
+  const auto cc = static_cast<std::size_t>(center_count_);
   std::vector<Port> ctr_up(static_cast<std::size_t>(n) * cc, kNoPort);
   std::vector<TreeNodeTable> ctr_tab(static_cast<std::size_t>(n) * cc);
   addresses_.resize(static_cast<std::size_t>(n));
 
-  // --- global double trees per center, and addresses R3(v) -----------------
   // Center ci writes only column ci of the row-major n x center_count
   // arrays, so the fan-out is race-free without locks; each worker owns its
   // Dijkstra workspace.  Addresses ride along: node v's address label comes
@@ -97,8 +95,8 @@ Rtz3Scheme::Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
   parallel_tickets(center_count_, workers, [&] {
     return [&, ws = DijkstraWorkspace{}](std::int64_t ci) mutable {
       const NodeId a = balls_.centers[static_cast<std::size_t>(ci)];
-      OutTree out = dijkstra_out_tree(g, a, ws);
-      InTree in = dijkstra_in_tree(g, reversed, a, ws);
+      OutTree out = dijkstra_out_tree(graph_, a, ws);
+      InTree in = dijkstra_in_tree(graph_, reversed, a, ws);
       TreeRouter router(out);
       for (NodeId v = 0; v < n; ++v) {
         const std::size_t slot =
@@ -116,125 +114,114 @@ Rtz3Scheme::Rtz3Scheme(const Digraph& g, const RoundtripMetric& metric,
   });
   center_up_port_ = std::move(ctr_up);
   center_tree_tab_ = std::move(ctr_tab);
-  lap("center trees");
+}
 
-  // --- per-node ball double trees ------------------------------------------
-  // A ball tree rooted at v scatters one entry into every member w's
-  // dictionaries, so the v loop cannot fan out directly.  Instead, chunks of
-  // roots compute their products (labels, tables, up-ports, parallel to the
-  // ball row) concurrently; a serial in-v-order scatter then replays exactly
-  // the serial build's add() sequence.  Chunking bounds the staging memory
-  // to O(chunk * max_ball) instead of O(n * max_ball).
-  std::vector<NodeTables> tables(static_cast<std::size_t>(n));
-  struct BallProduct {
-    std::vector<TreeLabel> labels;        // per member: label in v's out-tree
-    std::vector<TreeNodeTable> tabs;      // per member: table in v's out-tree
-    std::vector<Port> up_ports;           // per member: up-port in v's in-tree
+bool Rtz3Scheme::build_ball_trees(const Digraph& reversed, int workers,
+                                  const Rtz3Scheme* old,
+                                  std::span<const char> dirty) {
+  const NodeId n = graph_.node_count();
+  const auto nz = static_cast<std::size_t>(n);
+
+  // The dictionaries' shapes follow from the ball system alone: row v of
+  // the label dictionary holds the names of Ball(v)'s members, row w of the
+  // membership dictionaries the names of the roots whose balls hold w (its
+  // cluster), each row sorted by name.
+  std::vector<std::int64_t> ball_off(nz + 1, 0), mem_off(nz + 1, 0);
+  for (std::size_t v = 0; v < nz; ++v) {
+    const auto id = static_cast<NodeId>(v);
+    ball_off[v + 1] =
+        ball_off[v] + static_cast<std::int64_t>(balls_.ball(id).size());
+    mem_off[v + 1] =
+        mem_off[v] + static_cast<std::int64_t>(balls_.cluster(id).size());
+  }
+  std::vector<NodeName> ball_key(static_cast<std::size_t>(ball_off[nz]));
+  std::vector<NodeName> mem_key(static_cast<std::size_t>(mem_off[nz]));
+  const auto sorted_names = [&](std::span<const NodeId> row, NodeName* out) {
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      out[i] = names_.name_of(row[i]);
+    }
+    std::sort(out, out + row.size());
   };
+  parallel_tickets(n, workers, [&] {
+    return [&](std::int64_t v) {
+      const auto id = static_cast<NodeId>(v);
+      const auto vz = static_cast<std::size_t>(v);
+      sorted_names(balls_.ball(id), ball_key.data() + ball_off[vz]);
+      sorted_names(balls_.cluster(id), mem_key.data() + mem_off[vz]);
+    };
+  });
+  ball_off_ = std::move(ball_off);
+  ball_key_ = std::move(ball_key);
+  member_off_ = std::move(mem_off);
+  member_key_ = std::move(mem_key);
+
+  // A ball tree rooted at v fills one label slot in v's row and one table
+  // and up-port slot in every member's row; the slots of distinct (root,
+  // member) pairs are distinct, so roots fan out without locks.  Labels
+  // vary in length, so they are staged per root and packed serially in
+  // root order; chunking bounds the staging to O(chunk * max_ball).
+  std::vector<TreeNodeTable> mem_tab(member_key_.size());
+  std::vector<Port> mem_up(member_key_.size(), kNoPort);
+  PackedLabels<std::int64_t>::Builder labels;
+  std::atomic<bool> missing{false};
   const NodeId chunk_size = std::max<NodeId>(64, 16 * workers);
-  std::vector<BallProduct> products(static_cast<std::size_t>(
-      std::min<NodeId>(n, chunk_size)));
+  std::vector<std::vector<TreeLabel>> staged(
+      static_cast<std::size_t>(std::min<NodeId>(n, chunk_size)));
   for (NodeId lo = 0; lo < n; lo += chunk_size) {
     const NodeId hi = std::min<NodeId>(n, lo + chunk_size);
     parallel_tickets(hi - lo, workers, [&] {
-      return [&, ws = DijkstraWorkspace{}](std::int64_t ticket) mutable {
+      return [&, ws = DoubleTreeWorkspace{}](std::int64_t ticket) mutable {
         const NodeId v = lo + static_cast<NodeId>(ticket);
+        const auto vz = static_cast<std::size_t>(v);
+        const NodeName root_name = names_.name_of(v);
         const auto members = balls_.ball(v);
-        auto mask = mask_of(n, members);
-        OutTree out = dijkstra_out_tree_within(g, v, mask, ws);
-        InTree in = dijkstra_in_tree_within(g, reversed, v, mask, ws);
-        TreeRouter router(out);
-        BallProduct& prod = products[static_cast<std::size_t>(ticket)];
-        prod.labels.clear();
-        prod.tabs.clear();
-        prod.up_ports.clear();
-        prod.labels.reserve(members.size());
-        prod.tabs.reserve(members.size());
-        prod.up_ports.reserve(members.size());
-        for (NodeId w : members) {
-          prod.labels.push_back(router.label(w));
-          prod.tabs.push_back(router.table(w));
-          prod.up_ports.push_back(in.next_port[static_cast<std::size_t>(w)]);
+        const NodeName* keys = ball_key_.data() + ball_off_[vz];
+        auto& row = staged[static_cast<std::size_t>(ticket)];
+        row.resize(members.size());
+        const auto put = [&](NodeId w, TreeLabel label,
+                             const TreeNodeTable& tab, Port up) {
+          const NodeName name = names_.name_of(w);
+          row[static_cast<std::size_t>(
+              std::lower_bound(keys, keys + members.size(), name) - keys)] =
+              std::move(label);
+          const std::size_t e = member_entry(w, root_name);
+          mem_tab[e] = tab;
+          mem_up[e] = up;
+        };
+        if (old != nullptr && dirty[vz] == 0) {
+          for (const NodeId w : members) {
+            auto label = old->find_ball_label(v, names_.name_of(w));
+            const TreeNodeTable* tab = old->find_member_table(w, root_name);
+            const Port* up = old->find_member_up_port(w, root_name);
+            if (!label.has_value() || tab == nullptr || up == nullptr) {
+              missing.store(true, std::memory_order_relaxed);
+              return;
+            }
+            put(w, std::move(*label), *tab, *up);
+          }
+          return;
+        }
+        const DoubleTree tree(graph_, reversed, v,
+                              std::vector<NodeId>(members.begin(),
+                                                  members.end()),
+                              ws);
+        for (const NodeId w : members) {
+          put(w, tree.out_router().label(w), tree.out_router().table(w),
+              tree.up_port(w));
         }
       };
     });
+    if (missing.load()) return false;
     for (NodeId v = lo; v < hi; ++v) {
-      const auto members = balls_.ball(v);
-      const BallProduct& prod = products[static_cast<std::size_t>(v - lo)];
-      const NodeName root_name = names_.name_of(v);
-      auto& own = tables[static_cast<std::size_t>(v)];
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        const NodeId w = members[i];
-        own.ball_out_label.add(names_.name_of(w), prod.labels[i]);
-        auto& member = tables[static_cast<std::size_t>(w)];
-        member.member_out_tab.add(root_name, prod.tabs[i]);
-        member.member_up_port.add(root_name, prod.up_ports[i]);
+      for (const TreeLabel& label : staged[static_cast<std::size_t>(v - lo)]) {
+        labels.add(label);
       }
     }
   }
-  parallel_tickets(n, workers, [&] {
-    return [&](std::int64_t v) {
-      auto& t = tables[static_cast<std::size_t>(v)];
-      t.ball_out_label.finalize();
-      t.member_out_tab.finalize();
-      t.member_up_port.finalize();
-    };
-  });
-  adopt_tables(std::move(tables));
-  lap("ball trees");
-}
-
-void Rtz3Scheme::adopt_tables(std::vector<NodeTables>&& tables) {
-  const std::size_t n = tables.size();
-  std::vector<std::int64_t> ball_off(n + 1, 0), mem_off(n + 1, 0);
-  std::int64_t ball_total = 0, mem_total = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    const NodeTables& t = tables[v];
-    if (t.member_out_tab.size() != t.member_up_port.size()) {
-      throw std::invalid_argument(
-          "rtz3: member dictionaries of one node disagree in size");
-    }
-    ball_total += static_cast<std::int64_t>(t.ball_out_label.size());
-    mem_total += static_cast<std::int64_t>(t.member_out_tab.size());
-    ball_off[v + 1] = ball_total;
-    mem_off[v + 1] = mem_total;
-  }
-
-  std::vector<NodeName> ball_key;
-  PackedLabels<std::int64_t>::Builder ball_label;
-  ball_key.reserve(static_cast<std::size_t>(ball_total));
-  std::vector<NodeName> mem_key;
-  std::vector<TreeNodeTable> mem_tab;
-  std::vector<Port> mem_up;
-  mem_key.reserve(static_cast<std::size_t>(mem_total));
-  mem_tab.reserve(static_cast<std::size_t>(mem_total));
-  mem_up.reserve(static_cast<std::size_t>(mem_total));
-
-  for (std::size_t v = 0; v < n; ++v) {
-    const NodeTables& t = tables[v];
-    for (std::size_t i = 0; i < t.ball_out_label.size(); ++i) {
-      ball_key.push_back(t.ball_out_label.key_at(i));
-      ball_label.add(t.ball_out_label.value_at(i));
-    }
-    for (std::size_t i = 0; i < t.member_out_tab.size(); ++i) {
-      if (t.member_out_tab.key_at(i) != t.member_up_port.key_at(i)) {
-        throw std::invalid_argument(
-            "rtz3: member dictionaries of one node disagree in keys");
-      }
-      mem_key.push_back(t.member_out_tab.key_at(i));
-      mem_tab.push_back(t.member_out_tab.value_at(i));
-      mem_up.push_back(t.member_up_port.value_at(i));
-    }
-  }
-
-  ball_off_ = std::move(ball_off);
-  ball_key_ = std::move(ball_key);
-  ball_label_ = ball_label.build();
-  member_off_ = std::move(mem_off);
-  member_key_ = std::move(mem_key);
+  ball_label_ = labels.build();
   member_tab_ = std::move(mem_tab);
   member_up_ = std::move(mem_up);
-  arena_.reset();
+  return true;
 }
 
 LegStep Rtz3Scheme::start_leg(NodeId at, const RtzAddress& target,

@@ -11,7 +11,9 @@
 //     closure property (rtz/balls.h) shortest paths between v and ball
 //     members stay inside the ball, so in/out trees within the induced ball
 //     realize exact distances.  Every ball member stores O(1) words per ball
-//     containing it.
+//     containing it.  Each ball tree is a member-local DoubleTree
+//     (cover/double_tree.h): O(|Ball(v)|) words, built in a per-worker
+//     workspace without allocating or clearing anything of size n.
 //
 // Address (the paper's R3(v)): v's name, its nearest center a_v, and v's
 // Lemma 14 label in OutTree(a_v) -- O(log^2 n) bits.
@@ -41,8 +43,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/names.h"
@@ -59,39 +61,6 @@ class ArenaStorage;  // io/arena.h
 class ArenaView;
 class ArenaWriter;
 struct ChurnDelta;   // graph/churn_delta.h
-
-/// A small per-node dictionary keyed by NodeName: one vector of
-/// (key, payload) pairs, sorted by key.  The scheme itself serves hot
-/// probes from flat CSR arrays (see the header comment); NameDict is the
-/// staging structure construction and repair scatter into before
-/// flattening.
-template <typename V>
-class NameDict {
- public:
-  /// Appends an entry; call finalize() once after the last add().
-  void add(NodeName key, V value) {
-    entries_.emplace_back(key, std::move(value));
-  }
-
-  /// Sorts by key.
-  void finalize() {
-    std::sort(entries_.begin(), entries_.end(),
-              [](const std::pair<NodeName, V>& a,
-                 const std::pair<NodeName, V>& b) { return a.first < b.first; });
-  }
-
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  /// Entry access in sorted-key order (snapshot encode, flattening).
-  [[nodiscard]] NodeName key_at(std::size_t i) const {
-    return entries_[i].first;
-  }
-  [[nodiscard]] const V& value_at(std::size_t i) const {
-    return entries_[i].second;
-  }
-
- private:
-  std::vector<std::pair<NodeName, V>> entries_;
-};
 
 /// The topology-dependent address R3(v).
 struct RtzAddress {
@@ -267,23 +236,21 @@ class Rtz3Scheme {
  private:
   friend struct AuditTestPeer;
 
-  /// Staging shape used while building; the dictionaries are flattened
-  /// into the CSR arrays by adopt_tables().
-  struct NodeTables {
-    // Own ball: labels of members in this node's ball out-tree.
-    NameDict<TreeLabel> ball_out_label;
-    // Per ball containing this node (keyed by the ball root's name).
-    NameDict<TreeNodeTable> member_out_tab;
-    NameDict<Port> member_up_port;
-  };
-
   /// Arena-load path: binds the references, everything else follows.
   Rtz3Scheme(const Digraph& g, const NameAssignment& names)
       : graph_(g), names_(names) {}
 
-  /// Flattens finalized staging dictionaries into the CSR arrays (scattered
-  /// in sorted-key order).
-  void adopt_tables(std::vector<NodeTables>&& tables);
+  /// The center phase: every center's global double tree on graph_ and
+  /// every node's address R3(v), from balls_.
+  void build_center_trees(const Digraph& reversed, int workers);
+
+  /// The ball phase: every node's ball double tree on graph_, flattened into
+  /// the dictionary arrays.  Given `old`, a root v with dirty[v] == 0 is read
+  /// back from `old` instead of rebuilt; returns false when such a root's
+  /// entries are missing there.
+  bool build_ball_trees(const Digraph& reversed, int workers,
+                        const Rtz3Scheme* old = nullptr,
+                        std::span<const char> dirty = {});
 
   static constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
   [[nodiscard]] std::size_t member_entry(NodeId at, NodeName root) const {

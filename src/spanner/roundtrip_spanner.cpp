@@ -4,23 +4,8 @@
 #include <stdexcept>
 
 #include "graph/apsp.h"
-#include "graph/dijkstra.h"
 
 namespace rtr {
-
-namespace {
-
-// Collects the parent->child arcs of an out-tree into the edge set.
-void add_out_tree_edges(const OutTree& tree,
-                        std::set<std::pair<NodeId, NodeId>>& edges) {
-  for (NodeId v = 0; v < static_cast<NodeId>(tree.dist.size()); ++v) {
-    const auto idx = static_cast<std::size_t>(v);
-    if (tree.parent[idx] == kNoNode) continue;
-    edges.emplace(tree.parent[idx], v);
-  }
-}
-
-}  // namespace
 
 SpannerResult extract_roundtrip_spanner(const Digraph& g,
                                         const RoundtripMetric& metric,
@@ -29,24 +14,17 @@ SpannerResult extract_roundtrip_spanner(const Digraph& g,
   std::set<std::pair<NodeId, NodeId>> edges;
   for (std::int32_t level = 0; level < hierarchy.level_count(); ++level) {
     for (const DoubleTree& tree : hierarchy.level(level).trees) {
-      // Out-tree arcs: center -> members.  Re-derive the tree inside the
-      // member mask (DoubleTree keeps routers, not raw parent arrays, so we
-      // rebuild; costs one restricted Dijkstra per tree).
-      std::vector<char> mask(static_cast<std::size_t>(n), 0);
-      for (NodeId v : tree.members()) mask[static_cast<std::size_t>(v)] = 1;
-      OutTree out = dijkstra_out_tree_within(g, tree.center(), mask);
-      add_out_tree_edges(out, edges);
-      // In-tree arcs: members -> center (next-hop edges).
+      // Out-tree arcs (parent -> member) from the tree's out-router, in-tree
+      // arcs (member -> next hop toward the center) from its up-ports.
       for (NodeId v : tree.members()) {
+        const NodeId parent = tree.out_router().parent_of(v);
+        if (parent != kNoNode) edges.emplace(parent, v);
         if (v == tree.center()) continue;
-        NodeId next = kNoNode;
-        Port p = tree.up_port(v);
-        const Edge* e = g.edge_by_port(v, p);
+        const Edge* e = g.edge_by_port(v, tree.up_port(v));
         if (e == nullptr) {
           throw std::logic_error("extract_roundtrip_spanner: dangling up-port");
         }
-        next = e->to;
-        edges.emplace(v, next);
+        edges.emplace(v, e->to);
       }
     }
   }

@@ -146,6 +146,15 @@ const TreeNodeTable& TreeRouter::table(NodeId v) const {
   return tables_[static_cast<std::size_t>(r)];
 }
 
+NodeId TreeRouter::parent_of(NodeId v) const {
+  const NodeId r = rank_of(v);
+  if (r == kNoNode) {
+    throw std::invalid_argument("TreeRouter::parent_of: not a member");
+  }
+  const NodeId p = parent_[static_cast<std::size_t>(r)];
+  return p == kNoNode ? kNoNode : members_[static_cast<std::size_t>(p)];
+}
+
 void TreeRouter::audit(AuditReport& report) const {
   auto scope = report.scope("tree");
   const auto m = static_cast<std::size_t>(member_count_);

@@ -190,6 +190,10 @@ class TreeRouter {
   /// unless contains(v).
   [[nodiscard]] const TreeNodeTable& table(NodeId v) const;
 
+  /// v's parent node in the tree (kNoNode at the root).  Throws
+  /// std::invalid_argument unless contains(v).
+  [[nodiscard]] NodeId parent_of(NodeId v) const;
+
   /// The address of v (root->v light edges).  Throws std::invalid_argument
   /// unless contains(v).
   [[nodiscard]] TreeLabel label(NodeId v) const;

@@ -1,9 +1,10 @@
 // QueryEngine::serve must not touch the heap once warm: every registered
 // scheme answers a query from its frozen tables with the header on the
-// stack.  And a cover hierarchy's double trees allocate in proportion to
-// their memberships, not to trees x n.  This binary replaces the global
-// operator new with one that counts allocations and bytes, which is why it
-// is not part of rtr_tests: a replacement applies to the whole program.
+// stack.  And a cover hierarchy's double trees, like an rtz3 build's ball
+// trees, allocate in proportion to their memberships, not to trees x n.
+// This binary replaces the global operator new with one that counts
+// allocations and bytes, which is why it is not part of rtr_tests: a
+// replacement applies to the whole program.
 // Only allocations made on the calling thread are counted.
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "cover/sparse_cover.h"
 #include "net/query_engine.h"
 #include "net/scheme.h"
+#include "rtz/rtz3_scheme.h"
 #include "test_support.h"
 
 namespace {
@@ -173,6 +175,50 @@ TEST(HierarchyAllocationTest, TreesAllocateInProportionToMemberships) {
       << trees << " trees, " << memberships << " memberships, " << levels
       << " levels: " << tree_bytes << " bytes allocated outside the covers";
 }
+
+// An rtz3 build allocates in proportion to its tables: the sum of the ball
+// sizes (one label, table and up-port per ball membership) plus the
+// n x |A| center arrays.  Each ball tree is member-local, so the build
+// stays within c * (sum |Ball(v)| + n * |A|).  Ball trees sized to the graph
+// (an n-length mask and n-length out- and in-trees per root) took ~570
+// bytes per unit on both instances (57.5 MB per build); member-local trees
+// take ~119 (12.0 MB), most of it now the full-graph center trees.  The
+// ball system the build starts from is counted too.
+class Rtz3AllocationTest : public ::testing::TestWithParam<AllocCase> {};
+
+TEST_P(Rtz3AllocationTest, BuildAllocatesInProportionToBallsAndCenters) {
+  const AllocCase c = GetParam();
+  const Instance inst = make_instance(c.family, c.n, 5, c.seed);
+  Rng rng(c.seed + 1);
+  Rtz3Scheme::Options options;
+  options.threads = 1;
+  const std::int64_t before = t_allocated_bytes;
+  const Rtz3Scheme scheme(inst.graph, *inst.metric, inst.names, rng, options);
+  const std::int64_t build_bytes = t_allocated_bytes - before;
+
+  std::int64_t memberships = 0;
+  for (NodeId v = 0; v < inst.n(); ++v) {
+    memberships += static_cast<std::int64_t>(scheme.balls().ball(v).size());
+  }
+  const auto centers = static_cast<std::int64_t>(scheme.balls().centers.size());
+  const std::int64_t units = memberships + inst.n() * centers;
+  constexpr std::int64_t kBytesPerUnit = 256;
+  EXPECT_LT(build_bytes, kBytesPerUnit * units)
+      << memberships << " ball memberships, " << centers << " centers: "
+      << build_bytes << " bytes, "
+      << static_cast<double>(build_bytes) / static_cast<double>(units)
+      << " per unit";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Instances, Rtz3AllocationTest,
+    ::testing::Values(AllocCase{Family::kRandom, 1024, 41},
+                      AllocCase{Family::kScaleFree, 1024, 42}),
+    [](const auto& info) {
+      return (info.param.family == Family::kRandom ? std::string("random_n")
+                                                   : std::string("scale_free_n")) +
+             std::to_string(info.param.n);
+    });
 
 }  // namespace
 }  // namespace rtr

@@ -2,9 +2,10 @@
 //
 // DoubleTree runs its two Dijkstras over member ranks; the dense
 // dijkstra_{out,in}_tree_within functions run the same searches over
-// n-length arrays with a member mask.  Every tree of a cover hierarchy must
-// agree with them on every distance, port, table and label -- for members
-// and non-members alike -- whatever the thread count of the build.
+// n-length arrays with a member mask.  Every tree of a cover hierarchy, and
+// every rtz3 ball tree, must agree with them on every distance, parent,
+// port, table and label -- for members and non-members alike -- whatever
+// the thread count of the build.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,8 @@
 #include "cover/double_tree.h"
 #include "cover/hierarchy.h"
 #include "graph/dijkstra.h"
+#include "rtz/balls.h"
+#include "rtz/centers.h"
 #include "test_support.h"
 #include "treeroute/tree_router.h"
 
@@ -46,6 +49,8 @@ void expect_matches_dense_oracle(const Digraph& g, const Digraph& reversed,
     ASSERT_EQ(tree.up_port(v), in.next_port[i]) << where << " node " << v;
     if (mask[i] == 0) continue;
     height = std::max(height, out.dist[i] + in.dist[i]);
+    ASSERT_EQ(tree.out_router().parent_of(v), out.parent[i])
+        << where << " node " << v;
     const TreeNodeTable& got = tree.out_router().table(v);
     const TreeNodeTable& want = router.table(v);
     ASSERT_EQ(got.dfs_in, want.dfs_in) << where << " node " << v;
@@ -76,6 +81,26 @@ TEST_P(DoubleTreeOracleTest, EveryHierarchyTreeMatchesTheDenseRuns) {
           inst.graph, reversed, lvl.trees[t],
           "level " + std::to_string(level) + " tree " + std::to_string(t));
     }
+  }
+}
+
+// rtz3's ball trees: Ball(v) = { w : r(v,w) < r(v,A) } rooted at v, a
+// member shape no cover cluster has.
+TEST_P(DoubleTreeOracleTest, EveryBallTreeMatchesTheDenseRuns) {
+  const auto [family, threads] = GetParam();
+  const Instance inst = make_instance(family, 96, 5, 17);
+  const Digraph reversed = inst.graph.reversed();
+  Rng rng(23);
+  const BallSystem balls = build_ball_system(
+      *inst.metric,
+      sample_centers(inst.n(), default_center_count(inst.n()), rng), threads);
+  DoubleTreeWorkspace ws;
+  for (NodeId v = 0; v < inst.n(); ++v) {
+    const auto row = balls.ball(v);
+    const DoubleTree tree(inst.graph, reversed, v,
+                          std::vector<NodeId>(row.begin(), row.end()), ws);
+    expect_matches_dense_oracle(inst.graph, reversed, tree,
+                                "ball " + std::to_string(v));
   }
 }
 

@@ -56,6 +56,19 @@ raw_memcpy=$(grep -rnE 'memcpy' \
 report "memcpy outside io/snapshot_format.h (use the typed writer/reader)" \
   "$raw_memcpy"
 
+# --- rule: no dense masked trees outside the oracles ------------------------
+# dijkstra_out_tree_within / dijkstra_in_tree_within fill n-length arrays
+# for every tree: they are test oracles, called in src/ only by their own
+# definitions and by rt/metric.cpp's induced_roundtrip_from (a test and
+# bench check).  A builder calling them pays O(n) per tree, O(n^2) per
+# scheme; build member-local trees with cover/double_tree.h instead.
+dense_tree=$(grep -rnE 'dijkstra_(out|in)_tree_within' \
+  src --include='*.cpp' --include='*.h' 2>/dev/null |
+  grep -vE '^(src/graph/dijkstra\.(h|cpp)|src/rt/metric\.cpp):' |
+  grep -vE '//.*dijkstra_(out|in)_tree_within')
+report "dense masked tree outside graph/dijkstra and rt/metric (test oracles)" \
+  "$dense_tree"
+
 # --- rule: src/util headers are self-contained -----------------------------
 # Every utility header must compile on its own (no hidden include-order
 # dependencies); gate on a C++ compiler being present so the script also
