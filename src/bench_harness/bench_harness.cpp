@@ -268,14 +268,11 @@ CellResult run_cell(const Instance& inst, const std::string& scheme_name,
   latencies_ns.reserve(sample);
   for (std::size_t i = 0; i < sample; ++i) {
     const auto t0 = Clock::now();
-    try {
-      (void)engine.roundtrip(pairs[i].src, pairs[i].dst);
-    } catch (const std::exception&) {
-      // Already accounted as a failure by the batch phase; latency of a
-      // throwing query is not meaningful.
-      continue;
-    }
-    latencies_ns.push_back(ms_since(t0) * 1e6);
+    const ServingResult answer = engine.serve(pairs[i].src, pairs[i].dst);
+    const double ns = ms_since(t0) * 1e6;
+    // A failed query is already counted by the batch phase; its latency is
+    // not a serving latency.
+    if (answer.ok()) latencies_ns.push_back(ns);
   }
   cell.p50_query_ns = percentile_ns(latencies_ns, 0.50);
   cell.p99_query_ns = percentile_ns(latencies_ns, 0.99);

@@ -89,7 +89,7 @@ struct BenchConfig {
                                   Family::kRing};
   std::vector<NodeId> sizes = {128, 256};
   std::int64_t pair_budget = 4000;    ///< sampled ordered pairs per cell
-  std::int64_t latency_sample = 1000; ///< individually-timed queries (p50/p99)
+  std::int64_t latency_sample = 1000; ///< serve() calls timed singly (p50/p99)
   /// Engine workers for the qps phase and thread pool width for each
   /// instance's APSP build; 0 = hardware concurrency.  The resolved value is
   /// stamped into the document's host block (threads_configured) so

@@ -52,30 +52,13 @@ class Hashed64Adapter final : public Scheme {
 
   [[nodiscard]] std::string name() const override { return impl_->name(); }
 
-  [[nodiscard]] Packet make_packet(NodeName dest) const override {
-    return Packet(impl_->make_packet(chosen_.of_id(names_.id_of(dest))));
-  }
-
-  void prepare_return(Packet& p) const override {
-    impl_->prepare_return(p.as<ImplHeader>());
-  }
-
-  [[nodiscard]] Decision forward(NodeId at, Packet& p) const override {
-    return impl_->forward(at, p.as<ImplHeader>());
-  }
-
-  [[nodiscard]] std::int64_t header_bits(const Packet& p) const override {
-    return impl_->header_bits(p.as<ImplHeader>());
-  }
-
   [[nodiscard]] TableStats table_stats() const override {
     return impl_->table_stats();
   }
 
   /// The template walk over the concrete scheme, as TemplateSchemeAdapter
-  /// runs it: the header stays on the stack instead of in a Packet (it is
-  /// larger than Packet's inline buffer), and the destination is translated
-  /// to its chosen name once, at injection, exactly as make_packet does.
+  /// runs it, with the destination translated to its chosen name once, at
+  /// injection.
   [[nodiscard]] RouteResult simulate(const Digraph& g, NodeId src, NodeId dst,
                                      NodeName dst_name,
                                      SimOptions opt = {}) const override {
@@ -90,10 +73,6 @@ class Hashed64Adapter final : public Scheme {
   void audit(AuditReport& report) const override { impl_->audit(report); }
 
  private:
-  // Kept private so the inherited Scheme::Header (= Packet) stays the
-  // generic-facing header type.
-  using ImplHeader = HashedStretch6Scheme::Header;
-
   static std::shared_ptr<const Digraph> require_graph(
       std::shared_ptr<const Digraph> g) {
     if (g == nullptr) {

@@ -51,16 +51,15 @@ QueryEngine::QueryEngine(std::shared_ptr<const Digraph> graph,
     : graph_(std::move(graph)),
       metric_(std::move(metric)),
       names_(std::move(names)),
-      scheme_(std::move(scheme)),
-      options_(options) {
+      scheme_(std::move(scheme)) {
   if (graph_ == nullptr || scheme_ == nullptr) {
     throw std::invalid_argument("QueryEngine: null graph or scheme");
   }
   if (names_.node_count() != graph_->node_count()) {
     throw std::invalid_argument("QueryEngine: names do not match the graph");
   }
-  threads_ = options_.threads > 0
-                 ? options_.threads
+  threads_ = options.threads > 0
+                 ? options.threads
                  : std::max(1, static_cast<int>(
                                    std::thread::hardware_concurrency()));
 }
@@ -72,15 +71,6 @@ QueryEngine QueryEngine::from_registry(const SchemeRegistry& registry,
   auto scheme = registry.build(scheme_name, ctx);
   return QueryEngine(ctx.graph, ctx.metric, ctx.names, std::move(scheme),
                      options);
-}
-
-RouteResult QueryEngine::roundtrip(NodeId src, NodeId dst) const {
-  const NodeId n = graph_->node_count();
-  if (src < 0 || src >= n || dst < 0 || dst >= n) {
-    throw std::out_of_range("QueryEngine::roundtrip: node id out of range");
-  }
-  return simulate_roundtrip(*graph_, *scheme_, src, dst, names_.name_of(dst),
-                            options_.sim);
 }
 
 void QueryEngine::run_one(std::size_t index, NodeId src, NodeId dst,
@@ -99,30 +89,18 @@ void QueryEngine::run_one(std::size_t index, NodeId src, NodeId dst,
     });
     return;
   }
-  run_one_resolved(index, src, dst, names_.name_of(dst), /*fast_walk=*/false,
-                   tally);
+  run_one_resolved(index, src, dst, names_.name_of(dst), tally);
 }
 
 void QueryEngine::run_one_resolved(std::size_t index, NodeId src, NodeId dst,
-                                   NodeName dst_name, bool fast_walk,
+                                   NodeName dst_name,
                                    WorkerTally& tally) const {
   ++tally.pairs;
   RouteResult res;
   try {
-    if (fast_walk) {
-      // Batch fast path: one virtual dispatch for the whole walk (the
-      // adapter's concrete-header loop) and header re-measurement only on
-      // hops whose Decision reports a size change.  Reported values are
-      // identical to the reference walk; RunSerialAndBatch tests pin it.
-      SimOptions sim = options_.sim;
-      sim.trust_header_size_hints = true;
-      res = scheme_->simulate(*graph_, src, dst, dst_name, sim);
-    } else {
-      res = simulate_roundtrip(*graph_, *scheme_, src, dst, dst_name,
-                               options_.sim);
-    }
+    res = scheme_->simulate(*graph_, src, dst, dst_name);
   } catch (const std::exception& e) {
-    // Scheme bug (unknown port, header-type mix-up): a failed query, never
+    // Scheme bug (unknown port, dishonest size hint): a failed query, never
     // an exception escaping a worker thread.  The message is kept so the
     // batch report can surface what broke.
     tally.note_failure(index, [&] { return std::string(e.what()); });
@@ -197,7 +175,7 @@ void QueryEngine::run_span(const BatchPlan& plan, std::size_t begin,
   tally.stretch.reserve(end - begin);
   for (std::size_t i = begin; i < end; ++i) {
     run_one_resolved(plan.index[i], plan.src[i], plan.dst[i], plan.dst_name[i],
-                     /*fast_walk=*/true, tally);
+                     tally);
   }
 }
 
@@ -218,10 +196,7 @@ ServingResult QueryEngine::serve(NodeId src, NodeId dst) const {
   }
   RouteResult res;
   try {
-    // Same fast path as the batch workers: one virtual dispatch per walk.
-    SimOptions sim = options_.sim;
-    sim.trust_header_size_hints = true;
-    res = scheme_->simulate(*graph_, src, dst, names_.name_of(dst), sim);
+    res = scheme_->simulate(*graph_, src, dst, names_.name_of(dst));
   } catch (const std::exception& e) {
     // A scheme that throws mid-walk is broken, not an unreachable pair; the
     // distinction is exactly what ServingError exists to carry.

@@ -19,11 +19,11 @@
 //                                  report is a function of (budget, seed)
 //                                  alone -- identical for every worker count
 //                                  (the determinism regression test pins it).
-//   * serve(src, dst)           -- one query, typed ServingResult, never
-//                                  throws; the serving stack's entry point.
-//   * roundtrip(src, dst)       -- one query, on the caller's thread; throws
-//                                  on bad ids (measurement/debug use).
+//   * serve(src, dst)           -- one query on the caller's thread, typed
+//                                  ServingResult, never throws; the serving
+//                                  stack's entry point.
 //
+// Every entry point walks through Scheme::simulate, the one forwarding walk.
 // All members are const; one engine may be shared by many caller threads.
 #ifndef RTR_NET_QUERY_ENGINE_H
 #define RTR_NET_QUERY_ENGINE_H
@@ -68,7 +68,6 @@ struct RoundtripQuery {
 struct QueryEngineOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency() (min 1).
   int threads = 0;
-  SimOptions sim;
 };
 
 /// The one knob bag every batch entry point shares.  Replaces the former
@@ -107,10 +106,6 @@ class QueryEngine {
   [[nodiscard]] const NameAssignment& names() const { return names_; }
   [[nodiscard]] int worker_count() const { return threads_; }
 
-  /// One roundtrip on the caller's thread; throws std::out_of_range for ids
-  /// outside [0, n) (batch entry points count those as failures instead).
-  [[nodiscard]] RouteResult roundtrip(NodeId src, NodeId dst) const;
-
   /// The pair list run_sampled routes: every ordered pair once when the
   /// budget covers all n(n-1) of them, otherwise `pair_budget` pairs drawn
   /// from Rng(seed) by rejection sampling (a draw with s == t is redrawn
@@ -138,8 +133,9 @@ class QueryEngine {
       const BatchOptions& options = {}) const;
 
   /// Test oracle: a plain single-thread loop over the same batch in
-  /// array-of-structs layout (per-query validate + name lookup inline).  The
-  /// tests compare run_batch's report against it.
+  /// array-of-structs layout (per-query validate + name lookup inline) over
+  /// the same Scheme::simulate walk.  The tests compare run_batch's report
+  /// against it, which pins run_batch's prepass and sharding.
   [[nodiscard]] StretchReport run_serial(
       const std::vector<RoundtripQuery>& queries) const;
 
@@ -157,11 +153,8 @@ class QueryEngine {
                  std::size_t end, WorkerTally& tally) const;
   void run_one(std::size_t index, NodeId src, NodeId dst,
                WorkerTally& tally) const;
-  /// `fast_walk` selects Scheme::simulate (one dispatch per roundtrip; the
-  /// batch path) vs the per-hop Packet walk (the run_serial oracle).
   void run_one_resolved(std::size_t index, NodeId src, NodeId dst,
-                        NodeName dst_name, bool fast_walk,
-                        WorkerTally& tally) const;
+                        NodeName dst_name, WorkerTally& tally) const;
   void run_span(const BatchPlan& plan, std::size_t begin, std::size_t end,
                 WorkerTally& tally) const;
   [[nodiscard]] StretchReport finalize(std::vector<WorkerTally> tallies,
@@ -173,7 +166,6 @@ class QueryEngine {
   std::shared_ptr<const RoundtripMetric> metric_;
   NameAssignment names_;
   std::shared_ptr<const Scheme> scheme_;
-  QueryEngineOptions options_;
   int threads_;
 };
 

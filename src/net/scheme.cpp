@@ -294,21 +294,6 @@ SchemeRegistry& SchemeRegistry::global() {
   return *registry;
 }
 
-// --------------------------------------------- virtual-path roundtrip walk --
-
-RouteResult simulate_roundtrip(const Digraph& g, const Scheme& scheme,
-                               NodeId src, NodeId dst, NodeName dst_name,
-                               SimOptions opt) {
-  // Explicit template-argument call: the simulator.h walk instantiated over
-  // the abstract interface (Header = Packet, virtual dispatch per hop).
-  return simulate_roundtrip<Scheme>(g, scheme, src, dst, dst_name, opt);
-}
-
-RouteResult Scheme::simulate(const Digraph& g, NodeId src, NodeId dst,
-                             NodeName dst_name, SimOptions opt) const {
-  return simulate_roundtrip(g, *this, src, dst, dst_name, opt);
-}
-
 // ------------------------------------------------------------ SchemeHandle --
 
 SchemeHandle::SchemeHandle(std::shared_ptr<const Digraph> graph,
@@ -328,10 +313,8 @@ const TableStats& SchemeHandle::table_stats() const {
   return stats_->stats;
 }
 
-RouteResult SchemeHandle::roundtrip(NodeId src, NodeId dst,
-                                    SimOptions opt) const {
-  return simulate_roundtrip(*graph_, *scheme_, src, dst, names_.name_of(dst),
-                            opt);
+RouteResult SchemeHandle::roundtrip(NodeId src, NodeId dst) const {
+  return scheme_->simulate(*graph_, src, dst, names_.name_of(dst));
 }
 
 }  // namespace rtr

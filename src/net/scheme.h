@@ -2,17 +2,16 @@
 //
 // The paper's execution model (Section 1.1.1) is one contract: per-node
 // tables built at preprocessing time plus a local forwarding function
-// F(table(x), header(P)).  This header expresses that contract once, for
-// every scheme in the repo, behind a stable ABI the serving layer can batch
-// and parallelize against:
+// F(table(x), header(P)).  net/simulator.h expresses that contract once, as
+// the duck-typed template walk over a scheme's concrete header.  This header
+// puts every scheme in the repo behind one stable ABI the serving layer can
+// batch and parallelize against:
 //
-//   * Packet          -- a type-erased, small-buffer box for a scheme's
-//                        writable header.  The simulator moves Packets;
-//                        schemes read their concrete Header back out with
-//                        Packet::as<H>().
-//   * Scheme          -- the abstract interface: make_packet / forward /
-//                        prepare_return / header_bits / table_stats / name /
-//                        stretch_bound.
+//   * Scheme          -- the abstract interface: name / simulate /
+//                        table_stats / stretch_bound / audit.  simulate runs
+//                        a whole roundtrip through the template walk over the
+//                        concrete scheme, so serving pays one virtual
+//                        dispatch per query and none per hop.
 //   * BuildContext    -- everything a factory needs to preprocess a graph:
 //                        {graph, metric, names, rng, options}.
 //   * SchemeRegistry  -- string name -> factory.  All in-repo schemes are
@@ -21,24 +20,15 @@
 //   * SchemeHandle    -- a built scheme bound to its graph (shared
 //                        ownership, so handles may outlive their builder).
 //
-// Perf note: the duck-typed template fast path (net/simulator.h) remains for
-// perf-sensitive benches; the virtual path costs two indirect calls per hop
-// and is what the QueryEngine (net/query_engine.h) and the CLI use.
+// net/scheme_adapter.h wraps any concrete template scheme into a Scheme.
 #ifndef RTR_NET_SCHEME_H
 #define RTR_NET_SCHEME_H
 
-#include <cstddef>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <new>
-#include <stdexcept>
 #include <string>
-#include <type_traits>
-#include <typeinfo>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/names.h"
@@ -56,188 +46,30 @@ class ArenaWriter;   // io/arena.h
 class ArenaView;
 struct ChurnDelta;   // graph/churn_delta.h
 
-/// Type-erased box for a scheme's writable packet header.
-///
-/// Headers up to kInlineCapacity bytes live inline (no allocation on the
-/// forwarding hot path); larger ones fall back to the heap.  Access is
-/// type-checked: Packet::as<H>() throws std::bad_cast if the box holds a
-/// different header type, which turns cross-scheme mix-ups into loud errors
-/// instead of memory corruption.
-class Packet {
- public:
-  static constexpr std::size_t kInlineCapacity = 256;
-
-  Packet() noexcept : ops_(nullptr) {}
-
-  template <typename H, typename = std::enable_if_t<
-                            !std::is_same_v<std::decay_t<H>, Packet>>>
-  explicit Packet(H&& header) : ops_(&OpsFor<std::decay_t<H>>::value) {
-    using T = std::decay_t<H>;
-    if constexpr (fits_inline<T>()) {
-      ::new (static_cast<void*>(inline_)) T(std::forward<H>(header));
-    } else {
-      heap_ = new T(std::forward<H>(header));
-    }
-  }
-
-  Packet(const Packet& other) : ops_(other.ops_) {
-    if (ops_ != nullptr) ops_->copy_into(*this, other);
-  }
-  Packet(Packet&& other) noexcept : ops_(other.ops_) {
-    if (ops_ != nullptr) {
-      ops_->move_into(*this, other);
-      other.ops_ = nullptr;
-    }
-  }
-  Packet& operator=(const Packet& other) {
-    if (this != &other) {
-      Packet tmp(other);
-      *this = std::move(tmp);
-    }
-    return *this;
-  }
-  Packet& operator=(Packet&& other) noexcept {
-    if (this != &other) {
-      reset();
-      ops_ = other.ops_;
-      if (ops_ != nullptr) {
-        ops_->move_into(*this, other);
-        other.ops_ = nullptr;
-      }
-    }
-    return *this;
-  }
-  ~Packet() { reset(); }
-
-  [[nodiscard]] bool empty() const noexcept { return ops_ == nullptr; }
-
-  /// The held header; throws std::bad_cast on a type mismatch and
-  /// std::logic_error when empty.
-  template <typename H>
-  [[nodiscard]] H& as() {
-    check_type<H>();
-    return *static_cast<H*>(payload());
-  }
-  template <typename H>
-  [[nodiscard]] const H& as() const {
-    check_type<H>();
-    return *static_cast<const H*>(payload());
-  }
-
- private:
-  template <typename T>
-  static constexpr bool fits_inline() {
-    return sizeof(T) <= kInlineCapacity &&
-           alignof(T) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<T>;
-  }
-
-  struct Ops {
-    const std::type_info* type;
-    bool inline_storage;
-    void (*destroy)(Packet&) noexcept;
-    void (*copy_into)(Packet& dst, const Packet& src);
-    void (*move_into)(Packet& dst, Packet& src) noexcept;
-  };
-
-  template <typename T>
-  struct OpsFor {
-    static void destroy(Packet& p) noexcept {
-      if constexpr (fits_inline<T>()) {
-        static_cast<T*>(static_cast<void*>(p.inline_))->~T();
-      } else {
-        delete static_cast<T*>(p.heap_);
-      }
-    }
-    static void copy_into(Packet& dst, const Packet& src) {
-      if constexpr (fits_inline<T>()) {
-        ::new (static_cast<void*>(dst.inline_))
-            T(*static_cast<const T*>(static_cast<const void*>(src.inline_)));
-      } else {
-        dst.heap_ = new T(*static_cast<const T*>(src.heap_));
-      }
-    }
-    static void move_into(Packet& dst, Packet& src) noexcept {
-      if constexpr (fits_inline<T>()) {
-        T* from = static_cast<T*>(static_cast<void*>(src.inline_));
-        ::new (static_cast<void*>(dst.inline_)) T(std::move(*from));
-        from->~T();
-      } else {
-        dst.heap_ = src.heap_;
-        src.heap_ = nullptr;
-      }
-    }
-    static inline const Ops value{&typeid(T), fits_inline<T>(), &destroy,
-                                  &copy_into, &move_into};
-  };
-
-  template <typename H>
-  void check_type() const {
-    // Fast path: every Packet holding H points at the same inline OpsFor<H>
-    // instance, so one pointer compare decodes the box.  as<H>() runs twice
-    // per forwarding hop (forward + header_bits), which made the full RTTI
-    // comparison a measurable slice of the batch query path.  The typeid
-    // fallback stays for the (shared-library) case of duplicated Ops
-    // instances for one type.
-    if (ops_ == &OpsFor<H>::value) return;
-    if (ops_ == nullptr) {
-      throw std::logic_error("Packet::as on an empty packet");
-    }
-    if (*ops_->type != typeid(H)) throw std::bad_cast();
-  }
-
-  [[nodiscard]] void* payload() noexcept {
-    return ops_->inline_storage ? static_cast<void*>(inline_) : heap_;
-  }
-  [[nodiscard]] const void* payload() const noexcept {
-    return ops_->inline_storage ? static_cast<const void*>(inline_) : heap_;
-  }
-
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(*this);
-      ops_ = nullptr;
-    }
-  }
-
-  const Ops* ops_;
-  union {
-    alignas(std::max_align_t) unsigned char inline_[kInlineCapacity];
-    void* heap_;
-  };
-};
-
 /// No proven worst-case stretch guarantee.
 [[nodiscard]] double unbounded_stretch();
 
-/// The abstract roundtrip routing scheme: Section 1.1.1's contract with the
-/// header type erased.  Tables are immutable after construction and every
-/// method must be safe to call concurrently from many threads (the
-/// QueryEngine pool does exactly that); per-packet state belongs in the
-/// Packet, never in the scheme.
+/// The abstract roundtrip routing scheme: Section 1.1.1's contract behind
+/// one virtual call per roundtrip.  Tables are immutable after construction
+/// and every method must be safe to call concurrently from many threads (the
+/// QueryEngine pool does exactly that); per-packet state lives in the
+/// concrete header on the walking thread's stack, never in the scheme.
 class Scheme {
  public:
-  /// Satisfies the net/simulator.h duck-typed concept, so the template walk
-  /// runs unchanged over the virtual interface (one walk, two paths).
-  using Header = Packet;
-
   virtual ~Scheme() = default;
 
   /// Human-readable scheme identity, e.g. "stretch6(TINN)".
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// A fresh packet addressed to `dest`; carries the destination *name* only
-  /// (TINN model).
-  [[nodiscard]] virtual Packet make_packet(NodeName dest) const = 0;
-
-  /// Host at the destination flips the packet into its acknowledgment.
-  virtual void prepare_return(Packet& p) const = 0;
-
-  /// The local forwarding function F(table(at), header(p)).
-  [[nodiscard]] virtual Decision forward(NodeId at, Packet& p) const = 0;
-
-  /// Honest encoded size of the current header, in bits.
-  [[nodiscard]] virtual std::int64_t header_bits(const Packet& p) const = 0;
+  /// Runs a whole src -> dst -> src walk against `g` (the graph the tables
+  /// were built for): net/simulator.h's simulate_roundtrip over the concrete
+  /// scheme.  The packet carries `dst_name`, the destination's TINN name; a
+  /// scheme addressed by other names (hashed64) translates it once, at
+  /// injection.  Throws std::logic_error on a scheme bug (an unknown port,
+  /// or a dishonest size hint in builds that verify hints).
+  [[nodiscard]] virtual RouteResult simulate(const Digraph& g, NodeId src,
+                                             NodeId dst, NodeName dst_name,
+                                             SimOptions opt = {}) const = 0;
 
   [[nodiscard]] virtual TableStats table_stats() const = 0;
 
@@ -252,20 +84,6 @@ class Scheme {
   /// placeholder entry so a scheme without a deep audit is visible in the
   /// report rather than silently skipped; every in-repo scheme overrides it.
   virtual void audit(AuditReport& report) const;
-
-  /// Runs a whole src -> dst -> src walk against `g` (the graph the tables
-  /// were built for).  The base implementation is the type-erased Packet
-  /// walk (identical to free simulate_roundtrip); TemplateSchemeAdapter and
-  /// the hashed64 adapter override it with the concrete-header template
-  /// walk, which keeps the header off the heap and costs ONE
-  /// virtual dispatch per roundtrip instead of two (plus a Packet decode)
-  /// per forwarding hop.  Batch serving (QueryEngine::run_batch) goes
-  /// through here; results are identical on both paths by construction --
-  /// the two walks are the same template instantiated at different Header
-  /// types.
-  [[nodiscard]] virtual RouteResult simulate(const Digraph& g, NodeId src,
-                                             NodeId dst, NodeName dst_name,
-                                             SimOptions opt = {}) const;
 };
 
 /// Everything a scheme factory may consult at preprocessing time.
@@ -418,17 +236,6 @@ class SchemeRegistry {
 /// for tests that want a private registry with the same contents.
 void register_builtin_schemes(SchemeRegistry& registry);
 
-/// Runs source -> destination -> source through the virtual interface; the
-/// body delegates to the net/simulator.h template instantiated at Header =
-/// Packet, so both paths are the same walk by construction.  This exact
-/// (non-template) overload wins resolution for const Scheme& arguments;
-/// derived types (adapters) match the template directly, which performs the
-/// identical virtual-dispatch walk.
-[[nodiscard]] RouteResult simulate_roundtrip(const Digraph& g,
-                                             const Scheme& scheme, NodeId src,
-                                             NodeId dst, NodeName dst_name,
-                                             SimOptions opt = {});
-
 /// A built scheme bound to its graph and naming.  Holds shared ownership of
 /// both, so a handle may safely outlive the scope that built it.
 class SchemeHandle {
@@ -451,10 +258,9 @@ class SchemeHandle {
   }
   [[nodiscard]] const NameAssignment& names() const { return names_; }
 
-  /// One roundtrip keyed by internal ids; the destination name is looked up
-  /// from the bound NameAssignment.
-  [[nodiscard]] RouteResult roundtrip(NodeId src, NodeId dst,
-                                      SimOptions opt = {}) const;
+  /// One roundtrip keyed by internal ids through Scheme::simulate; the
+  /// destination name is looked up from the bound NameAssignment.
+  [[nodiscard]] RouteResult roundtrip(NodeId src, NodeId dst) const;
 
  private:
   struct LazyStats {

@@ -3,16 +3,19 @@
 //
 // Any type providing the template concept -- a concrete Header, make_packet,
 // prepare_return, forward, header_bits, table_stats, name -- can be wrapped
-// without modification; stretch_bound() is picked up when the wrapped type
-// provides it.  The wrapped instance is shared, so the same preprocessing
-// output can serve both the template fast path and the virtual path (the
-// equivalence test in tests/scheme_registry_test.cpp relies on this).
+// without modification; stretch_bound() and audit() are picked up when the
+// wrapped type provides them.  Scheme::simulate is the template walk over
+// the wrapped scheme, and impl() hands out the same shared instance, so a
+// caller holding the concrete type walks the very tables the registry
+// serves (tests/scheme_registry_test.cpp pins the two routes equal).
 #ifndef RTR_NET_SCHEME_ADAPTER_H
 #define RTR_NET_SCHEME_ADAPTER_H
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "net/scheme.h"
 
@@ -35,22 +38,6 @@ class TemplateSchemeAdapter final : public Scheme {
 
   [[nodiscard]] std::string name() const override { return impl_->name(); }
 
-  [[nodiscard]] Packet make_packet(NodeName dest) const override {
-    return Packet(impl_->make_packet(dest));
-  }
-
-  void prepare_return(Packet& p) const override {
-    impl_->prepare_return(p.as<ImplHeader>());
-  }
-
-  [[nodiscard]] Decision forward(NodeId at, Packet& p) const override {
-    return impl_->forward(at, p.as<ImplHeader>());
-  }
-
-  [[nodiscard]] std::int64_t header_bits(const Packet& p) const override {
-    return impl_->header_bits(p.as<ImplHeader>());
-  }
-
   [[nodiscard]] TableStats table_stats() const override {
     return impl_->table_stats();
   }
@@ -58,9 +45,6 @@ class TemplateSchemeAdapter final : public Scheme {
   [[nodiscard]] RouteResult simulate(const Digraph& g, NodeId src, NodeId dst,
                                      NodeName dst_name,
                                      SimOptions opt = {}) const override {
-    // The duck-typed template walk over the wrapped scheme: the header stays
-    // concrete on the stack, so the per-hop forward/header_bits calls are
-    // direct (and inlinable) instead of virtual-plus-Packet-decode.
     return simulate_roundtrip(g, *impl_, src, dst, dst_name, opt);
   }
 
@@ -80,18 +64,13 @@ class TemplateSchemeAdapter final : public Scheme {
     }
   }
 
-  /// The wrapped concrete scheme (template fast path over the same tables).
+  /// The wrapped concrete scheme (template walks over the same tables).
   [[nodiscard]] const S& impl() const { return *impl_; }
   [[nodiscard]] const std::shared_ptr<const S>& impl_ptr() const {
     return impl_;
   }
 
  private:
-  // Not exposed: the inherited Scheme::Header (= Packet) is what generic
-  // code must see, so unqualified template walks over an adapter dispatch
-  // virtually instead of mis-deducing the wrapped header type.
-  using ImplHeader = typename S::Header;
-
   std::shared_ptr<const S> impl_;
   std::vector<std::shared_ptr<const void>> retained_;
 };

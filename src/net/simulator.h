@@ -19,10 +19,11 @@
 //   Decision forward(NodeId at, Header&) const;       // local function F
 //   std::int64_t header_bits(const Header&) const;    // encoded size
 //
-// This header keeps the duck-typed *template* fast path (no vtable on the
-// forwarding hot path, for perf-sensitive benches).  The type-erased virtual
-// path -- rtr::Scheme, SchemeRegistry, SchemeHandle and the non-template
-// simulate_roundtrip overload -- lives in net/scheme.h.
+// simulate_roundtrip below is the only walk in the repo.  The abstract
+// rtr::Scheme (net/scheme.h) reaches it through Scheme::simulate, which the
+// adapters implement as this template over the concrete scheme, so the
+// header stays on the walking thread's stack and the per-hop calls are
+// direct.
 #ifndef RTR_NET_SIMULATOR_H
 #define RTR_NET_SIMULATOR_H
 
@@ -41,19 +42,17 @@ struct Decision {
   bool deliver = false;  // hand the packet to the host at this node
   Port port = kNoPort;   // otherwise: forward on this port
   /// False promises that this step did not change the header's *encoded
-  /// size* (content may still have changed).  With
-  /// SimOptions::trust_header_size_hints the simulator then skips the
-  /// per-hop header_bits re-measurement, the dominant per-hop cost for
-  /// label-carrying schemes.  Schemes give the hint on the hops inside one
-  /// leg that has not arrived, where only the leg's up/down phase changes:
-  /// rtz3 and the schemes riding its legs (stretch6, stretch6-detour,
-  /// hashed64), and the double-tree schemes (exstretch, polystretch,
-  /// HierarchyLabelScheme).  Launches, fallbacks, escalations and returns
-  /// keep the default; fulltable never hints.  Builds without NDEBUG verify
-  /// every hint: they re-measure after each same-size hop and throw
-  /// std::logic_error when the size moved (QueryEngine counts that as a
-  /// failed query), so a wrong hint cannot hide a header that grew.  The
-  /// default (true) re-measures every hop.
+  /// size* (content may still have changed), so the walk skips re-measuring
+  /// header_bits for the hop, the dominant per-hop cost for label-carrying
+  /// schemes.  Schemes give the hint on the hops inside one leg that has not
+  /// arrived, where only the leg's up/down phase changes: rtz3 and the
+  /// schemes riding its legs (stretch6, stretch6-detour, hashed64), and the
+  /// double-tree schemes (exstretch, polystretch, HierarchyLabelScheme).
+  /// Launches, fallbacks, escalations and returns keep the default;
+  /// fulltable never hints.  Builds without NDEBUG verify every hint: they
+  /// re-measure after each same-size hop and throw std::logic_error when the
+  /// size moved (QueryEngine counts that as a failed query), so a wrong hint
+  /// cannot hide a header that grew.  The default (true) re-measures.
   bool header_resized = true;
   static Decision deliver_here() { return Decision{true, kNoPort, true}; }
   static Decision forward_on(Port p) { return Decision{false, p, true}; }
@@ -78,16 +77,11 @@ struct RouteResult {
 };
 
 struct SimOptions {
-  std::int64_t max_hops_per_leg = 0;  // 0: auto (16n + 64)
   bool record_paths = false;
-  /// Honor Decision::header_resized == false by skipping the header_bits
-  /// re-measurement for that hop.  Off by default (measure every hop, the
-  /// seed behavior); QueryEngine's batch and serve paths turn it on.
-  bool trust_header_size_hints = false;
 };
 
-/// Satisfied by the duck-typed scheme concept (a concrete Header type);
-/// abstract rtr::Scheme arguments fall through to the net/scheme.h overload.
+/// Satisfied by the duck-typed scheme concept (a concrete Header type).  The
+/// abstract rtr::Scheme has none: it is walked through Scheme::simulate.
 template <typename S>
 concept TemplatedScheme = requires { typename S::Header; };
 
@@ -107,9 +101,8 @@ RouteResult simulate_roundtrip(const Digraph& g, const Scheme& scheme,
                                NodeId src, NodeId dst, Name dst_name,
                                SimOptions opt = {}) {
   RouteResult res;
-  const std::int64_t budget = opt.max_hops_per_leg > 0
-                                  ? opt.max_hops_per_leg
-                                  : 16 * static_cast<std::int64_t>(g.node_count()) + 64;
+  // Hops per leg before the walk calls it a forwarding loop.
+  const std::int64_t budget = 16 * static_cast<std::int64_t>(g.node_count()) + 64;
   typename Scheme::Header header = scheme.make_packet(dst_name);
   std::int64_t bits = scheme.header_bits(header);  // last measured size
   res.max_header_bits = bits;
@@ -120,8 +113,7 @@ RouteResult simulate_roundtrip(const Digraph& g, const Scheme& scheme,
     if (opt.record_paths) path.push_back(at);
     for (std::int64_t step = 0; step <= budget; ++step) {
       Decision d = scheme.forward(at, header);
-      if (d.header_resized || !opt.trust_header_size_hints ||
-          kVerifyHeaderSizeHints) {
+      if (d.header_resized || kVerifyHeaderSizeHints) {
         const std::int64_t now = scheme.header_bits(header);
         if (kVerifyHeaderSizeHints && !d.header_resized && now != bits) {
           throw std::logic_error(

@@ -121,7 +121,6 @@ std::shared_ptr<const Epoch> EpochManager::build_epoch(
 
   QueryEngineOptions qopts;
   qopts.threads = options_.query_threads;
-  qopts.sim = options_.sim;
   auto engine = std::make_shared<const QueryEngine>(
       handle->graph_ptr(), metric, names_, handle->scheme_ptr(), qopts);
   return std::make_shared<const Epoch>(seq, std::move(*handle),
@@ -135,8 +134,10 @@ void EpochManager::publish_epoch_shm(std::uint64_t seq,
   try {
     publish_snapshot_shm(path, shm_name);
   } catch (const std::exception&) {
-    // No shm on this host, or a failed save upstream:
-    // sibling processes fall back to the snapshot file.  Serving wins.
+    // No shm on this host, a name shm_open rejects, or a failed save
+    // upstream: sibling processes fall back to the snapshot file.  Serving
+    // wins; the counter says it happened.
+    shm_publish_failures_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   {
@@ -179,7 +180,6 @@ std::shared_ptr<const Epoch> EpochManager::repair_epoch(
   SchemeHandle handle(graph, names_, scheme);
   QueryEngineOptions qopts;
   qopts.threads = options_.query_threads;
-  qopts.sim = options_.sim;
   auto engine = std::make_shared<const QueryEngine>(graph, metric, names_,
                                                     scheme, qopts);
   return std::make_shared<const Epoch>(seq, std::move(handle),
@@ -310,6 +310,8 @@ EpochManager::Counters EpochManager::counters() const {
   c.epochs_built = epochs_built_.load(std::memory_order_relaxed);
   c.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   c.shm_published = shm_published_count_.load(std::memory_order_relaxed);
+  c.shm_publish_failures =
+      shm_publish_failures_.load(std::memory_order_relaxed);
   c.repairs = repairs_.load(std::memory_order_relaxed);
   c.repair_fallbacks = repair_fallbacks_.load(std::memory_order_relaxed);
   c.last_rebuild_ms = last_rebuild_ms_.load(std::memory_order_relaxed);

@@ -91,7 +91,6 @@ struct EpochManagerOptions {
   /// the center draw is reproducible across epochs (the precondition for
   /// the incremental repair splice).
   std::uint64_t scheme_seed = 1;
-  SimOptions sim;
   /// Metric backend per epoch: kAuto switches from the dense APSP matrix to
   /// bounded-Dijkstra sparse rows past kDenseMetricAutoThreshold nodes.
   MetricMode metric_mode = MetricMode::kAuto;
@@ -105,8 +104,8 @@ struct EpochManagerOptions {
   /// "<shm_prefix>_epoch<seq>", so sibling processes on this host can
   /// attach zero-copy read-only serving views via map_snapshot_shm()
   /// without touching the filesystem.  Publish failures degrade to
-  /// file-only distribution; published objects are unlinked when the
-  /// manager is destroyed.
+  /// file-only distribution and count in Counters::shm_publish_failures;
+  /// published objects are unlinked when the manager is destroyed.
   std::string shm_prefix;
   /// Incremental epoch repair (ROADMAP: O(affected region) rebuilds under
   /// churn).  When true, begin_rebuild diffs the incoming topology against
@@ -191,6 +190,10 @@ class EpochManager {
     std::uint64_t epochs_built = 0;  ///< successful rebuilds (excl. epoch 0)
     std::uint64_t cache_hits = 0;    ///< epochs warm-started from snapshots
     std::uint64_t shm_published = 0;  ///< epochs posted to shared memory
+    /// Epochs whose shm publish failed (no shm on the host, a rejected
+    /// object name, a snapshot that did not verify); they still serve, and
+    /// siblings fall back to the snapshot file.
+    std::uint64_t shm_publish_failures = 0;
     std::uint64_t repairs = 0;  ///< epochs published via incremental repair
     /// Non-empty deltas that went through a full build despite repair being
     /// enabled: over repair_max_fraction, declined by the scheme's hook, or
@@ -227,7 +230,8 @@ class EpochManager {
       std::chrono::steady_clock::time_point start);
 
   /// Best-effort shm publication of the epoch's snapshot file; records the
-  /// object name for unlinking at destruction.  Never throws.
+  /// object name for unlinking at destruction, or counts the failure.
+  /// Never throws.
   void publish_epoch_shm(std::uint64_t seq, const std::string& path);
 
   std::string scheme_name_;
@@ -250,6 +254,7 @@ class EpochManager {
   std::atomic<std::uint64_t> epochs_built_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> shm_published_count_{0};
+  std::atomic<std::uint64_t> shm_publish_failures_{0};
   std::atomic<std::uint64_t> repairs_{0};
   std::atomic<std::uint64_t> repair_fallbacks_{0};
   std::atomic<double> last_rebuild_ms_{0.0};

@@ -289,6 +289,40 @@ TEST(EpochManager, ShmPrefixPublishesEpochsForSiblingProcesses) {
   EXPECT_THROW((void)map_snapshot_shm(shm_name, "stretch6"), SnapshotError);
 }
 
+// A failed shm publish degrades to file-only distribution, never to an
+// outage, and is counted: a prefix longer than NAME_MAX makes shm_open
+// reject every epoch's object name, while the epochs still publish and serve.
+TEST(EpochManager, FailedShmPublishesAreCountedAndServingContinues) {
+  const NodeId n = 40;
+  const NameAssignment names = fixed_names(n, 41);
+  const std::string cache_dir =
+      ::testing::TempDir() + "rtr_epoch_shm_fail_cache";
+  ASSERT_EQ(::mkdir(cache_dir.c_str(), 0755) == 0 || errno == EEXIST, true);
+  for (const char* file :
+       {"/stretch6_epoch0.rtrsnap", "/stretch6_epoch1.rtrsnap"}) {
+    (void)std::remove((cache_dir + file).c_str());
+  }
+
+  EpochManagerOptions opts;
+  opts.cache_dir = cache_dir;
+  opts.shm_prefix = std::string(300, 'x');
+  EpochManager mgr("stretch6", names, initial_graph(n, 42), opts);
+  EXPECT_EQ(mgr.counters().shm_published, 0u);
+  EXPECT_EQ(mgr.counters().shm_publish_failures, 1u);
+  EXPECT_TRUE(
+      mgr.roundtrip_by_name(names.name_of(3), names.name_of(9)).ok());
+
+  mgr.rebuild_now(initial_graph(n, 43));
+  EXPECT_EQ(mgr.epoch(), 1u);
+  EXPECT_EQ(mgr.counters().shm_published, 0u);
+  EXPECT_EQ(mgr.counters().shm_publish_failures, 2u);
+  const ServingResult r =
+      mgr.roundtrip_by_name(names.name_of(3), names.name_of(9));
+  EXPECT_TRUE(r.ok()) << r.message;
+  EXPECT_EQ(r.epoch, 1u);
+  EXPECT_EQ(mgr.counters().failures, 0u);
+}
+
 // The concurrency acceptance test (and CI's ThreadSanitizer target): four
 // query threads hammer name-keyed roundtrips nonstop while the control
 // thread swaps >= 3 epochs under them, for EVERY registered scheme.  Zero

@@ -61,41 +61,15 @@ TEST_P(HashedStretch6Test, DeliversOn64BitNamesWithinStretchSix) {
   Rng rng(seed + 500);
   ChosenNames chosen = ChosenNames::random(inst.n(), rng);
   HashedStretch6Scheme scheme(inst.graph, *inst.metric, chosen, rng);
-  // Drive the walk manually: make_packet takes a 64-bit chosen name, which
-  // the NodeName-based simulate_roundtrip helper cannot carry.
+  // The packet carries the destination's self-chosen 64-bit name.
   for (NodeId s = 0; s < inst.n(); s += 2) {
     for (NodeId t = 0; t < inst.n(); t += 3) {
       if (s == t) continue;
-      auto h = scheme.make_packet(chosen.of_id(t));
-      NodeId at = s;
-      Dist out_len = 0, back_len = 0;
-      bool ok_out = false, ok_back = false;
-      for (int guard = 0; guard < 16 * inst.n(); ++guard) {
-        Decision d = scheme.forward(at, h);
-        if (d.deliver) {
-          ok_out = at == t;
-          break;
-        }
-        const Edge* e = inst.graph.edge_by_port(at, d.port);
-        ASSERT_NE(e, nullptr);
-        out_len += e->weight;
-        at = e->to;
-      }
-      ASSERT_TRUE(ok_out) << s << "->" << t;
-      scheme.prepare_return(h);
-      for (int guard = 0; guard < 16 * inst.n(); ++guard) {
-        Decision d = scheme.forward(at, h);
-        if (d.deliver) {
-          ok_back = at == s;
-          break;
-        }
-        const Edge* e = inst.graph.edge_by_port(at, d.port);
-        ASSERT_NE(e, nullptr);
-        back_len += e->weight;
-        at = e->to;
-      }
-      ASSERT_TRUE(ok_back) << "ack " << t << "->" << s;
-      EXPECT_LE(out_len + back_len, 6 * inst.metric->r(s, t));
+      const RouteResult res =
+          simulate_roundtrip(inst.graph, scheme, s, t, chosen.of_id(t));
+      ASSERT_TRUE(res.delivered_out) << s << "->" << t;
+      ASSERT_TRUE(res.delivered_back) << "ack " << t << "->" << s;
+      EXPECT_LE(res.roundtrip_length(), 6 * inst.metric->r(s, t));
     }
   }
 }

@@ -1,12 +1,12 @@
 // Decision::header_resized == false is a promise that the hop left the
-// header's encoded size alone; the fast walk (QueryEngine's batch and serve
-// paths) then skips re-measuring it.  Builds without NDEBUG verify every
-// hint inside simulate_roundtrip, but the default RelWithDebInfo build
-// defines NDEBUG, so this suite checks the promise itself: every registered scheme, walked through
-// the virtual interface on a seeded sample, must report the same
-// header_bits after each hinted hop as before it.  Comparing only the
-// walk's maximum (QueryEngine.FastBatchWalkMatchesReferenceForEveryScheme)
-// cannot see a hint that hides a shrink or a growth below the maximum.
+// header's encoded size alone; simulate_roundtrip then skips re-measuring
+// it.  Builds without NDEBUG verify every hint inside the walk, but the
+// default RelWithDebInfo build defines NDEBUG, so this suite checks the
+// promise itself: every registered scheme, walked one forward() at a time
+// over its concrete header (test_support.h's visit_concrete_scheme) on a
+// seeded sample, must report the same header_bits after each hinted hop as
+// before it.  Comparing only a walk's maximum cannot see a hint that hides a
+// shrink or a growth below the maximum.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +22,7 @@ namespace {
 
 using ::rtr::testing::Instance;
 using ::rtr::testing::make_instance;
+using ::rtr::testing::visit_concrete_scheme;
 
 struct HintTally {
   std::int64_t hops = 0;
@@ -30,9 +31,10 @@ struct HintTally {
 
 /// Walks src -> dst -> src one forward() at a time, re-measuring the header
 /// after every hop, and fails on the first hinted hop whose size moved.
-void expect_honest_hints(const Scheme& scheme, const Digraph& g, NodeId src,
-                         NodeId dst, NodeName dst_name, HintTally& tally) {
-  Packet p = scheme.make_packet(dst_name);
+template <TemplatedScheme S, typename Name>
+void expect_honest_hints(const S& scheme, const Digraph& g, NodeId src,
+                         NodeId dst, Name dst_name, HintTally& tally) {
+  typename S::Header p = scheme.make_packet(dst_name);
   std::int64_t bits = scheme.header_bits(p);
   const std::int64_t budget = 16 * static_cast<std::int64_t>(g.node_count()) + 64;
   for (const bool back : {false, true}) {
@@ -77,16 +79,20 @@ TEST_P(HeaderHintTest, SameSizeHintsAreHonestOnEveryHop) {
   for (const std::string& name : SchemeRegistry::global().names()) {
     SCOPED_TRACE(name);
     const auto scheme = SchemeRegistry::global().build(name, ctx);
-    Rng rng(29);
     HintTally tally;
-    for (int i = 0; i < 300; ++i) {
-      const auto src = static_cast<NodeId>(rng.index(inst.n()));
-      const auto dst = static_cast<NodeId>(rng.index(inst.n()));
-      if (src == dst) continue;
-      expect_honest_hints(*scheme, inst.graph, src, dst,
-                          inst.names.name_of(dst), tally);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
+    visit_concrete_scheme(
+        name, *scheme, ctx, [&](const auto& concrete, const auto& name_of) {
+          Rng rng(29);
+          for (int i = 0; i < 300; ++i) {
+            const auto src = static_cast<NodeId>(rng.index(inst.n()));
+            const auto dst = static_cast<NodeId>(rng.index(inst.n()));
+            if (src == dst) continue;
+            expect_honest_hints(concrete, inst.graph, src, dst, name_of(dst),
+                                tally);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        });
+    if (::testing::Test::HasFatalFailure()) return;
     EXPECT_GT(tally.hops, 0);
     // The tree-leg schemes hint on mid-leg hops; a sample with none would
     // make this test vacuous for them.
@@ -123,9 +129,9 @@ struct LyingScheme {
   [[nodiscard]] std::string name() const { return "lying"; }
 };
 
-// Builds without NDEBUG (CI's sanitizer jobs) re-measure after each trusted
-// hint and turn a dishonest one into a failed query; release builds trust
-// it, which is why the per-scheme suite above must hold.
+// Builds without NDEBUG (CI's sanitizer jobs) re-measure after each hint and
+// turn a dishonest one into a failed query; release builds trust it, which
+// is why the per-scheme suite above must hold.
 TEST(HeaderHints, DebugBuildsTurnADishonestHintIntoASchemeFailure) {
   const Instance inst = make_instance(Family::kRing, 8, 4, 5);
   const auto ctx = inst.context(1);
