@@ -60,10 +60,9 @@ class Hashed64Adapter final : public Scheme {
   /// runs it, with the destination translated to its chosen name once, at
   /// injection.
   [[nodiscard]] RouteResult simulate(const Digraph& g, NodeId src, NodeId dst,
-                                     NodeName dst_name,
-                                     SimOptions opt = {}) const override {
+                                     NodeName dst_name) const override {
     return simulate_roundtrip(g, *impl_, src, dst,
-                              chosen_.of_id(names_.id_of(dst_name)), opt);
+                              chosen_.of_id(names_.id_of(dst_name)));
   }
 
   [[nodiscard]] double stretch_bound() const override {

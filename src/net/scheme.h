@@ -66,10 +66,12 @@ class Scheme {
   /// scheme.  The packet carries `dst_name`, the destination's TINN name; a
   /// scheme addressed by other names (hashed64) translates it once, at
   /// injection.  Throws std::logic_error on a scheme bug (an unknown port,
-  /// or a dishonest size hint in builds that verify hints).
+  /// or a dishonest size hint in builds that verify hints).  Paths are not
+  /// recorded; a caller that wants them walks the concrete scheme with
+  /// SimOptions::record_paths.
   [[nodiscard]] virtual RouteResult simulate(const Digraph& g, NodeId src,
-                                             NodeId dst, NodeName dst_name,
-                                             SimOptions opt = {}) const = 0;
+                                             NodeId dst,
+                                             NodeName dst_name) const = 0;
 
   [[nodiscard]] virtual TableStats table_stats() const = 0;
 

@@ -43,9 +43,8 @@ class TemplateSchemeAdapter final : public Scheme {
   }
 
   [[nodiscard]] RouteResult simulate(const Digraph& g, NodeId src, NodeId dst,
-                                     NodeName dst_name,
-                                     SimOptions opt = {}) const override {
-    return simulate_roundtrip(g, *impl_, src, dst, dst_name, opt);
+                                     NodeName dst_name) const override {
+    return simulate_roundtrip(g, *impl_, src, dst, dst_name);
   }
 
   [[nodiscard]] double stretch_bound() const override {

@@ -3,15 +3,16 @@
 // it.  Builds without NDEBUG verify every hint inside the walk, but the
 // default RelWithDebInfo build defines NDEBUG, so this suite checks the
 // promise itself: every registered scheme, walked one forward() at a time
-// over its concrete header (test_support.h's visit_concrete_scheme) on a
-// seeded sample, must report the same header_bits after each hinted hop as
-// before it.  Comparing only a walk's maximum cannot see a hint that hides a
-// shrink or a growth below the maximum.
+// over its concrete header (concrete_scheme_visitor.h) on a seeded sample,
+// must report the same header_bits after each hinted hop as before it.
+// Comparing only a walk's maximum cannot see a hint that hides a shrink or a
+// growth below the maximum.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 
+#include "concrete_scheme_visitor.h"
 #include "net/query_engine.h"
 #include "net/scheme.h"
 #include "net/scheme_adapter.h"

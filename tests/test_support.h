@@ -2,8 +2,6 @@
 #ifndef RTR_TESTS_TEST_SUPPORT_H
 #define RTR_TESTS_TEST_SUPPORT_H
 
-#include <gtest/gtest.h>
-
 #include <map>
 #include <memory>
 #include <mutex>
@@ -11,21 +9,14 @@
 #include <tuple>
 #include <vector>
 
-#include "baseline/full_table.h"
-#include "core/exstretch.h"
-#include "core/hashed_stretch6.h"
 #include "core/names.h"
-#include "core/polystretch.h"
-#include "core/stretch6.h"
 #include "graph/apsp.h"
 #include "graph/digraph.h"
 #include "graph/generators.h"
 #include "graph/scc.h"
 #include "io/arena.h"
 #include "net/scheme.h"
-#include "net/scheme_adapter.h"
 #include "rt/metric.h"
-#include "rtz/rtz3_scheme.h"
 #include "util/rng.h"
 
 namespace rtr::testing {
@@ -102,53 +93,6 @@ inline std::vector<std::uint8_t> scheme_arena_bytes(
   ArenaWriter w;
   SchemeRegistry::global().arena_saver(scheme_name)(scheme, w);
   return w.finalize(scheme_name, 0, 0);
-}
-
-namespace detail {
-
-template <TemplatedScheme S, typename Walk>
-void walk_adapted(const std::string& name, const Scheme& scheme,
-                  const NameAssignment& names, Walk& walk) {
-  const auto* adapter = dynamic_cast<const TemplateSchemeAdapter<S>*>(&scheme);
-  ASSERT_NE(adapter, nullptr)
-      << name << ": not the adapter type its registry entry builds";
-  walk(adapter->impl(), [&names](NodeId t) { return names.name_of(t); });
-}
-
-}  // namespace detail
-
-/// The concrete-walk visitor: calls `walk(concrete, name_of)` with the
-/// concrete template scheme behind registry entry `name`, where `name_of(t)`
-/// is the name the concrete scheme's packets carry for node t.  `scheme` is
-/// a registry build of `name` over `ctx`.  Adapter-registered entries hand
-/// out the adapter's own impl(), i.e. the very tables Scheme::simulate
-/// walks.  hashed64's adapter is private to the registry, so its entry
-/// builds a HashedStretch6Scheme over ctx directly, with chosen names drawn
-/// from a copy of ctx's rng.  A registered name the visitor does not cover
-/// is a test failure: a new scheme is added here before tests can walk it.
-template <typename Walk>
-void visit_concrete_scheme(const std::string& name, const Scheme& scheme,
-                           const BuildContext& ctx, Walk&& walk) {
-  if (name == "stretch6" || name == "stretch6-detour") {
-    detail::walk_adapted<Stretch6Scheme>(name, scheme, ctx.names, walk);
-  } else if (name == "exstretch") {
-    detail::walk_adapted<ExStretchScheme>(name, scheme, ctx.names, walk);
-  } else if (name == "polystretch") {
-    detail::walk_adapted<PolyStretchScheme>(name, scheme, ctx.names, walk);
-  } else if (name == "rtz3") {
-    detail::walk_adapted<Rtz3Scheme>(name, scheme, ctx.names, walk);
-  } else if (name == "fulltable") {
-    detail::walk_adapted<FullTableScheme>(name, scheme, ctx.names, walk);
-  } else if (name == "hashed64") {
-    Rng rng = *ctx.rng;
-    const ChosenNames chosen = ChosenNames::random(ctx.graph->node_count(), rng);
-    const HashedStretch6Scheme hashed(*ctx.graph, *ctx.metric, chosen, rng);
-    walk(hashed, [&chosen](NodeId t) { return chosen.of_id(t); });
-  } else {
-    ADD_FAILURE() << "visit_concrete_scheme: no concrete scheme for the "
-                     "registered name '"
-                  << name << "'";
-  }
 }
 
 }  // namespace rtr::testing
