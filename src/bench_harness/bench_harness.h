@@ -97,9 +97,10 @@ struct BenchConfig {
   int threads = 0;
   std::uint64_t seed = 7;
   Weight max_weight = 4;
-  /// Metric backend per instance: kAuto keeps the dense APSP matrix up to
-  /// kDenseMetricAutoThreshold nodes and switches to bounded-Dijkstra sparse
-  /// rows beyond, which is what lets the full sweep pass 4096.
+  /// Metric backend per instance: kAuto is bounded-Dijkstra sparse rows,
+  /// and only the cover schemes (whole-level consumers) materialise the APSP
+  /// matrix, up to kDenseMetricAutoThreshold nodes; that is what lets the
+  /// full sweep pass 4096.
   MetricMode metric_mode = MetricMode::kAuto;
   bool snapshot_phase = true;   ///< measure snapshot save+load per cell
   /// Measure the network serving path end to end: RouteServer (the

@@ -97,9 +97,12 @@ ExStretchScheme::ExStretchScheme(const Digraph& g, const RoundtripMetric& metric
   const int k = alphabet_.k();
   const std::int64_t q = alphabet_.q();
   const int threads = resolve_apsp_threads(options.threads);
+  // The cover hierarchy and the dictionaries' nearest-holder scans read
+  // whole levels of the metric.
+  const RoundtripMetric& m = metric.whole_levels();
   const Digraph reversed = g.reversed();
   hierarchy_ =
-      std::make_shared<const CoverHierarchy>(g, reversed, metric, k, threads);
+      std::make_shared<const CoverHierarchy>(g, reversed, m, k, threads);
   cover_ = CoverTable(*hierarchy_);
   if (static_cast<std::int64_t>(k) * alphabet_.power(k) > INT32_MAX) {
     throw std::length_error("exstretch: dictionary keys exceed 32 bits");
@@ -109,9 +112,9 @@ ExStretchScheme::ExStretchScheme(const Digraph& g, const RoundtripMetric& metric
   // q^{k-1}, so truncated rows suffice.
   const auto hood_rows = static_cast<NodeId>(
       std::min<std::int64_t>(alphabet_.power(k - 1), n));
-  Neighborhoods hoods = compute_neighborhoods(metric, names_, hood_rows, threads);
+  Neighborhoods hoods = compute_neighborhoods(m, names_, hood_rows, threads);
   assignment_ =
-      assign_blocks(alphabet_, metric, names_, hoods, rng, options.blocks);
+      assign_blocks(alphabet_, m, names_, hoods, rng, options.blocks);
 
   // S'_u = S_u + u's own block (Section 3.3).
   std::vector<std::vector<BlockId>> held(static_cast<std::size_t>(n));
@@ -183,7 +186,7 @@ ExStretchScheme::ExStretchScheme(const Digraph& g, const RoundtripMetric& metric
             NodeId best = kNoNode;
             Dist best_r = kInfDist;
             for (NodeId h : list) {
-              const Dist rr = metric.r(u, h);
+              const Dist rr = m.r(u, h);
               if (rr < best_r || (rr == best_r && best != kNoNode &&
                                   names_.name_of(h) < names_.name_of(best))) {
                 best_r = rr;

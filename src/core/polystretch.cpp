@@ -81,9 +81,12 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
   const int k = alphabet_.k();
   const std::int64_t q = alphabet_.q();
   const int threads = resolve_apsp_threads(options.threads);
+  // The cover hierarchy and the dictionaries' nearest-member scans read
+  // whole levels of the metric.
+  const RoundtripMetric& m = metric.whole_levels();
   const Digraph reversed = g.reversed();
   hierarchy_ =
-      std::make_shared<const CoverHierarchy>(g, reversed, metric, k, threads);
+      std::make_shared<const CoverHierarchy>(g, reversed, m, k, threads);
   cover_ = CoverTable(*hierarchy_);
   if (static_cast<std::int64_t>(k) * q > UINT16_MAX) {
     throw std::length_error("polystretch: dictionary keys exceed 16 bits");
@@ -144,7 +147,7 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
                 best_r = 0;
                 break;
               }
-              const Dist rr = metric.r(u, v);
+              const Dist rr = m.r(u, v);
               if (rr < best_r || (rr == best_r && best != kNoNode &&
                                   names_.name_of(v) < names_.name_of(best))) {
                 best_r = rr;

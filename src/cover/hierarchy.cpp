@@ -17,9 +17,12 @@ CoverHierarchy::CoverHierarchy(const Digraph& g, const Digraph& reversed,
     : k_(k) {
   if (k <= 1) throw std::invalid_argument("CoverHierarchy: k > 1");
   const int workers = resolve_apsp_threads(threads);
-  const Dist diameter = metric.rt_diameter();
+  // The diameter, then a ball around every node at every radius up to it:
+  // the hierarchy reads whole levels of the metric.
+  const RoundtripMetric& m = metric.whole_levels();
+  const Dist diameter = m.rt_diameter();
   for (Dist radius = 2; ; radius *= 2) {
-    SparseCoverResult cover = build_sparse_cover(metric, k, radius);
+    SparseCoverResult cover = build_sparse_cover(m, k, radius);
     HierarchyLevel level;
     level.radius = radius;
     level.home_of = cover.home_of;

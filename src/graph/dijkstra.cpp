@@ -4,6 +4,7 @@
 #include <functional>
 #include <queue>
 #include <stdexcept>
+#include <string>
 
 namespace rtr {
 
@@ -69,17 +70,14 @@ void run_tree(const Digraph& g, NodeId src, const std::vector<char>* mask,
   run_core<true>(g, src, mask, dist, &parent, &parent_port, ws.heap);
 }
 
-}  // namespace
-
-void dijkstra_bounded(const Digraph& g, NodeId src, Dist limit,
-                      BoundedDijkstraWorkspace& ws,
-                      std::vector<BoundedReach>& out) {
+// Sparse reset: only slots dirtied by the previous run are re-infinitized,
+// so back-to-back small runs never pay an O(n) fill.  Seeds src at 0.
+void reset_bounded(const Digraph& g, NodeId src, BoundedDijkstraWorkspace& ws,
+                   const char* caller) {
   const auto n = static_cast<std::size_t>(g.node_count());
   if (src < 0 || static_cast<std::size_t>(src) >= n) {
-    throw std::invalid_argument("dijkstra_bounded: source out of range");
+    throw std::invalid_argument(std::string(caller) + ": source out of range");
   }
-  // Sparse reset: only slots dirtied by the previous run are re-infinitized,
-  // so back-to-back small-radius runs never pay an O(n) fill.
   if (ws.dist.size() < n) ws.dist.assign(n, kInfDist);
   for (const NodeId v : ws.touched) {
     ws.dist[static_cast<std::size_t>(v)] = kInfDist;
@@ -89,25 +87,58 @@ void dijkstra_bounded(const Digraph& g, NodeId src, Dist limit,
   ws.dist[static_cast<std::size_t>(src)] = 0;
   ws.touched.push_back(src);
   ws.heap.emplace_back(0, src);
+}
+
+// Relaxes u's out-arcs (settled at distance d) into the bounded workspace,
+// skipping any tentative distance past `limit`.
+void relax_bounded(const Digraph& g, NodeId u, Dist d, Dist limit,
+                   BoundedDijkstraWorkspace& ws) {
+  const std::int64_t end = g.arcs_end(u);
+  for (std::int64_t i = g.arcs_begin(u); i < end; ++i) {
+    const Dist nd = d + g.arc_weight(i);
+    if (nd > limit) continue;  // the frontier stops at the radius
+    const auto to = static_cast<std::size_t>(g.arc_head(i));
+    if (nd < ws.dist[to]) {
+      if (ws.dist[to] == kInfDist) ws.touched.push_back(g.arc_head(i));
+      ws.dist[to] = nd;
+      ws.heap.emplace_back(nd, g.arc_head(i));
+      std::push_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
+    }
+  }
+}
+
+}  // namespace
+
+void dijkstra_bounded(const Digraph& g, NodeId src, Dist limit,
+                      BoundedDijkstraWorkspace& ws,
+                      std::vector<BoundedReach>& out) {
+  reset_bounded(g, src, ws, "dijkstra_bounded");
   while (!ws.heap.empty()) {
     std::pop_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
     const auto [d, u] = ws.heap.back();
     ws.heap.pop_back();
     if (d != ws.dist[static_cast<std::size_t>(u)]) continue;  // stale entry
     out.push_back(BoundedReach{u, d});
-    const std::int64_t end = g.arcs_end(u);
-    for (std::int64_t i = g.arcs_begin(u); i < end; ++i) {
-      const Dist nd = d + g.arc_weight(i);
-      if (nd > limit) continue;  // the frontier stops at the radius
-      const auto to = static_cast<std::size_t>(g.arc_head(i));
-      if (nd < ws.dist[to]) {
-        if (ws.dist[to] == kInfDist) ws.touched.push_back(g.arc_head(i));
-        ws.dist[to] = nd;
-        ws.heap.emplace_back(nd, g.arc_head(i));
-        std::push_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
-      }
-    }
+    relax_bounded(g, u, d, limit, ws);
   }
+}
+
+Dist dijkstra_point_to_point(const Digraph& g, NodeId src, NodeId dst,
+                             BoundedDijkstraWorkspace& ws) {
+  if (dst < 0 || dst >= g.node_count()) {
+    throw std::invalid_argument(
+        "dijkstra_point_to_point: target out of range");
+  }
+  reset_bounded(g, src, ws, "dijkstra_point_to_point");
+  while (!ws.heap.empty()) {
+    std::pop_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
+    const auto [d, u] = ws.heap.back();
+    ws.heap.pop_back();
+    if (d != ws.dist[static_cast<std::size_t>(u)]) continue;  // stale entry
+    if (u == dst) return d;
+    relax_bounded(g, u, d, kInfDist, ws);
+  }
+  return kInfDist;
 }
 
 namespace {
@@ -159,15 +190,7 @@ bool roundtrip_ball_bounded(const Digraph& g, const Digraph& reversed,
   RoundtripSide sides[2] = {{&g, &ws.fwd, &ws.fwd_mark},
                             {&reversed, &ws.rev, &ws.rev_mark}};
   for (RoundtripSide& s : sides) {
-    if (s.ws->dist.size() < n) s.ws->dist.assign(n, kInfDist);
-    for (const NodeId v : s.ws->touched) {
-      s.ws->dist[static_cast<std::size_t>(v)] = kInfDist;
-    }
-    s.ws->touched.clear();
-    s.ws->heap.clear();
-    s.ws->dist[static_cast<std::size_t>(src)] = 0;
-    s.ws->touched.push_back(src);
-    s.ws->heap.emplace_back(0, src);
+    reset_bounded(*s.graph, src, *s.ws, "roundtrip_ball_bounded");
   }
   for (;;) {
     const Dist kf = roundtrip_frontier(sides[0], epoch);
@@ -202,19 +225,7 @@ bool roundtrip_ball_bounded(const Digraph& g, const Digraph& reversed,
       const Dist other_lb = side == 0 ? kr : kf;
       if (other_lb > budget - d) continue;
     }
-    const Digraph& dg = *s.graph;
-    const std::int64_t end = dg.arcs_end(u);
-    for (std::int64_t i = dg.arcs_begin(u); i < end; ++i) {
-      const Dist nd = d + dg.arc_weight(i);
-      if (nd > budget) continue;
-      const auto to = static_cast<std::size_t>(dg.arc_head(i));
-      if (nd < s.ws->dist[to]) {
-        if (s.ws->dist[to] == kInfDist) s.ws->touched.push_back(dg.arc_head(i));
-        s.ws->dist[to] = nd;
-        s.ws->heap.emplace_back(nd, dg.arc_head(i));
-        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-      }
-    }
+    relax_bounded(*s.graph, u, d, budget, *s.ws);
   }
   return true;
 }

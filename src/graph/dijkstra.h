@@ -86,6 +86,13 @@ void dijkstra_bounded(const Digraph& g, NodeId src, Dist limit,
                       BoundedDijkstraWorkspace& ws,
                       std::vector<BoundedReach>& out);
 
+/// Exact d(src, dst): a Dijkstra run that stops as soon as dst is settled
+/// (kInfDist if dst is unreachable).  Shares the bounded runs' sparse reset,
+/// so the cost is the region settled before dst, never an O(n) fill.
+[[nodiscard]] Dist dijkstra_point_to_point(const Digraph& g, NodeId src,
+                                           NodeId dst,
+                                           BoundedDijkstraWorkspace& ws);
+
 /// One member of a bounded roundtrip ball: exact d(src, node) out and
 /// d(node, src) back.
 struct RoundtripReach {

@@ -148,7 +148,9 @@ void bounded_sweep(const Digraph& g, const Digraph& reversed, NodeId v,
 
 }  // namespace
 
-SparseRoundtripMetric::SparseRoundtripMetric(std::shared_ptr<const Digraph> g)
+SparseRoundtripMetric::SparseRoundtripMetric(std::shared_ptr<const Digraph> g,
+                                             bool whole_level_matrix,
+                                             int threads)
     : graph_(std::move(g)),
       reversed_(graph_->reversed()),
       // A few hops' worth of the heaviest edge: small enough that a seed row
@@ -156,7 +158,9 @@ SparseRoundtripMetric::SparseRoundtripMetric(std::shared_ptr<const Digraph> g)
       // immediate roundtrip neighbours (min r to a neighbour is >= 2 weights).
       seed_radius_(std::max<Dist>(1, 4 * graph_->max_weight())),
       rows_(static_cast<std::size_t>(graph_->node_count())),
-      locks_(static_cast<std::size_t>(graph_->node_count())) {
+      locks_(static_cast<std::size_t>(graph_->node_count())),
+      whole_level_matrix_(whole_level_matrix),
+      threads_(threads) {
   if (!is_strongly_connected(*graph_)) {
     throw std::invalid_argument(
         "RoundtripMetric: graph must be strongly connected");
@@ -281,28 +285,34 @@ const SparseRoundtripMetric::Entry* SparseRoundtripMetric::find_entry(
   return e.node == u ? &e : nullptr;
 }
 
-SparseRoundtripMetric::Entry SparseRoundtripMetric::entry_for_pair(
+std::optional<SparseRoundtripMetric::Entry> SparseRoundtripMetric::cached_pair(
     NodeId u, NodeId v) const {
   const std::lock_guard<std::mutex> lock(locks_[static_cast<std::size_t>(u)]);
-  Row& row = rows_[static_cast<std::size_t>(u)];
-  for (;;) {
-    if (const Entry* e = find_entry(row, v)) return *e;
-    if (row.full) {
-      // Unreachable pairs cannot occur: the constructor verified strong
-      // connectivity, so a full row holds every node.
-      throw std::logic_error(
-          "SparseRoundtripMetric: node missing from a full row");
-    }
-    expand_to_radius(u, row, next_radius(row.covered, seed_radius_));
+  if (const Entry* e = find_entry(rows_[static_cast<std::size_t>(u)], v)) {
+    return *e;
   }
+  return std::nullopt;
 }
 
+// A miss is one exact search per direction that stops at its target.  It
+// grows no row: sampled pairs (stretch denominators) are far apart, and
+// covering r(u,v) would hold about half the graph per source.
 Dist SparseRoundtripMetric::d(NodeId u, NodeId v) const {
-  return entry_for_pair(u, v).d_out;
+  if (const DenseRoundtripMetric* m = matrix_.load(std::memory_order_acquire)) {
+    return m->d(u, v);
+  }
+  if (const auto e = cached_pair(u, v)) return e->d_out;
+  return dijkstra_point_to_point(*graph_, u, v, bounded_scratch().fwd);
 }
 
 Dist SparseRoundtripMetric::r(NodeId u, NodeId v) const {
-  return entry_for_pair(u, v).r;
+  if (const DenseRoundtripMetric* m = matrix_.load(std::memory_order_acquire)) {
+    return m->r(u, v);
+  }
+  if (const auto e = cached_pair(u, v)) return e->r;
+  BoundedDijkstraWorkspace& ws = bounded_scratch().fwd;
+  return dijkstra_point_to_point(*graph_, u, v, ws) +
+         dijkstra_point_to_point(*graph_, v, u, ws);
 }
 
 std::vector<NodeId> SparseRoundtripMetric::init_order(
@@ -477,6 +487,16 @@ Dist SparseRoundtripMetric::rt_diameter() const {
   return mx;
 }
 
+const RoundtripMetric& SparseRoundtripMetric::whole_levels() const {
+  if (!whole_level_matrix_) return *this;
+  std::call_once(matrix_once_, [this] {
+    matrix_owner_ = std::make_unique<const DenseRoundtripMetric>(
+        *graph_, all_pairs_shortest_paths(*graph_, threads_));
+    matrix_.store(matrix_owner_.get(), std::memory_order_release);
+  });
+  return *matrix_owner_;
+}
+
 std::int64_t SparseRoundtripMetric::cached_entries() const {
   std::int64_t total = 0;
   for (std::size_t v = 0; v < rows_.size(); ++v) {
@@ -510,15 +530,15 @@ std::shared_ptr<const RoundtripMetric> make_roundtrip_metric(
   if (graph == nullptr) {
     throw std::invalid_argument("make_roundtrip_metric: null graph");
   }
-  const bool dense =
-      mode == MetricMode::kDense ||
-      (mode == MetricMode::kAuto &&
-       graph->node_count() <= kDenseMetricAutoThreshold);
-  if (dense) {
+  if (mode == MetricMode::kDense) {
     return std::make_shared<const DenseRoundtripMetric>(
         *graph, all_pairs_shortest_paths(*graph, threads));
   }
-  return std::make_shared<const SparseRoundtripMetric>(std::move(graph));
+  const bool whole_level_matrix =
+      mode == MetricMode::kAuto &&
+      graph->node_count() <= kDenseMetricAutoThreshold;
+  return std::make_shared<const SparseRoundtripMetric>(
+      std::move(graph), whole_level_matrix, threads);
 }
 
 // -------------------------------------------------- induced roundtrip dist --

@@ -18,21 +18,24 @@
 // Two interchangeable backends implement the metric:
 //
 //   * DenseRoundtripMetric  -- the full APSP matrix; O(1) d/r lookups, O(n^2)
-//     memory.  Right up to a few thousand nodes and for query-heavy serving.
+//     memory.  A test oracle, and what whole-level consumers read up to
+//     kDenseMetricAutoThreshold nodes (see whole_levels()).
 //   * SparseRoundtripMetric -- lazy per-node rows fed by *bounded* Dijkstra
 //     (forward on g plus forward on reversed(g), both stopped at a radius).
 //     A row covering radius R holds exactly the nodes with r(v,u) <= R, so
 //     balls and Init prefixes are served from O(|row|) state and memory grows
 //     with what the schemes actually touch -- O~(n sqrt n) for the paper's
-//     constructions -- instead of O(n^2).  Rows double their radius on demand
-//     and results are identical to the dense backend by construction
-//     (pinned by the differential suite in tests/sparse_metric_test.cpp).
+//     constructions -- instead of O(n^2).  Rows double their radius on demand;
+//     a d/r pair outside the cached rows is one exact point-to-point search.
+//     Results are identical to the dense backend by construction (pinned by
+//     the differential suite in tests/sparse_metric_test.cpp).
 #ifndef RTR_RT_METRIC_H
 #define RTR_RT_METRIC_H
 
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <span>
 #include <vector>
@@ -107,6 +110,17 @@ class RoundtripMetric {
 
   /// RTDiam(G) = max over pairs of r(u,v).
   [[nodiscard]] virtual Dist rt_diameter() const = 0;
+
+  /// The metric a whole-level consumer reads, with answers identical to
+  /// this one.  Whole-level consumers are the cover hierarchy (rt_diameter,
+  /// then a ball around every node at every radius up to it) and the
+  /// exstretch/polystretch dictionaries (r() between arbitrarily far pairs).
+  /// Those touch every pair, so a matrix pays for itself there.  The base
+  /// returns *this; an auto-mode sparse metric at n <=
+  /// kDenseMetricAutoThreshold materialises the APSP matrix on the first call.
+  [[nodiscard]] virtual const RoundtripMetric& whole_levels() const {
+    return *this;
+  }
 };
 
 /// Dense backend: the full APSP matrix.
@@ -141,7 +155,10 @@ class DenseRoundtripMetric final : public RoundtripMetric {
 /// search (roundtrip_ball_bounded).  A row for v is complete up to its covered
 /// radius R -- it lists every u with r(v,u) <= R, each with exact d(v,u) and
 /// d(u,v) -- and grows by doubling R (recomputing from scratch, ~2x the final
-/// cost) whenever a query needs more.  The budget search is load-bearing for
+/// cost) whenever a ball, Init prefix or nearest query needs more.  d(u,v)
+/// and r(u,v) read row u when it holds v; otherwise they run exact
+/// point-to-point searches and grow no row, so sampled pair checks (stretch
+/// denominators) leave no state behind.  The budget search is load-bearing for
 /// the memory bound: the row holds exactly the roundtrip-ball members, never
 /// the near-n one-directional balls that a pair of radius-R Dijkstras would
 /// certify with on expander-like graphs, so resident entries track O~(ball)
@@ -155,8 +172,13 @@ class DenseRoundtripMetric final : public RoundtripMetric {
 class SparseRoundtripMetric final : public RoundtripMetric {
  public:
   /// Keeps shared ownership of g and materializes its reversal once.  Throws
-  /// if g is not strongly connected.
-  explicit SparseRoundtripMetric(std::shared_ptr<const Digraph> g);
+  /// if g is not strongly connected.  With `whole_level_matrix`, the first
+  /// whole_levels() call builds the dense APSP matrix (`threads` wide, <= 0
+  /// resolves via default_apsp_threads) and d/r read it from then on; without
+  /// it whole_levels() returns *this.
+  explicit SparseRoundtripMetric(std::shared_ptr<const Digraph> g,
+                                 bool whole_level_matrix = false,
+                                 int threads = 0);
 
   [[nodiscard]] NodeId node_count() const override {
     return graph_->node_count();
@@ -176,6 +198,7 @@ class SparseRoundtripMetric final : public RoundtripMetric {
   void prepare_neighborhoods(NodeId want, int threads) const override;
   [[nodiscard]] Dist rt_radius_from(NodeId v) const override;
   [[nodiscard]] Dist rt_diameter() const override;
+  [[nodiscard]] const RoundtripMetric& whole_levels() const override;
 
   /// Resident entry count across all cached rows (memory diagnostics).
   [[nodiscard]] std::int64_t cached_entries() const;
@@ -209,8 +232,8 @@ class SparseRoundtripMetric final : public RoundtripMetric {
   /// (roundtrip_ball_bounded output) and stamps the covered radius.
   void rebuild_row_from_ball(Row& row, Dist covered) const;
   [[nodiscard]] const Entry* find_entry(const Row& row, NodeId u) const;
-  /// Ensures row u contains node v's entry; expands as needed.
-  [[nodiscard]] Entry entry_for_pair(NodeId u, NodeId v) const;
+  /// Row u's entry for v when the row already holds it; never expands.
+  [[nodiscard]] std::optional<Entry> cached_pair(NodeId u, NodeId v) const;
 
   /// Committed rows may overshoot a count request by at most this factor.
   static constexpr NodeId kCountSlack = 4;
@@ -228,27 +251,38 @@ class SparseRoundtripMetric final : public RoundtripMetric {
   mutable std::atomic<NodeId> hint_want_{0};
   mutable std::vector<Row> rows_;
   mutable std::vector<std::mutex> locks_;
+  const bool whole_level_matrix_;
+  const int threads_;
+  /// The matrix whole_levels() materialises (once, under matrix_once_);
+  /// `matrix_` publishes it to d/r without taking the once flag.
+  mutable std::once_flag matrix_once_;
+  mutable std::unique_ptr<const DenseRoundtripMetric> matrix_owner_;
+  mutable std::atomic<const DenseRoundtripMetric*> matrix_{nullptr};
 };
 
 /// Which backend BuildContext / the bench harness should materialize.
 enum class MetricMode {
-  kAuto,   // dense up to kDenseMetricAutoThreshold nodes, sparse beyond
-  kDense,
-  kSparse,
+  kAuto,    // sparse rows; whole-level consumers get the matrix up to the cap
+  kDense,   // the APSP matrix, built up front
+  kSparse,  // sparse rows only; whole_levels() never builds a matrix
 };
 
-/// Largest node count kAuto serves densely.  Below this the O(n^2) matrix is
-/// a few hundred MB at worst and its O(1) lookups win; beyond it the sparse
-/// rows keep memory O~(n sqrt n).
+/// Largest node count at which an auto-mode metric's whole_levels()
+/// materialises the APSP matrix.  Up to here the matrix is at most 134 MB and
+/// its O(1) lookups beat rows grown to full for the cover schemes, which
+/// touch every pair anyway; beyond it they answer from rows.  Consumers that
+/// read only O~(sqrt n) balls (rtz3, stretch6, hashed64) never build it.
 inline constexpr NodeId kDenseMetricAutoThreshold = 4096;
 
 /// Parses "auto" / "dense" / "sparse"; throws std::invalid_argument otherwise.
 [[nodiscard]] MetricMode parse_metric_mode(const std::string& text);
 [[nodiscard]] const char* metric_mode_name(MetricMode mode);
 
-/// Builds the backend `mode` selects for this graph.  `threads` feeds the
-/// dense backend's APSP fan-out (<= 0 resolves via default_apsp_threads);
-/// the sparse backend expands lazily on querying threads instead.
+/// Builds the backend `mode` selects for this graph.  kAuto and kSparse cost
+/// O(m) here (one reversal, one SCC check); kDense pays the APSP.  `threads`
+/// feeds the APSP fan-out, up front for kDense and on the first
+/// whole_levels() call for kAuto (<= 0 resolves via default_apsp_threads);
+/// sparse rows expand lazily on querying threads instead.
 [[nodiscard]] std::shared_ptr<const RoundtripMetric> make_roundtrip_metric(
     std::shared_ptr<const Digraph> graph, MetricMode mode = MetricMode::kAuto,
     int threads = 0);

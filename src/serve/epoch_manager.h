@@ -91,8 +91,9 @@ struct EpochManagerOptions {
   /// the center draw is reproducible across epochs (the precondition for
   /// the incremental repair splice).
   std::uint64_t scheme_seed = 1;
-  /// Metric backend per epoch: kAuto switches from the dense APSP matrix to
-  /// bounded-Dijkstra sparse rows past kDenseMetricAutoThreshold nodes.
+  /// Metric backend per epoch: kAuto is bounded-Dijkstra sparse rows, and
+  /// only a cover scheme's build (a whole-level consumer) materialises the
+  /// APSP matrix, up to kDenseMetricAutoThreshold nodes.
   MetricMode metric_mode = MetricMode::kAuto;
   /// Warm-start epochs by mmap'ing cached v2 arena snapshots in place
   /// (O(ms) at any n, payload CRCs unverified) instead of decoding them

@@ -425,6 +425,10 @@ Json RouteServer::stats_json() const {
   doc.set("repair_fallbacks", static_cast<std::int64_t>(r.repair_fallbacks));
   doc.set("last_rebuild_ms", r.last_rebuild_ms);
   doc.set("last_repair_ms", r.last_repair_ms);
+  doc.set("cache_hits", static_cast<std::int64_t>(r.cache_hits));
+  doc.set("shm_published", static_cast<std::int64_t>(r.shm_published));
+  doc.set("shm_publish_failures",
+          static_cast<std::int64_t>(r.shm_publish_failures));
   const auto epoch = source_.current_epoch();
   if (epoch != nullptr) {
     doc.set("epoch", static_cast<std::int64_t>(epoch->seq));

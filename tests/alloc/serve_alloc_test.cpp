@@ -2,12 +2,15 @@
 // scheme answers a query from its frozen tables with the header on the
 // stack.  And a cover hierarchy's double trees, like an rtz3 build's ball
 // trees, allocate in proportion to their memberships, not to trees x n.
+// Under the auto metric mode only a whole-level consumer (polystretch here)
+// allocates the n x n APSP matrix; rtz3 and stretch6 builds never do.
 // This binary replaces the global operator new with one that counts
 // allocations and bytes, which is why it is not part of rtr_tests: a
 // replacement applies to the whole program.
 // Only allocations made on the calling thread are counted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -18,6 +21,7 @@
 #include "cover/sparse_cover.h"
 #include "net/query_engine.h"
 #include "net/scheme.h"
+#include "rt/metric.h"
 #include "rtz/rtz3_scheme.h"
 #include "test_support.h"
 
@@ -25,16 +29,22 @@ namespace {
 
 thread_local std::int64_t t_allocations = 0;
 thread_local std::int64_t t_allocated_bytes = 0;
+thread_local std::int64_t t_largest_allocation = 0;
 
-void* counted_alloc(std::size_t size) noexcept {
+void count(std::size_t size) noexcept {
   ++t_allocations;
   t_allocated_bytes += static_cast<std::int64_t>(size);
+  t_largest_allocation =
+      std::max(t_largest_allocation, static_cast<std::int64_t>(size));
+}
+
+void* counted_alloc(std::size_t size) noexcept {
+  count(size);
   return std::malloc(size == 0 ? 1 : size);
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) noexcept {
-  ++t_allocations;
-  t_allocated_bytes += static_cast<std::int64_t>(size);
+  count(size);
   const auto a = static_cast<std::size_t>(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
   return std::aligned_alloc(a, (size + a - 1) / a * a);
@@ -212,6 +222,59 @@ TEST_P(Rtz3AllocationTest, BuildAllocatesInProportionToBallsAndCenters) {
 
 INSTANTIATE_TEST_SUITE_P(
     Instances, Rtz3AllocationTest,
+    ::testing::Values(AllocCase{Family::kRandom, 1024, 41},
+                      AllocCase{Family::kScaleFree, 1024, 42}),
+    [](const auto& info) {
+      return (info.param.family == Family::kRandom ? std::string("random_n")
+                                                   : std::string("scale_free_n")) +
+             std::to_string(info.param.n);
+    });
+
+// Under MetricMode::kAuto the metric is sparse rows, and only a whole-level
+// consumer makes the n x n APSP matrix (n^2 * 8 bytes, 8 MB at n = 1024),
+// through RoundtripMetric::whole_levels().  An rtz3 or stretch6 build reads
+// balls, neighbourhoods and nearest-center sweeps, so no allocation of it,
+// metric included, comes near the matrix.  The largest measured 0.75 MB for
+// rtz3 and 1.78 MB for stretch6 (a flattened dictionary), both families: at
+// most a fifth of the matrix, against a bound of a quarter.  A polystretch
+// build is a whole-level consumer and does make it.
+class MetricAllocationTest : public ::testing::TestWithParam<AllocCase> {
+ protected:
+  /// Largest single allocation made (on this thread, the only one with
+  /// "threads" = 1) while making an auto-mode metric and building `scheme`.
+  std::int64_t largest_allocation(const std::string& scheme) const {
+    const AllocCase c = GetParam();
+    const Instance inst = make_instance(c.family, c.n, 5, c.seed);
+    const auto graph = std::make_shared<const Digraph>(inst.graph);
+    t_largest_allocation = 0;
+    const auto metric = make_roundtrip_metric(graph, MetricMode::kAuto, 1);
+    const BuildContext ctx = BuildContext::wrap(
+        graph, metric, inst.names, c.seed + 1, {{"threads", "1"}});
+    (void)SchemeRegistry::global().build(scheme, ctx);
+    return t_largest_allocation;
+  }
+
+  static std::int64_t matrix_bytes() {
+    const auto n = static_cast<std::int64_t>(GetParam().n);
+    return n * n * static_cast<std::int64_t>(sizeof(Dist));
+  }
+};
+
+TEST_P(MetricAllocationTest, BallSchemesBuildWithoutTheMatrix) {
+  for (const std::string scheme : {"rtz3", "stretch6"}) {
+    const std::int64_t largest = largest_allocation(scheme);
+    EXPECT_LT(largest, matrix_bytes() / 4)
+        << scheme << ": largest allocation " << largest << " bytes against a "
+        << matrix_bytes() << "-byte matrix";
+  }
+}
+
+TEST_P(MetricAllocationTest, CoverSchemeMaterialisesTheMatrixOnDemand) {
+  EXPECT_GE(largest_allocation("polystretch"), matrix_bytes());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Instances, MetricAllocationTest,
     ::testing::Values(AllocCase{Family::kRandom, 1024, 41},
                       AllocCase{Family::kScaleFree, 1024, 42}),
     [](const auto& info) {

@@ -11,11 +11,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -137,8 +140,9 @@ class TestClient {
 }
 
 // The epoch-counter block of an rtr-stats/1 document, pinned key by key and
-// type by type: five members right after "protocol_errors", in this order,
-// carrying the source's EpochManager counters (integers, then two doubles).
+// type by type: eight members right after "protocol_errors", in this order,
+// carrying the source's EpochManager counters (three integers, two doubles,
+// then the cache and shared-memory integers).
 void expect_epoch_counter_block(const Json& stats,
                                 const EpochManager::Counters& c) {
   const JsonObject& fields = stats.as_object();
@@ -146,17 +150,22 @@ void expect_epoch_counter_block(const Json& stats,
       std::find_if(fields.begin(), fields.end(),
                    [](const auto& kv) { return kv.first == "epochs_built"; });
   ASSERT_NE(first, fields.begin());
-  ASSERT_GE(fields.end() - first, 5);
-  EXPECT_EQ((first - 1)->first, "protocol_errors");
   const JsonObject expected = {
       {"epochs_built", Json(static_cast<std::int64_t>(c.epochs_built))},
       {"repairs", Json(static_cast<std::int64_t>(c.repairs))},
       {"repair_fallbacks", Json(static_cast<std::int64_t>(c.repair_fallbacks))},
       {"last_rebuild_ms", Json(c.last_rebuild_ms)},
       {"last_repair_ms", Json(c.last_repair_ms)},
+      {"cache_hits", Json(static_cast<std::int64_t>(c.cache_hits))},
+      {"shm_published", Json(static_cast<std::int64_t>(c.shm_published))},
+      {"shm_publish_failures",
+       Json(static_cast<std::int64_t>(c.shm_publish_failures))},
   };
-  EXPECT_TRUE(JsonObject(first, first + 5) == expected)
-      << Json(JsonObject(first, first + 5)).dump();
+  const auto block = static_cast<std::ptrdiff_t>(expected.size());
+  ASSERT_GE(fields.end() - first, block);
+  EXPECT_EQ((first - 1)->first, "protocol_errors");
+  EXPECT_TRUE(JsonObject(first, first + block) == expected)
+      << Json(JsonObject(first, first + block)).dump();
 }
 
 class RouteServerTest : public ::testing::Test {
@@ -222,6 +231,35 @@ TEST_F(RouteServerTest, HealthzAndStatsAnswerInline) {
                       "  \"last_repair_ms\": 0.0"),
             std::string::npos)
       << body;
+}
+
+// The cache and shared-memory counters reach /stats (and so the daemon's
+// exit report): a warm start from the snapshot cache is one cache hit, and
+// an object name shm_open rejects (longer than NAME_MAX) is one failed
+// publish while the epoch still serves.
+TEST(RouteServerStats, ReportsCacheHitsAndShmPublishes) {
+  constexpr NodeId kNodes = 40;
+  const std::string cache_dir = ::testing::TempDir() + "rtr_route_stats_cache";
+  (void)std::remove((cache_dir + "/stretch6_epoch0.rtrsnap").c_str());
+  ASSERT_TRUE(::mkdir(cache_dir.c_str(), 0755) == 0 || errno == EEXIST);
+  EpochManagerOptions opts;
+  opts.cache_dir = cache_dir;
+  const NameAssignment names = small_names(kNodes, 61);
+  { EpochManager cold("stretch6", names, small_graph(kNodes, 62), opts); }
+
+  opts.shm_prefix = std::string(300, 'x');
+  EpochManager manager("stretch6", names, small_graph(kNodes, 62), opts);
+  ManagerServingSource source(manager);
+  RouteServer server(source);
+  const EpochManager::Counters counters = manager.counters();
+  EXPECT_EQ(counters.cache_hits, 1u);
+  EXPECT_EQ(counters.shm_published, 0u);
+  EXPECT_EQ(counters.shm_publish_failures, 1u);
+  const Json stats = server.stats_json();
+  expect_epoch_counter_block(stats, counters);
+  EXPECT_EQ(stats.at("cache_hits").as_int(), 1);
+  EXPECT_EQ(stats.at("shm_publish_failures").as_int(), 1);
+  server.stop();
 }
 
 TEST_F(RouteServerTest, UnknownNameIs400InvalidName) {

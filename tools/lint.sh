@@ -71,6 +71,20 @@ dense_tree=$(grep -rnE 'dijkstra_(out|in)_tree_within' \
 report "dense masked tree outside graph/dijkstra and rt/metric (test oracles)" \
   "$dense_tree"
 
+# --- rule: no n x n matrix on build paths ----------------------------------
+# The APSP matrix is n^2 8-byte distances (134 MB at n = 4096).  Only
+# rt/metric.cpp builds it: for MetricMode::kDense, and in whole_levels() for
+# the cover schemes under kAuto.  graph/apsp.* defines it; rt/metric.h
+# declares DenseRoundtripMetric.  spanner/roundtrip_spanner.cpp runs APSP on
+# its extracted subgraph to measure stretch; only benches and tests call it.
+# Every other builder reads the metric's rows, balls and nearest sweeps.
+dense_matrix=$(grep -rnE 'all_pairs_shortest_paths\(|DenseRoundtripMetric[[:space:]]*[({]|<(const[[:space:]]+)?DenseRoundtripMetric>|DenseRoundtripMetric[[:space:]]+[A-Za-z_][A-Za-z_0-9]*[[:space:]]*[({]' \
+  src --include='*.cpp' --include='*.h' 2>/dev/null |
+  grep -vE '^(src/rt/metric\.(h|cpp)|src/graph/apsp\.(h|cpp)|src/spanner/roundtrip_spanner\.cpp):' |
+  grep -vE '//.*(all_pairs_shortest_paths|DenseRoundtripMetric)')
+report "APSP matrix outside rt/metric, graph/apsp and the spanner check" \
+  "$dense_matrix"
+
 # --- rule: src/util headers are self-contained -----------------------------
 # Every utility header must compile on its own (no hidden include-order
 # dependencies); gate on a C++ compiler being present so the script also
