@@ -12,6 +12,10 @@
 #include <stdexcept>
 #include <thread>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "core/names.h"
 #include "graph/apsp.h"
 #include "graph/churn.h"
@@ -176,7 +180,7 @@ std::vector<std::string> resolve_schemes(const BenchConfig& config) {
 /// Everything shared by the cells of one (family, n) instance.
 struct Instance {
   std::shared_ptr<const Digraph> graph;
-  std::shared_ptr<const RoundtripMetric> metric;
+  std::shared_ptr<const RoundtripMetric> metric;  // kDense only
   NameAssignment names = NameAssignment::identity(0);
   double apsp_ms = 0;
 };
@@ -191,13 +195,15 @@ Instance build_instance(Family family, NodeId n, Weight max_weight,
   builder.assign_adversarial_ports(rng);
   inst.names = NameAssignment::random(builder.node_count(), rng);
   inst.graph = std::make_shared<const Digraph>(builder.freeze());
-  const auto t0 = Clock::now();
-  // Only kDense builds the matrix here.  kAuto and kSparse cost a graph
-  // reversal and an SCC check; rows fill lazily during scheme builds, and
-  // under kAuto the first cover scheme built on the instance pays the
-  // matrix inside its build_ms (the later ones reuse it).
-  inst.metric = make_roundtrip_metric(inst.graph, metric_mode, threads);
-  inst.apsp_ms = ms_since(t0);
+  // Only kDense's matrix is built once here and shared by every cell: it is
+  // immutable.  kAuto and kSparse rows (and kAuto's whole-level matrix) fill
+  // during a scheme build, so a shared one would let a cell's build_ms reuse
+  // what earlier cells grew; run_cell makes each cell its own instead.
+  if (metric_mode == MetricMode::kDense) {
+    const auto t0 = Clock::now();
+    inst.metric = make_roundtrip_metric(inst.graph, metric_mode, threads);
+    inst.apsp_ms = ms_since(t0);
+  }
   return inst;
 }
 
@@ -216,13 +222,26 @@ CellResult run_cell(const Instance& inst, const std::string& scheme_name,
   cell.family = family_name(family);
   cell.n = inst.graph->node_count();
   cell.apsp_ms = inst.apsp_ms;
+  std::shared_ptr<const RoundtripMetric> metric = inst.metric;
+  if (metric == nullptr) {
+    // A fresh sparse metric costs O(m): one reversal and one SCC check.
+    const auto t0 = Clock::now();
+    metric = make_roundtrip_metric(inst.graph, config.metric_mode,
+                                   config.threads);
+    cell.apsp_ms = ms_since(t0);
+  }
 
   BuildContext ctx = BuildContext::wrap(
-      inst.graph, inst.metric, inst.names,
+      inst.graph, metric, inst.names,
       config.seed + static_cast<std::uint64_t>(n),
       {{"threads", std::to_string(config.threads)}});
 
   // --- construction phase -------------------------------------------------
+#ifdef __GLIBC__
+  // Hand the pages earlier cells freed back first: the reset sets the
+  // watermark to the current RSS, which would otherwise include them.
+  malloc_trim(0);
+#endif
   const bool peak_armed = reset_peak_rss();
   const std::int64_t rss_before = current_rss_kb();
   const auto build_t0 = Clock::now();
@@ -251,7 +270,7 @@ CellResult run_cell(const Instance& inst, const std::string& scheme_name,
   const TimedPhase query = run_timed(
       config.iterations, [&] { (void)engine.run_batch(pairs); });
   const StretchReport report =
-      QueryEngine(inst.graph, inst.metric, inst.names, scheme, opts)
+      QueryEngine(inst.graph, metric, inst.names, scheme, opts)
           .run_batch(pairs);
   cell.query_reps = query.reps;
   cell.query_steady = query.steady;

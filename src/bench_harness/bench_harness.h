@@ -126,7 +126,7 @@ struct CellResult {
   NodeId n = 0;
 
   // Timings (not deterministic).
-  double apsp_ms = 0;            ///< metric/APSP build, shared per instance
+  double apsp_ms = 0;  ///< metric build: per instance (dense), per cell else
   double build_ms = 0;           ///< scheme construction
   double snapshot_load_ms = -1;  ///< rebuild-from-snapshot; -1 when skipped
   /// Zero-copy mmap of the same v2 snapshot (open + header/directory check +

@@ -12,31 +12,23 @@ namespace {
 
 using QueueItem = std::pair<Dist, NodeId>;  // (distance, node), min-heap
 
-// Core Dijkstra over the subgraph induced by `mask` (nullptr = whole graph).
-// Fills dist (and, when kWithParents, parent/parent_port) relative to `g`, so
-// for in-trees the caller passes the reversed graph and reinterprets parents
-// as next hops.
-//
-// The heap lives in a caller-owned buffer driven with std::push_heap /
-// std::pop_heap -- exactly the algorithms std::priority_queue is specified
-// in terms of, so pop order (and therefore every tie-break) is bit-identical
-// to the seed implementation while the buffer's capacity survives across
-// runs.  Distance-only runs (kWithParents = false) skip the parent arrays
-// entirely: two fewer O(n) fills per run and one fewer store per relaxation.
-template <bool kWithParents>
-void run_core(const Digraph& g, NodeId src, const std::vector<char>* mask,
-              std::span<Dist> dist, std::vector<NodeId>* parent,
-              std::vector<Port>* parent_port, std::vector<QueueItem>& heap) {
-  const auto n = static_cast<std::size_t>(g.node_count());
-  std::fill(dist.begin(), dist.end(), kInfDist);
-  if constexpr (kWithParents) {
-    parent->assign(n, kNoNode);
-    parent_port->assign(n, kNoPort);
-  }
-  if (mask != nullptr && !(*mask)[static_cast<std::size_t>(src)]) {
+// The binary-heap tree over the subgraph induced by `mask`: dist, parent and
+// parent_port relative to `g`, so for in-trees the caller passes the reversed
+// graph and reads parents as next hops.  The heap pops equal keys in
+// ascending node id, which fixes every tie-break; these masked runs are the
+// oracle the whole-graph trees' canonical parents are tested against.
+void heap_tree_within(const Digraph& g, NodeId src,
+                      const std::vector<char>& mask, std::vector<Dist>& dist,
+                      std::vector<NodeId>& parent,
+                      std::vector<Port>& parent_port) {
+  if (!mask[static_cast<std::size_t>(src)]) {
     throw std::invalid_argument("dijkstra: source not in member mask");
   }
-  heap.clear();
+  const auto n = static_cast<std::size_t>(g.node_count());
+  dist.assign(n, kInfDist);
+  parent.assign(n, kNoNode);
+  parent_port.assign(n, kNoPort);
+  std::vector<QueueItem> heap;
   dist[static_cast<std::size_t>(src)] = 0;
   heap.emplace_back(0, src);
   while (!heap.empty()) {
@@ -45,29 +37,18 @@ void run_core(const Digraph& g, NodeId src, const std::vector<char>* mask,
     heap.pop_back();
     if (d != dist[static_cast<std::size_t>(u)]) continue;  // stale entry
     for (const Edge& e : g.out_edges(u)) {
-      if (mask != nullptr && !(*mask)[static_cast<std::size_t>(e.to)]) continue;
-      const Dist nd = d + e.weight;
       const auto to = static_cast<std::size_t>(e.to);
+      if (!mask[to]) continue;
+      const Dist nd = d + e.weight;
       if (nd < dist[to]) {
         dist[to] = nd;
-        if constexpr (kWithParents) {
-          (*parent)[to] = u;
-          (*parent_port)[to] = e.port;
-        }
+        parent[to] = u;
+        parent_port[to] = e.port;
         heap.emplace_back(nd, e.to);
         std::push_heap(heap.begin(), heap.end(), std::greater<>{});
       }
     }
   }
-}
-
-// Tree-shaped run into the tree's own arrays (they must outlive the
-// workspace), reusing only the heap buffer.
-void run_tree(const Digraph& g, NodeId src, const std::vector<char>* mask,
-              std::vector<Dist>& dist, std::vector<NodeId>& parent,
-              std::vector<Port>& parent_port, DijkstraWorkspace& ws) {
-  dist.resize(static_cast<std::size_t>(g.node_count()));
-  run_core<true>(g, src, mask, dist, &parent, &parent_port, ws.heap);
 }
 
 // Sparse reset: only slots dirtied by the previous run are re-infinitized,
@@ -89,6 +70,15 @@ void reset_bounded(const Digraph& g, NodeId src, BoundedDijkstraWorkspace& ws,
   ws.heap.emplace_back(0, src);
 }
 
+// Lowers y's tentative distance to nd (< its current one) and queues it.
+void push_bounded(BoundedDijkstraWorkspace& ws, NodeId y, Dist nd) {
+  const auto yz = static_cast<std::size_t>(y);
+  if (ws.dist[yz] == kInfDist) ws.touched.push_back(y);
+  ws.dist[yz] = nd;
+  ws.heap.emplace_back(nd, y);
+  std::push_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
+}
+
 // Relaxes u's out-arcs (settled at distance d) into the bounded workspace,
 // skipping any tentative distance past `limit`.
 void relax_bounded(const Digraph& g, NodeId u, Dist d, Dist limit,
@@ -97,12 +87,8 @@ void relax_bounded(const Digraph& g, NodeId u, Dist d, Dist limit,
   for (std::int64_t i = g.arcs_begin(u); i < end; ++i) {
     const Dist nd = d + g.arc_weight(i);
     if (nd > limit) continue;  // the frontier stops at the radius
-    const auto to = static_cast<std::size_t>(g.arc_head(i));
-    if (nd < ws.dist[to]) {
-      if (ws.dist[to] == kInfDist) ws.touched.push_back(g.arc_head(i));
-      ws.dist[to] = nd;
-      ws.heap.emplace_back(nd, g.arc_head(i));
-      std::push_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
+    if (nd < ws.dist[static_cast<std::size_t>(g.arc_head(i))]) {
+      push_bounded(ws, g.arc_head(i), nd);
     }
   }
 }
@@ -154,6 +140,27 @@ struct RoundtripSide {
   std::vector<std::uint64_t>* mark = nullptr;
 };
 
+// Relaxes u's arcs on side s (u settled there at distance d), queueing a
+// neighbour y only while nd + LB(y) <= budget, where LB(y) is o's exact
+// distance once o has settled y and o's frontier key otherwise.  A member
+// is never cut: its tight arc carries its exact distance and LB never
+// exceeds its true distance on the other side.
+void relax_roundtrip(const RoundtripSide& s, const RoundtripSide& o, NodeId u,
+                     Dist d, Dist budget, Dist other_frontier,
+                     std::uint64_t epoch) {
+  const Digraph& g = *s.graph;
+  const std::int64_t end = g.arcs_end(u);
+  for (std::int64_t i = g.arcs_begin(u); i < end; ++i) {
+    const Dist nd = d + g.arc_weight(i);
+    const NodeId y = g.arc_head(i);
+    const auto yz = static_cast<std::size_t>(y);
+    if (nd >= s.ws->dist[yz]) continue;
+    const Dist lb = (*o.mark)[yz] == epoch ? o.ws->dist[yz] : other_frontier;
+    if (lb > budget - nd) continue;  // y cannot be a member via this arc
+    push_bounded(*s.ws, y, nd);
+  }
+}
+
 // Smallest valid heap key of a side, discarding stale tops (a stale top is
 // always an already-settled node: any superseded entry has a smaller live
 // twin below it, so the minimum is never superseded-stale).
@@ -201,6 +208,7 @@ bool roundtrip_ball_bounded(const Digraph& g, const Digraph& reversed,
     const int side = kf <= kr ? 0 : 1;
     RoundtripSide& s = sides[side];
     RoundtripSide& o = sides[1 - side];
+    const Dist other_frontier = side == 0 ? kr : kf;
     auto& heap = s.ws->heap;
     std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
     const auto [d, u] = heap.back();
@@ -219,13 +227,12 @@ bool roundtrip_ball_bounded(const Digraph& g, const Digraph& reversed,
       // aborting here caps an overshooting probe at O(cap) confirmations
       // instead of walking the whole oversize ball.
       if (member_cap >= 0 && ++members > member_cap) return false;
-    } else {
+    } else if (other_frontier > budget - d) {
       // Unsettled in the other direction means its distance there is at
       // least that frontier key, so this test can only cull non-members.
-      const Dist other_lb = side == 0 ? kr : kf;
-      if (other_lb > budget - d) continue;
+      continue;
     }
-    relax_bounded(*s.graph, u, d, budget, *s.ws);
+    relax_roundtrip(s, o, u, d, budget, other_frontier, epoch);
   }
   return true;
 }
@@ -374,71 +381,96 @@ OutTree dijkstra_out_tree(const Digraph& g, NodeId root) {
   return dijkstra_out_tree(g, root, ws);
 }
 
+// Whole-graph trees take their distances from the distance kernel and then
+// give every reachable non-root node, in one O(m) pass, the tight neighbour
+// smallest in (dist, id).  That is the binary-heap tree's own choice:
+// weights are >= 1, so every node at distance D is queued before the first
+// pop at D, and equal keys pop in ascending node id; valid pops therefore
+// come in ascending (dist, id) order and the first tight relaxation wins.
 OutTree dijkstra_out_tree(const Digraph& g, NodeId root, DijkstraWorkspace& ws) {
+  const auto n = static_cast<std::size_t>(g.node_count());
   OutTree t;
   t.root = root;
-  run_tree(g, root, nullptr, t.dist, t.parent, t.parent_port, ws);
-  return t;
-}
-
-OutTree dijkstra_out_tree_within(const Digraph& g, NodeId root,
-                                 const std::vector<char>& member_mask) {
-  DijkstraWorkspace ws;
-  OutTree t;
-  t.root = root;
-  run_tree(g, root, &member_mask, t.dist, t.parent, t.parent_port, ws);
-  return t;
-}
-
-namespace {
-
-// Builds an InTree from a Dijkstra run on the reversed graph.  The reversed
-// run's parent[v] is the next hop of v toward the root in the original graph;
-// the port must be looked up in the *original* graph because ports are
-// per-tail-node and the reversal has fresh ports.
-InTree in_tree_from_reversed_run(const Digraph& g, NodeId root,
-                                 std::vector<Dist> dist,
-                                 std::vector<NodeId> parent) {
-  InTree t;
-  t.root = root;
-  t.dist = std::move(dist);
-  t.next = std::move(parent);
-  t.next_port.assign(t.next.size(), kNoPort);
-  for (std::size_t v = 0; v < t.next.size(); ++v) {
-    if (t.next[v] != kNoNode) {
-      // Any minimum-weight parallel edge v -> next[v] is fine; Digraph
-      // forbids parallel edges so the lookup is unambiguous.
-      t.next_port[v] = g.port_of_edge(static_cast<NodeId>(v), t.next[v]);
+  t.dist.resize(n);
+  dijkstra_distances_into(g, root, ws, t.dist);
+  t.parent.assign(n, kNoNode);
+  t.parent_port.assign(n, kNoPort);
+  // Tails ascend, so the first tight tail seen for a head is the smallest
+  // id at its distance; only a strictly closer tail replaces it.
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    const Dist du = t.dist[static_cast<std::size_t>(u)];
+    if (du >= kInfDist) continue;
+    for (const Edge& e : g.out_edges(u)) {
+      const auto v = static_cast<std::size_t>(e.to);
+      if (du + e.weight != t.dist[v]) continue;
+      const NodeId p = t.parent[v];
+      if (p == kNoNode || du < t.dist[static_cast<std::size_t>(p)]) {
+        t.parent[v] = u;
+        t.parent_port[v] = e.port;
+      }
     }
   }
   return t;
 }
 
-InTree in_tree_run(const Digraph& g, const Digraph& reversed, NodeId root,
-                   const std::vector<char>* mask, DijkstraWorkspace& ws) {
-  std::vector<Dist> dist(static_cast<std::size_t>(reversed.node_count()));
-  std::vector<NodeId> parent;
-  std::vector<Port> port_unused;
-  run_core<true>(reversed, root, mask, dist, &parent, &port_unused, ws.heap);
-  return in_tree_from_reversed_run(g, root, std::move(dist), std::move(parent));
+OutTree dijkstra_out_tree_within(const Digraph& g, NodeId root,
+                                 const std::vector<char>& member_mask) {
+  OutTree t;
+  t.root = root;
+  heap_tree_within(g, root, member_mask, t.dist, t.parent, t.parent_port);
+  return t;
 }
-
-}  // namespace
 
 InTree dijkstra_in_tree(const Digraph& g, const Digraph& reversed, NodeId root) {
   DijkstraWorkspace ws;
-  return in_tree_run(g, reversed, root, nullptr, ws);
+  return dijkstra_in_tree(g, reversed, root, ws);
 }
 
 InTree dijkstra_in_tree(const Digraph& g, const Digraph& reversed, NodeId root,
                         DijkstraWorkspace& ws) {
-  return in_tree_run(g, reversed, root, nullptr, ws);
+  const auto n = static_cast<std::size_t>(g.node_count());
+  InTree t;
+  t.root = root;
+  t.dist.resize(n);
+  dijkstra_distances_into(reversed, root, ws, t.dist);
+  t.next.assign(n, kNoNode);
+  t.next_port.assign(n, kNoPort);
+  // The reversed run's tight predecessors are v's tight forward arcs, so the
+  // port comes straight from the arc (see dijkstra_out_tree for the rule).
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const Dist dv = t.dist[static_cast<std::size_t>(v)];
+    if (dv >= kInfDist) continue;
+    Dist best = kInfDist;
+    for (const Edge& e : g.out_edges(v)) {
+      const Dist dx = t.dist[static_cast<std::size_t>(e.to)];
+      if (dx + e.weight != dv) continue;
+      NodeId& next = t.next[static_cast<std::size_t>(v)];
+      if (dx < best || (dx == best && e.to < next)) {
+        best = dx;
+        next = e.to;
+        t.next_port[static_cast<std::size_t>(v)] = e.port;
+      }
+    }
+  }
+  return t;
 }
 
+// The masked in-tree runs on the reversed graph; its parent[v] is v's next
+// hop toward the root in the original graph, whose port must be looked up
+// there because the reversal has fresh ports.
 InTree dijkstra_in_tree_within(const Digraph& g, const Digraph& reversed,
                                NodeId root, const std::vector<char>& member_mask) {
-  DijkstraWorkspace ws;
-  return in_tree_run(g, reversed, root, &member_mask, ws);
+  InTree t;
+  t.root = root;
+  std::vector<Port> reversed_port;
+  heap_tree_within(reversed, root, member_mask, t.dist, t.next, reversed_port);
+  t.next_port.assign(t.next.size(), kNoPort);
+  for (std::size_t v = 0; v < t.next.size(); ++v) {
+    if (t.next[v] != kNoNode) {
+      t.next_port[v] = g.port_of_edge(static_cast<NodeId>(v), t.next[v]);
+    }
+  }
+  return t;
 }
 
 std::optional<std::vector<NodeId>> out_tree_path(const OutTree& t, NodeId v) {

@@ -7,13 +7,19 @@
 //  * InTree   -- shortest paths *to* the root: for each node, the next hop
 //    (and its port) on a shortest path toward the root.  This is InTree(C).
 //
+// Both trees are canonical: a node's parent (next hop) is its tight
+// neighbour smallest in (dist, id), exactly what a binary-heap Dijkstra that
+// pops equal keys in ascending id records.  Whole-graph trees get there
+// without the heap: distances from the distance kernel, then one O(m) pass.
+//
 // Restricted variants compute the same trees inside the subgraph induced by a
-// member mask, over n-length arrays; they are the dense oracles that the
-// member-local double trees (cover/double_tree.h) are tested against.
+// member mask, over n-length arrays, with the binary heap itself; they are
+// the dense oracles that the member-local double trees (cover/double_tree.h)
+// and the whole-graph trees are tested against.
 //
 // Repeated-run callers (APSP is n runs, rtz3's center phase two per
-// center) pass a DijkstraWorkspace so the distance array and the binary-heap
-// buffer are allocated once and reused: after the first run the hot loop
+// center) pass a DijkstraWorkspace so the distance array and the queue
+// buffers are allocated once and reused: after the first run the hot loop
 // performs no heap allocation at all.  The workspace-free overloads remain
 // for one-shot callers.  dijkstra_distances_reference() is the test oracle
 // (std::priority_queue, fresh buffers per call) the arena is tested
@@ -127,11 +133,14 @@ struct RoundtripBallWorkspace {
 /// node's out-edges are only relaxed while d_out(x) + LB(d_in(x)) <= budget,
 /// where LB is the exact distance once x is settled backward and the
 /// backward frontier key otherwise (sound: Dijkstra settles in ascending
-/// order).  Roundtrip balls are closed under shortest-path prefixes --
-/// every node on a shortest v->w or w->v path of a member w is itself a
-/// member -- so pruned nodes can never sit on a member's shortest path and
-/// member distances stay exact.  Exploration is proportional to the
-/// half-radius one-directional balls, not the full-radius ones.
+/// order).  The same rule prunes at push time: a neighbour y reached at
+/// tentative distance nd is queued only while nd + LB(y) <= budget, with
+/// LB(y) taken from the other direction in the same way.  Roundtrip balls
+/// are closed under shortest-path prefixes -- every node on a shortest v->w
+/// or w->v path of a member w is itself a member -- so pruned nodes can
+/// never sit on a member's shortest path and member distances stay exact.
+/// Exploration is proportional to the half-radius one-directional balls, not
+/// the full-radius ones, and the touched lists hold little beyond them.
 bool roundtrip_ball_bounded(const Digraph& g, const Digraph& reversed,
                             NodeId src, Dist budget,
                             RoundtripBallWorkspace& ws,
@@ -159,7 +168,12 @@ void dijkstra_distances_into(const Digraph& g, NodeId src, DijkstraWorkspace& ws
 [[nodiscard]] std::vector<Dist> dijkstra_distances_reference(const Digraph& g,
                                                              NodeId src);
 
-/// Out-tree of shortest paths from root over the whole graph.
+/// Out-tree of shortest paths from root over the whole graph.  parent[v] is
+/// the tight in-neighbour u (dist[u] + w(u,v) == dist[v]) smallest in
+/// (dist[u], u); the in-tree's next[v] is the tight out-neighbour x smallest
+/// in (dist[x], x), its port taken from the arc v -> x.  Distances come from
+/// dijkstra_distances_into (Dial where eligible), so a tree costs a distance
+/// run plus one pass over the arcs.
 [[nodiscard]] OutTree dijkstra_out_tree(const Digraph& g, NodeId root);
 [[nodiscard]] OutTree dijkstra_out_tree(const Digraph& g, NodeId root,
                                         DijkstraWorkspace& ws);

@@ -23,7 +23,8 @@
 //     full build), two budget-bounded multi-source Dijkstras per graph
 //     (the ball oracle), one member-local double tree per DIRTY ball, and
 //     the global center phase recomputed outright (center trees span the
-//     whole graph, so genuine topology churn almost always touches them).
+//     whole graph, so genuine topology churn almost always touches them;
+//     84-111 ms at random n = 4096 on 2 workers).
 //     The saving over a full build is skipping clean balls' trees and
 //     never running the dense APSP (callers hand in a lazy sparse metric).
 //

@@ -15,6 +15,11 @@
 //     (cover/double_tree.h): O(|Ball(v)|) words, built in a per-worker
 //     workspace without allocating or clearing anything of size n.
 //
+// Build cost on perfbench's net-serve instance (random n = 4096, weights
+// <= 8; 2 workers on a 2.1 GHz Xeon; RTR_RTZ_PHASE_DEBUG, 15 builds): ball
+// system (|A| nearest-center sweeps plus one pruned roundtrip ball search
+// per node) 161-199 ms, center trees 84-111 ms, ball trees 36-47 ms.
+//
 // Address (the paper's R3(v)): v's name, its nearest center a_v, and v's
 // Lemma 14 label in OutTree(a_v) -- O(log^2 n) bits.
 //
@@ -129,9 +134,11 @@ class Rtz3Scheme {
   /// recomputes only the balls whose radius the churn can reach (certified
   /// by the rt/repair_oracle.h dirtiness oracle) and splices every other
   /// ball row, label, table, and up-port verbatim from `old_scheme`.  The
-  /// global center phase is always recomputed (2|A| SSSPs, cheap next to the
-  /// per-node ball work).  The caller must keep `new_graph` alive for the
-  /// scheme's lifetime, exactly as with the build constructor.
+  /// global center phase is always recomputed: 2|A| whole-graph trees, each
+  /// a distance run plus one O(m) parent pass (84-111 ms at random n = 4096
+  /// on 2 workers, against 161-199 ms for a full build's ball system).  The
+  /// caller must keep `new_graph` alive for the scheme's lifetime, exactly
+  /// as with the build constructor.
   ///
   /// Returns nullptr whenever bitwise equivalence with the from-scratch
   /// build cannot be certified cheaply: greedy centers, a resampled old

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "graph/apsp.h"
 #include "graph/dijkstra.h"
@@ -274,8 +276,9 @@ TEST(Dijkstra, DialBudgetFallsBackOnWideWeightHighDiameterGraphs) {
 }
 
 TEST(Dijkstra, WorkspaceTreesMatchTheSeedTreeShapes) {
-  // Tree runs share the workspace heap buffer but must keep the seed's exact
-  // tie-breaks (parents included), since routing tables are built from them.
+  // Tree runs reuse the workspace's queue buffers but must keep the seed's
+  // exact tie-breaks (parents included), since routing tables are built from
+  // them.
   Rng rng(11);
   GraphBuilder b = random_strongly_connected(80, 3.0, 7, rng);
   b.assign_adversarial_ports(rng);
@@ -293,6 +296,81 @@ TEST(Dijkstra, WorkspaceTreesMatchTheSeedTreeShapes) {
     EXPECT_EQ(ws_in.dist, fresh_in.dist);
     EXPECT_EQ(ws_in.next, fresh_in.next);
     EXPECT_EQ(ws_in.next_port, fresh_in.next_port);
+  }
+}
+
+// Whole-graph trees are distances plus one canonical-parent pass; the masked
+// runs keep the binary heap, so under an all-members mask they are the heap
+// trees the pass must reproduce: distances, parents/next hops and ports.
+void expect_trees_match_heap(const Digraph& g, const Digraph& rev, NodeId root,
+                             DijkstraWorkspace& ws, const std::string& what) {
+  const std::vector<char> all(static_cast<std::size_t>(g.node_count()), 1);
+  const OutTree heap_out = dijkstra_out_tree_within(g, root, all);
+  const OutTree out = dijkstra_out_tree(g, root, ws);
+  EXPECT_EQ(out.dist, heap_out.dist) << what << " root=" << root;
+  EXPECT_EQ(out.parent, heap_out.parent) << what << " root=" << root;
+  EXPECT_EQ(out.parent_port, heap_out.parent_port) << what << " root=" << root;
+  const InTree heap_in = dijkstra_in_tree_within(g, rev, root, all);
+  const InTree in = dijkstra_in_tree(g, rev, root, ws);
+  EXPECT_EQ(in.dist, heap_in.dist) << what << " root=" << root;
+  EXPECT_EQ(in.next, heap_in.next) << what << " root=" << root;
+  EXPECT_EQ(in.next_port, heap_in.next_port) << what << " root=" << root;
+}
+
+TEST(Dijkstra, WholeGraphTreesMatchTheHeapTreesOnAllFamilies) {
+  // Unit weights make distance ties (and so the id tie-break) the rule.
+  for (const Weight max_weight : {Weight{1}, Weight{9}}) {
+    for (const Family family : all_families()) {
+      Rng rng(61 + static_cast<std::uint64_t>(family));
+      GraphBuilder b = make_family(family, 96, max_weight, rng);
+      b.assign_adversarial_ports(rng);
+      const Digraph g = b.freeze();
+      const Digraph rev = g.reversed();
+      DijkstraWorkspace ws;
+      for (NodeId root = 0; root < g.node_count(); ++root) {
+        expect_trees_match_heap(
+            g, rev, root, ws,
+            family_name(family) + " w<=" + std::to_string(max_weight));
+      }
+    }
+  }
+}
+
+TEST(Dijkstra, WholeGraphTreesMatchTheHeapTreesWhereDistancesUseTheHeap) {
+  // Weights past the Dial cap, and the wide-weight ring whose scan budget
+  // fails: the distance kernel takes its binary-heap branch on both.  The
+  // heavy weights are 100 or 200, so distances tie as often as with weights
+  // 1 and 2.
+  Rng rng(5);
+  const Digraph light = random_strongly_connected(96, 3.0, 2, rng).freeze();
+  GraphBuilder heavy(light.node_count());
+  for (NodeId u = 0; u < light.node_count(); ++u) {
+    for (const Edge& e : light.out_edges(u)) {
+      heavy.add_edge(u, e.to, 100 * e.weight);
+    }
+  }
+  heavy.assign_adversarial_ports(rng);
+  const Digraph g = heavy.freeze();
+  ASSERT_GT(g.max_weight(), 64);
+  const Digraph rev = g.reversed();
+  DijkstraWorkspace ws;
+  for (NodeId root = 0; root < g.node_count(); ++root) {
+    expect_trees_match_heap(g, rev, root, ws, "max_weight > 64");
+  }
+  constexpr NodeId n = 20000;
+  GraphBuilder b(n);
+  Rng ring_rng(7);
+  for (NodeId v = 0; v < n; ++v) {
+    const auto w = static_cast<Weight>(1 + ring_rng.index(64));
+    b.add_edge(v, (v + 1) % n, w);
+    b.add_edge((v + 1) % n, v, w);
+  }
+  const Digraph ring = b.freeze();
+  ASSERT_GT(static_cast<std::int64_t>(ring.max_weight()) * n,
+            8 * (ring.edge_count() + static_cast<std::int64_t>(n)));
+  const Digraph ring_rev = ring.reversed();
+  for (const NodeId root : {NodeId{0}, NodeId{n / 2}, NodeId{n - 1}}) {
+    expect_trees_match_heap(ring, ring_rev, root, ws, "wide-weight ring");
   }
 }
 
