@@ -45,7 +45,7 @@ void BM_SparseCoverBuild(benchmark::State& state) {
   DenseRoundtripMetric metric(g);
   const Dist d = metric.rt_diameter() / 4;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(build_sparse_cover(metric, 3, d));
+    benchmark::DoNotOptimize(build_sparse_cover(roundtrip_balls(metric, d), 3));
   }
 }
 BENCHMARK(BM_SparseCoverBuild)->Arg(64)->Arg(128)->Arg(256);

@@ -31,7 +31,8 @@ void run() {
     const Dist diam = inst.metric->rt_diameter();
     for (double frac : {0.1, 0.3, 0.6}) {
       const Dist d = std::max<Dist>(1, static_cast<Dist>(frac * static_cast<double>(diam)));
-      SparseCoverResult cover = build_sparse_cover(*inst.metric, k, d);
+      SparseCoverResult cover =
+          build_sparse_cover(roundtrip_balls(*inst.metric, d), k);
 
       double worst_blowup = 0;
       bool coverage_ok = true;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
@@ -96,6 +97,34 @@ std::string host_cpu_model() {
     }
   }
   return "unknown";
+}
+
+std::string normalize_cpu_model(std::string_view model) {
+  // Whitespace runs collapse to one space, and the ends are trimmed.
+  std::string out;
+  for (const char c : model) {
+    if (std::isspace(static_cast<unsigned char>(c)) == 0) {
+      out.push_back(c);
+    } else if (!out.empty() && out.back() != ' ') {
+      out.push_back(' ');
+    }
+  }
+  if (!out.empty() && out.back() == ' ') out.pop_back();
+  // Then a trailing clock suffix: "@ 2.10GHz", "@2.10 GHz".
+  const auto at = out.rfind('@');
+  if (at != std::string::npos && out.ends_with("GHz")) {
+    std::string_view clock(out);
+    clock = clock.substr(at + 1, clock.size() - at - 4);
+    if (clock.starts_with(' ')) clock.remove_prefix(1);
+    if (clock.ends_with(' ')) clock.remove_suffix(1);
+    if (!clock.empty() && std::all_of(clock.begin(), clock.end(), [](char c) {
+          return std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '.';
+        })) {
+      out.erase(at);
+      if (!out.empty() && out.back() == ' ') out.pop_back();
+    }
+  }
+  return out;
 }
 
 std::int64_t current_rss_kb() {
@@ -785,7 +814,9 @@ std::vector<std::string> compare_to_baseline(const Json& baseline,
   };
   // Throughput is only comparable when BOTH the CPU model and the
   // configured thread count match (each fingerprint is skipped when either
-  // document predates its stamp).
+  // document predates its stamp).  Models compare normalised: the same part
+  // reports "... Processor @ 2.10GHz" on one kernel and "... Processor" on
+  // another.
   const auto host_of = [](const Json& doc) -> std::string {
     if (doc.has("host") && doc.at("host").has("cpu")) {
       return doc.at("host").at("cpu").as_string();
@@ -804,8 +835,9 @@ std::vector<std::string> compare_to_baseline(const Json& baseline,
   const std::string cur_host = host_of(current);
   const std::int64_t base_threads = threads_of(baseline);
   const std::int64_t cur_threads = threads_of(current);
-  const bool hosts_match =
-      base_host.empty() || cur_host.empty() || base_host == cur_host;
+  const bool hosts_match = base_host.empty() || cur_host.empty() ||
+                           normalize_cpu_model(base_host) ==
+                               normalize_cpu_model(cur_host);
   const bool threads_match = base_threads == cur_threads;
   const bool qps_comparable = hosts_match && threads_match;
   if (!qps_comparable && notes != nullptr) {

@@ -18,6 +18,7 @@
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/json.h"
@@ -80,6 +81,11 @@ TimedPhase run_timed(const IterationPolicy& policy,
 /// every document so the gate knows whether absolute-throughput comparisons
 /// are meaningful (see compare_to_baseline).
 [[nodiscard]] std::string host_cpu_model();
+
+/// A CPU model string as compare_to_baseline matches it: a trailing clock
+/// suffix ("@ 2.10GHz") is dropped, whitespace runs collapse to one space,
+/// and the ends are trimmed.
+[[nodiscard]] std::string normalize_cpu_model(std::string_view model);
 
 // ------------------------------------------------------------------ suite --
 

@@ -104,6 +104,7 @@ ExStretchScheme::ExStretchScheme(const Digraph& g, const RoundtripMetric& metric
   hierarchy_ =
       std::make_shared<const CoverHierarchy>(g, reversed, m, k, threads);
   cover_ = CoverTable(*hierarchy_);
+  m.prepare_all_pairs(threads);
   if (static_cast<std::int64_t>(k) * alphabet_.power(k) > INT32_MAX) {
     throw std::length_error("exstretch: dictionary keys exceed 32 bits");
   }

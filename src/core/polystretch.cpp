@@ -88,6 +88,7 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
   hierarchy_ =
       std::make_shared<const CoverHierarchy>(g, reversed, m, k, threads);
   cover_ = CoverTable(*hierarchy_);
+  m.prepare_all_pairs(threads);
   if (static_cast<std::int64_t>(k) * q > UINT16_MAX) {
     throw std::length_error("polystretch: dictionary keys exceed 16 bits");
   }

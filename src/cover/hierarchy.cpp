@@ -17,15 +17,15 @@ CoverHierarchy::CoverHierarchy(const Digraph& g, const Digraph& reversed,
     : k_(k) {
   if (k <= 1) throw std::invalid_argument("CoverHierarchy: k > 1");
   const int workers = resolve_apsp_threads(threads);
-  // The diameter, then a ball around every node at every radius up to it:
-  // the hierarchy reads whole levels of the metric.
-  const RoundtripMetric& m = metric.whole_levels();
-  const Dist diameter = m.rt_diameter();
-  for (Dist radius = 2; ; radius *= 2) {
-    SparseCoverResult cover = build_sparse_cover(m, k, radius);
+  // The hierarchy reads whole levels of the metric: one pass over its
+  // roundtrip rows yields the diameter and every level's seed balls.  The
+  // n^2-byte level table lives until the last level's cover is built.
+  const RoundtripBallLevels ball_levels(metric.whole_levels());
+  for (std::int32_t i = 0; i < ball_levels.level_count(); ++i) {
+    SparseCoverResult cover = build_sparse_cover(ball_levels.balls(i), k);
     HierarchyLevel level;
-    level.radius = radius;
-    level.home_of = cover.home_of;
+    level.radius = cover.d;
+    level.home_of = std::move(cover.home_of);
     // Per-cluster double trees are independent (each reads the graph, writes
     // its own slot), so they fan out, each worker with its own scratch; the
     // in-order move keeps level.trees identical to the serial build.
@@ -53,7 +53,6 @@ CoverHierarchy::CoverHierarchy(const Digraph& g, const Digraph& reversed,
       }
     }
     levels_.push_back(std::move(level));
-    if (radius >= diameter) break;
   }
 }
 

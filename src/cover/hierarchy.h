@@ -16,7 +16,8 @@
 // (see double_tree.h); each level adds O(n) words of per-node home and
 // trees_of lists, and each building worker one O(n) rank map per level.
 // So the whole hierarchy is O(memberships + levels * n), not
-// O(trees * n).
+// O(trees * n).  The build also holds one byte per node pair, each pair's
+// doubling level, until the last level's cover is built.
 #ifndef RTR_COVER_HIERARCHY_H
 #define RTR_COVER_HIERARCHY_H
 
@@ -45,7 +46,10 @@ struct HierarchyLevel {
 
 class CoverHierarchy {
  public:
-  /// Builds all levels.  k > 1; metric must come from (g's) APSP.  The
+  /// Builds all levels.  k > 1; metric must be g's roundtrip metric.  The
+  /// diameter and every level's seed balls come from one pass over
+  /// metric.whole_levels()'s roundtrip rows (RoundtripBallLevels, n^2 bytes,
+  /// freed when the constructor returns).  The
   /// per-cluster double trees of each level build in parallel over `threads`
   /// workers (<= 0 resolves the process default); the hierarchy is a pure
   /// function of (g, metric, k) for any thread count.

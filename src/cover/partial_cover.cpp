@@ -6,47 +6,59 @@
 
 namespace rtr {
 
-PartialCoverResult partial_cover(const std::vector<SeedCluster>& r_clusters,
+PartialCoverResult partial_cover(std::span<const NodeId> seeds,
+                                 const NodeSets& clusters,
+                                 const NodeSets& containing,
                                  const std::vector<char>& active, NodeId n,
                                  int k) {
   if (k <= 1) throw std::invalid_argument("partial_cover: k > 1 required");
-  for (const SeedCluster& c : r_clusters) {
-    for (NodeId v : c.members) {
-      if (v < 0 || v >= n) {
-        throw std::invalid_argument("partial_cover: member out of [0, n)");
-      }
+  const std::int32_t cluster_count = clusters.count();
+  if (seeds.size() != static_cast<std::size_t>(cluster_count) ||
+      active.size() != static_cast<std::size_t>(cluster_count)) {
+    throw std::invalid_argument(
+        "partial_cover: one seed and one active flag per cluster");
+  }
+  // An inverse index lists every membership once, under its node.
+  if (containing.count() != n ||
+      containing.members.size() != clusters.members.size()) {
+    throw std::invalid_argument(
+        "partial_cover: containing is not the clusters' inverse index");
+  }
+  for (NodeId v : clusters.members) {
+    if (v < 0 || v >= n) {
+      throw std::invalid_argument("partial_cover: member out of [0, n)");
+    }
+  }
+  for (std::int32_t c : containing.members) {
+    if (c < 0 || c >= cluster_count) {
+      throw std::invalid_argument("partial_cover: cluster id out of range");
     }
   }
   PartialCoverResult result;
-  const auto cluster_count = static_cast<std::int32_t>(r_clusters.size());
 
-  std::vector<char> is_active(active.begin(), active.end());
-  std::int64_t active_count = std::count(is_active.begin(), is_active.end(), char{1});
+  const std::int64_t active_count =
+      std::count(active.begin(), active.end(), char{1});
   if (active_count == 0) return result;
 
   // The growth threshold |R|^{1/k}: |R| is the size of the collection this
   // invocation received (the active set).
   const double r_pow = std::pow(static_cast<double>(active_count), 1.0 / k);
 
-  // node -> clusters active at entry that contain it (for incremental
-  // intersection); clusters a batch has taken are skipped, not erased.
-  std::vector<std::vector<std::int32_t>> clusters_at(static_cast<std::size_t>(n));
+  // A cluster is taken once a batch's Z holds it; clusters inactive at entry
+  // start taken, so growth through `containing` skips them too.
+  std::vector<char> taken(static_cast<std::size_t>(cluster_count));
   for (std::int32_t c = 0; c < cluster_count; ++c) {
-    if (!is_active[static_cast<std::size_t>(c)]) continue;
-    for (NodeId v : r_clusters[static_cast<std::size_t>(c)].members) {
-      clusters_at[static_cast<std::size_t>(v)].push_back(c);
-    }
+    taken[static_cast<std::size_t>(c)] =
+        active[static_cast<std::size_t>(c)] ? 0 : 1;
   }
-
   std::vector<char> node_in_z(static_cast<std::size_t>(n), 0);
-  std::vector<char> cluster_in_z(static_cast<std::size_t>(cluster_count), 0);
 
   std::int32_t next_seed_scan = 0;
   while (true) {
     // Select the lowest-index active cluster as S_0 (deterministic stand-in
     // for the paper's "arbitrary").
     while (next_seed_scan < cluster_count &&
-           !is_active[static_cast<std::size_t>(next_seed_scan)]) {
+           taken[static_cast<std::size_t>(next_seed_scan)]) {
       ++next_seed_scan;
     }
     if (next_seed_scan >= cluster_count) break;
@@ -55,10 +67,10 @@ PartialCoverResult partial_cover(const std::vector<SeedCluster>& r_clusters,
     // Z as cluster-index list + node set, grown incrementally.  `frontier`
     // holds nodes whose cluster lists have not been scanned yet.
     std::vector<std::int32_t> z_clusters{s0};
-    cluster_in_z[static_cast<std::size_t>(s0)] = 1;
+    taken[static_cast<std::size_t>(s0)] = 1;
     std::vector<NodeId> z_nodes;
     std::vector<NodeId> frontier;
-    for (NodeId v : r_clusters[static_cast<std::size_t>(s0)].members) {
+    for (NodeId v : clusters[s0]) {
       if (!node_in_z[static_cast<std::size_t>(v)]) {
         node_in_z[static_cast<std::size_t>(v)] = 1;
         z_nodes.push_back(v);
@@ -75,11 +87,11 @@ PartialCoverResult partial_cover(const std::vector<SeedCluster>& r_clusters,
       // Z <- clusters intersecting Y; grow node set accordingly.
       std::vector<NodeId> new_frontier;
       for (NodeId v : frontier) {
-        for (std::int32_t c : clusters_at[static_cast<std::size_t>(v)]) {
-          if (cluster_in_z[static_cast<std::size_t>(c)]) continue;
-          cluster_in_z[static_cast<std::size_t>(c)] = 1;
+        for (std::int32_t c : containing[v]) {
+          if (taken[static_cast<std::size_t>(c)]) continue;
+          taken[static_cast<std::size_t>(c)] = 1;
           z_clusters.push_back(c);
-          for (NodeId w : r_clusters[static_cast<std::size_t>(c)].members) {
+          for (NodeId w : clusters[c]) {
             if (!node_in_z[static_cast<std::size_t>(w)]) {
               node_in_z[static_cast<std::size_t>(w)] = 1;
               z_nodes.push_back(w);
@@ -97,7 +109,7 @@ PartialCoverResult partial_cover(const std::vector<SeedCluster>& r_clusters,
 
     // Emit Y = first y_cluster_count clusters of Z merged together.
     MergedCluster merged;
-    merged.center = r_clusters[static_cast<std::size_t>(s0)].seed;
+    merged.center = seeds[static_cast<std::size_t>(s0)];
     merged.members.assign(z_nodes.begin(),
                           z_nodes.begin() + static_cast<std::ptrdiff_t>(y_node_count));
     std::sort(merged.members.begin(), merged.members.end());
@@ -110,11 +122,8 @@ PartialCoverResult partial_cover(const std::vector<SeedCluster>& r_clusters,
     }
     result.merged.push_back(std::move(merged));
 
-    // U <- U \ Z.  The clusters stay listed in clusters_at: cluster_in_z is
-    // never reset, so the growth loop above skips every cluster a batch has
-    // taken.
-    for (std::int32_t c : z_clusters) is_active[static_cast<std::size_t>(c)] = 0;
-    // Reset the node markers touched by this batch.
+    // U <- U \ Z: every cluster of Z stays taken.  Reset the node markers
+    // touched by this batch.
     for (NodeId v : z_nodes) node_in_z[static_cast<std::size_t>(v)] = 0;
   }
   return result;

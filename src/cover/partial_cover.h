@@ -14,16 +14,29 @@
 #ifndef RTR_COVER_PARTIAL_COVER_H
 #define RTR_COVER_PARTIAL_COVER_H
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/types.h"
 
 namespace rtr {
 
-/// An input cluster: the ball N-hat^d(seed) in Theorem 10's instantiation.
-struct SeedCluster {
-  NodeId seed = kNoNode;
-  std::vector<NodeId> members;  // sorted ascending
+/// Sets of ids in CSR form: set i is members[offsets[i] .. offsets[i+1]),
+/// ascending.  Holds clusters (sets of nodes) and their inverse index (per
+/// node, the ids of the clusters containing it).
+struct NodeSets {
+  std::vector<std::int64_t> offsets{0};
+  std::vector<NodeId> members;
+
+  [[nodiscard]] std::int32_t count() const {
+    return static_cast<std::int32_t>(offsets.size() - 1);
+  }
+  [[nodiscard]] std::span<const NodeId> operator[](std::int32_t i) const {
+    const auto at = static_cast<std::size_t>(i);
+    return {members.data() + offsets[at],
+            static_cast<std::size_t>(offsets[at + 1] - offsets[at])};
+  }
 };
 
 /// A merged output cluster Y.  `center` is the seed of the first cluster
@@ -40,11 +53,17 @@ struct PartialCoverResult {
   std::vector<std::int32_t> consumed;  // Z \ Y: removed but not covered
 };
 
-/// Runs one PartialCover pass over the clusters flagged active.  n is the
-/// graph's node count; k the tradeoff parameter (> 1).
+/// Runs one PartialCover pass over the clusters flagged active.  Cluster c
+/// is clusters[c], grown around seeds[c].  `containing` is the inverse
+/// index: containing[v] lists, ascending, every cluster (active or not) with
+/// v as a member; the pass reads it instead of rebuilding it.  Roundtrip
+/// balls are symmetric (w in N-hat^d(v) iff v in N-hat^d(w)), so for the
+/// seed balls of Theorem 10 the clusters themselves are their own inverse
+/// index.  n is the graph's node count; k the tradeoff parameter (> 1).
 [[nodiscard]] PartialCoverResult partial_cover(
-    const std::vector<SeedCluster>& r_clusters, const std::vector<char>& active,
-    NodeId n, int k);
+    std::span<const NodeId> seeds, const NodeSets& clusters,
+    const NodeSets& containing, const std::vector<char>& active, NodeId n,
+    int k);
 
 }  // namespace rtr
 

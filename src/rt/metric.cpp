@@ -44,6 +44,14 @@ void RoundtripMetric::nearest_all(const std::vector<NodeId>& candidates,
   });
 }
 
+Dist RoundtripMetric::rt_diameter() const {
+  Dist mx = 0;
+  for_each_roundtrip_row([&](NodeId, std::span<const Dist> row) {
+    for (const Dist r : row) mx = std::max(mx, r);
+  });
+  return mx;
+}
+
 // ---------------------------------------------------- DenseRoundtripMetric --
 
 DenseRoundtripMetric::DenseRoundtripMetric(const Digraph& g)
@@ -96,12 +104,26 @@ Dist DenseRoundtripMetric::rt_radius_from(NodeId v) const {
   return mx;
 }
 
-Dist DenseRoundtripMetric::rt_diameter() const {
-  Dist mx = 0;
-  for (NodeId v = 0; v < node_count(); ++v) {
-    for (NodeId u = v + 1; u < node_count(); ++u) mx = std::max(mx, r(v, u));
+void DenseRoundtripMetric::for_each_roundtrip_row(
+    const RowVisitor& visit) const {
+  const NodeId n = node_count();
+  const auto nz = static_cast<std::size_t>(n);
+  std::vector<Dist> tile(static_cast<std::size_t>(kRowTile) * nz);
+  for (NodeId v0 = 0; v0 < n; v0 += kRowTile) {
+    const auto rows = static_cast<std::size_t>(std::min(kRowTile, n - v0));
+    for (NodeId u = 0; u < n; ++u) {
+      const auto uz = static_cast<std::size_t>(u);
+      const Dist* to_tile = d_.row(u).data() + v0;  // d(u, v0 + j)
+      for (std::size_t j = 0; j < rows; ++j) {
+        tile[j * nz + uz] =
+            d_.at(v0 + static_cast<NodeId>(j), u) + to_tile[j];
+      }
+    }
+    for (std::size_t j = 0; j < rows; ++j) {
+      visit(v0 + static_cast<NodeId>(j),
+            std::span<const Dist>(tile.data() + j * nz, nz));
+    }
   }
-  return mx;
 }
 
 // --------------------------------------------------- SparseRoundtripMetric --
@@ -461,6 +483,18 @@ void SparseRoundtripMetric::prepare_neighborhoods(NodeId want,
   hint_want_.store(want, std::memory_order_relaxed);
 }
 
+void SparseRoundtripMetric::prepare_all_pairs(int threads) const {
+  if (matrix_.load(std::memory_order_acquire) != nullptr) return;
+  // Each full row depends only on v, so any schedule commits the same rows.
+  parallel_tickets(node_count(), resolve_apsp_threads(threads), [&] {
+    return [&](std::int64_t ticket) {
+      const auto v = static_cast<std::size_t>(ticket);
+      const std::lock_guard<std::mutex> lock(locks_[v]);
+      expand_to_radius(static_cast<NodeId>(v), rows_[v], kInfDist);
+    };
+  });
+}
+
 Dist SparseRoundtripMetric::rt_radius_from(NodeId v) const {
   const std::lock_guard<std::mutex> lock(locks_[static_cast<std::size_t>(v)]);
   Row& row = rows_[static_cast<std::size_t>(v)];
@@ -470,21 +504,24 @@ Dist SparseRoundtripMetric::rt_radius_from(NodeId v) const {
   return mx;
 }
 
-Dist SparseRoundtripMetric::rt_diameter() const {
-  // Streamed, not cached: one full both-directions sweep per node keeps the
-  // O(n^2) distances out of memory (this is the one whole-metric scan the
-  // cover hierarchy needs).
+void SparseRoundtripMetric::for_each_roundtrip_row(
+    const RowVisitor& visit) const {
+  if (const DenseRoundtripMetric* m = matrix_.load(std::memory_order_acquire)) {
+    m->for_each_roundtrip_row(visit);
+    return;
+  }
   const NodeId n = graph_->node_count();
   BoundedScratch& scratch = bounded_scratch();
-  Dist mx = 0;
+  std::vector<Dist> row(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) {
+    // Strongly connected: both unbounded sweeps settle every node.
     bounded_sweep(*graph_, reversed_, v, kInfDist, scratch);
     for (const BoundedReach& f : scratch.fwd_out) {
-      const Dist d_in = scratch.rev.dist[static_cast<std::size_t>(f.node)];
-      if (d_in < kInfDist) mx = std::max(mx, f.dist + d_in);
+      const auto u = static_cast<std::size_t>(f.node);
+      row[u] = f.dist + scratch.rev.dist[u];
     }
+    visit(v, row);
   }
-  return mx;
 }
 
 const RoundtripMetric& SparseRoundtripMetric::whole_levels() const {

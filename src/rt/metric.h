@@ -29,10 +29,17 @@
 //     a d/r pair outside the cached rows is one exact point-to-point search.
 //     Results are identical to the dense backend by construction (pinned by
 //     the differential suite in tests/sparse_metric_test.cpp).
+//
+// Whole-metric readers (rt_diameter, the cover hierarchy's seed balls) take
+// the roundtrip rows r(v, .) in one stream, for_each_roundtrip_row: the
+// dense backend serves it from cache-line-wide tiles of D and its
+// transpose, the sparse one from one unbounded both-directions sweep per
+// node.  Neither walks a matrix column per node.
 #ifndef RTR_RT_METRIC_H
 #define RTR_RT_METRIC_H
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -105,15 +112,33 @@ class RoundtripMetric {
     (void)threads;
   }
 
+  /// Hint that r(v, u) is about to be asked for arbitrary pairs from every
+  /// node v (the exstretch/polystretch dictionaries' nearest-member scans).
+  /// Answers are identical with or without the call.  The sparse backend,
+  /// unless it reads a matrix, grows every row to full over `threads`
+  /// workers, so those reads are row lookups instead of one point-to-point
+  /// search each.  Base implementation is a no-op.
+  virtual void prepare_all_pairs(int threads) const { (void)threads; }
+
   /// max_u r(v,u).
   [[nodiscard]] virtual Dist rt_radius_from(NodeId v) const = 0;
 
-  /// RTDiam(G) = max over pairs of r(u,v).
-  [[nodiscard]] virtual Dist rt_diameter() const = 0;
+  /// Receives one roundtrip row: row[u] = r(v,u) for every u in [0, n).
+  using RowVisitor = std::function<void(NodeId v, std::span<const Dist> row)>;
+
+  /// Streams every node's roundtrip row: calls visit(v, row) once per node,
+  /// v ascending, on the calling thread.  `row` is valid only during the
+  /// call.  This is the one way to read the whole metric: it costs O(n^2)
+  /// time but only O(n) memory beyond the backend's own state, and no backend
+  /// walks a column of the distance matrix to serve it.
+  virtual void for_each_roundtrip_row(const RowVisitor& visit) const = 0;
+
+  /// RTDiam(G) = max over pairs of r(u,v), from one pass over the rows.
+  [[nodiscard]] Dist rt_diameter() const;
 
   /// The metric a whole-level consumer reads, with answers identical to
-  /// this one.  Whole-level consumers are the cover hierarchy (rt_diameter,
-  /// then a ball around every node at every radius up to it) and the
+  /// this one.  Whole-level consumers are the cover hierarchy (every
+  /// roundtrip row once, for the diameter and every level's balls) and the
   /// exstretch/polystretch dictionaries (r() between arbitrarily far pairs).
   /// Those touch every pair, so a matrix pays for itself there.  The base
   /// returns *this; an auto-mode sparse metric at n <=
@@ -143,11 +168,17 @@ class DenseRoundtripMetric final : public RoundtripMetric {
       NodeId v, NodeId size, std::span<const NodeName> names) const override;
   [[nodiscard]] std::vector<NodeId> ball(NodeId v, Dist radius) const override;
   [[nodiscard]] Dist rt_radius_from(NodeId v) const override;
-  [[nodiscard]] Dist rt_diameter() const override;
+  /// Serves kRowTile rows at a time from one tile of D and the matching
+  /// kRowTile-wide column strip of D, read row by row: r(v,u) = d(v,u) +
+  /// d(u,v), and d(u, v0 .. v0+kRowTile) is contiguous in row u.
+  void for_each_roundtrip_row(const RowVisitor& visit) const override;
 
   [[nodiscard]] const DistMatrix& distances() const { return d_; }
 
  private:
+  /// Rows per tile: one 64-byte cache line of each D row's column strip.
+  static constexpr NodeId kRowTile = 8;
+
   DistMatrix d_;
 };
 
@@ -196,8 +227,12 @@ class SparseRoundtripMetric final : public RoundtripMetric {
                    std::vector<std::int32_t>& nearest_idx,
                    std::vector<Dist>& nearest_r) const override;
   void prepare_neighborhoods(NodeId want, int threads) const override;
+  void prepare_all_pairs(int threads) const override;
   [[nodiscard]] Dist rt_radius_from(NodeId v) const override;
-  [[nodiscard]] Dist rt_diameter() const override;
+  /// One full both-directions sweep per node, streamed and never cached, so
+  /// the O(n^2) distances stay out of memory; reads the matrix instead once
+  /// whole_levels() has built it.
+  void for_each_roundtrip_row(const RowVisitor& visit) const override;
   [[nodiscard]] const RoundtripMetric& whole_levels() const override;
 
   /// Resident entry count across all cached rows (memory diagnostics).

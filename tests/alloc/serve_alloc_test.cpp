@@ -155,7 +155,8 @@ INSTANTIATE_TEST_SUITE_P(
 // tree per node instead: 301 MB for this instance's 3253 trees, where
 // member-local trees take 2.3 MB against a bound of 7 MB.  The
 // sparse covers the hierarchy consumes are its input, not its trees:
-// replaying them on their own measures the bytes to leave out.
+// replaying them on their own (the pair-level table, then each level's
+// seed balls and cover) measures the bytes to leave out.
 TEST(HierarchyAllocationTest, TreesAllocateInProportionToMemberships) {
   const Instance inst = make_instance(Family::kScaleFree, 1024, 5, 42);
   const Digraph reversed = inst.graph.reversed();
@@ -164,14 +165,17 @@ TEST(HierarchyAllocationTest, TreesAllocateInProportionToMemberships) {
   const CoverHierarchy hierarchy(inst.graph, reversed, *inst.metric, kK, 1);
   const std::int64_t hierarchy_bytes = t_allocated_bytes - before;
 
-  std::int64_t cover_bytes = 0;
+  before = t_allocated_bytes;
+  const RoundtripBallLevels ball_levels(*inst.metric);
+  std::int64_t cover_bytes = t_allocated_bytes - before;
+  ASSERT_EQ(ball_levels.level_count(), hierarchy.level_count());
   std::int64_t memberships = 0;
   std::int64_t trees = 0;
   for (std::int32_t level = 0; level < hierarchy.level_count(); ++level) {
     const HierarchyLevel& lvl = hierarchy.level(level);
     before = t_allocated_bytes;
     const SparseCoverResult cover =
-        build_sparse_cover(*inst.metric, kK, lvl.radius);
+        build_sparse_cover(ball_levels.balls(level), kK);
     cover_bytes += t_allocated_bytes - before;
     trees += static_cast<std::int64_t>(lvl.trees.size());
     for (const DoubleTree& tree : lvl.trees) memberships += tree.member_count();

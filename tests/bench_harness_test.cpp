@@ -187,6 +187,40 @@ TEST(BenchHarness, GateSkipsQpsWhenHostsDiffer) {
   EXPECT_EQ(armed.size(), 2u);
 }
 
+TEST(BenchHarness, CpuModelNormalisationDropsClockAndWhitespace) {
+  EXPECT_EQ(normalize_cpu_model("Intel(R) Xeon(R) Processor @ 2.10GHz"),
+            "Intel(R) Xeon(R) Processor");
+  EXPECT_EQ(normalize_cpu_model("Intel(R) Xeon(R) Processor"),
+            "Intel(R) Xeon(R) Processor");
+  EXPECT_EQ(normalize_cpu_model("  Intel(R)  Xeon(R)\tProcessor@2.10 GHz "),
+            "Intel(R) Xeon(R) Processor");
+  EXPECT_EQ(normalize_cpu_model("AMD EPYC 7B13 64-Core Processor"),
+            "AMD EPYC 7B13 64-Core Processor");
+  // Only a trailing clock goes: another '@' or a non-clock suffix stays.
+  EXPECT_EQ(normalize_cpu_model("cpu @ lab GHz"), "cpu @ lab GHz");
+  EXPECT_EQ(normalize_cpu_model("cpu @ 2.10GHz rev 2"), "cpu @ 2.10GHz rev 2");
+  EXPECT_EQ(normalize_cpu_model(""), "");
+}
+
+TEST(BenchHarness, GateArmsQpsWhenOnlyTheClockSuffixDiffers) {
+  // One part, two kernels: "... @ 2.10GHz" on one, no suffix on the other.
+  const auto with_cpu = [](Json doc, const char* cpu) {
+    Json host{JsonObject{}};
+    host.set("cpu", cpu);
+    doc.set("host", host);
+    return doc;
+  };
+  const Json base = with_cpu(doc_with_cell(1000.0, 1.5, 0),
+                             "Intel(R) Xeon(R) Processor @ 2.10GHz");
+  const Json cur =
+      with_cpu(doc_with_cell(100.0, 1.5, 0), "Intel(R) Xeon(R) Processor");
+  std::vector<std::string> notes;
+  const auto violations = compare_to_baseline(base, cur, {}, &notes);
+  EXPECT_TRUE(notes.empty());
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("qps regressed"), std::string::npos);
+}
+
 TEST(BenchHarness, GateSkipsQpsWhenThreadCountsDiffer) {
   // Same CPU model but a different configured thread count: throughput is
   // not comparable, so the qps check disarms with a note.

@@ -31,7 +31,7 @@ class SparseCoverTest : public ::testing::TestWithParam<CoverParam> {
     d_ = std::max<Dist>(
         1, static_cast<Dist>(p.diam_fraction *
                              static_cast<double>(inst_.metric->rt_diameter())));
-    cover_ = build_sparse_cover(*inst_.metric, p.k, d_);
+    cover_ = build_sparse_cover(roundtrip_balls(*inst_.metric, d_), p.k);
   }
 
   Instance inst_;
@@ -99,7 +99,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SparseCover, TinyRadiusYieldsSingletonishClusters) {
   Instance inst = make_instance(Family::kRandom, 40, 6, 9);
   // Radius below the minimum roundtrip (2): every ball is a singleton.
-  SparseCoverResult cover = build_sparse_cover(*inst.metric, 2, 1);
+  SparseCoverResult cover =
+      build_sparse_cover(roundtrip_balls(*inst.metric, 1), 2);
   for (NodeId v = 0; v < inst.n(); ++v) {
     const auto home = cover.home_of[static_cast<std::size_t>(v)];
     const auto& members = cover.clusters[static_cast<std::size_t>(home)].members;
@@ -109,8 +110,9 @@ TEST(SparseCover, TinyRadiusYieldsSingletonishClusters) {
 
 TEST(SparseCover, DiameterRadiusYieldsOneClusterPerRound) {
   Instance inst = make_instance(Family::kRandom, 40, 6, 10);
+  const Dist diameter = inst.metric->rt_diameter();
   SparseCoverResult cover =
-      build_sparse_cover(*inst.metric, 2, inst.metric->rt_diameter());
+      build_sparse_cover(roundtrip_balls(*inst.metric, diameter), 2);
   // Every seed ball is V, so the very first merge covers everything.
   EXPECT_EQ(cover.rounds, 1);
   ASSERT_EQ(cover.clusters.size(), 1u);
@@ -119,8 +121,10 @@ TEST(SparseCover, DiameterRadiusYieldsOneClusterPerRound) {
 
 TEST(SparseCover, RejectsBadArguments) {
   Instance inst = make_instance(Family::kRandom, 20, 4, 11);
-  EXPECT_THROW(build_sparse_cover(*inst.metric, 1, 4), std::invalid_argument);
-  EXPECT_THROW(build_sparse_cover(*inst.metric, 2, -1), std::invalid_argument);
+  EXPECT_THROW(build_sparse_cover(roundtrip_balls(*inst.metric, 4), 1),
+               std::invalid_argument);
+  EXPECT_THROW(build_sparse_cover(roundtrip_balls(*inst.metric, -1), 2),
+               std::invalid_argument);
 }
 
 }  // namespace

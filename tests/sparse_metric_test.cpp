@@ -114,6 +114,37 @@ TEST_P(SparsePairSearchTest, MissesMatchDenseAndCacheNothing) {
   expect_all_pairs("warm");
 }
 
+// The row stream serves exactly the dense rows, in node order, and grows no
+// row; prepare_all_pairs then grows every row to full without changing an
+// answer, so the dictionaries' far-pair reads become row lookups.
+TEST_P(SparsePairSearchTest, RowStreamCachesNothingAndAllPairsFillEveryRow) {
+  const auto inst = shared_instance(GetParam(), 64, 8, 13);
+  const RoundtripMetric& dense = *inst->metric;
+  const SparseRoundtripMetric sparse(
+      std::make_shared<const Digraph>(inst->graph));
+  const NodeId n = inst->n();
+  NodeId next = 0;
+  sparse.for_each_roundtrip_row([&](NodeId v, std::span<const Dist> row) {
+    ASSERT_EQ(v, next++);
+    ASSERT_EQ(row.size(), static_cast<std::size_t>(n));
+    for (NodeId u = 0; u < n; ++u) {
+      ASSERT_EQ(row[static_cast<std::size_t>(u)], dense.r(v, u))
+          << v << "<->" << u;
+    }
+  });
+  EXPECT_EQ(next, n);
+  EXPECT_EQ(sparse.cached_entries(), 0);
+
+  sparse.prepare_all_pairs(3);
+  EXPECT_EQ(sparse.cached_entries(), static_cast<std::int64_t>(n) * n);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) {
+      ASSERT_EQ(sparse.d(u, v), dense.d(u, v)) << u << "->" << v;
+      ASSERT_EQ(sparse.r(u, v), dense.r(u, v)) << u << "<->" << v;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Families, SparsePairSearchTest,
                          ::testing::Values(Family::kRandom, Family::kGrid,
                                            Family::kRing, Family::kScaleFree,

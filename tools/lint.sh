@@ -85,6 +85,19 @@ dense_matrix=$(grep -rnE 'all_pairs_shortest_paths\(|DenseRoundtripMetric[[:spac
 report "APSP matrix outside rt/metric, graph/apsp and the spanner check" \
   "$dense_matrix"
 
+# --- rule: no per-node metric scans in the covers --------------------------
+# The cover hierarchy reads the whole metric once, through
+# RoundtripMetric::for_each_roundtrip_row (RoundtripBallLevels and
+# roundtrip_balls in cover/sparse_cover.cpp).  ball() and rt_diameter() are
+# an n-long scan per call; on the dense backend half of it walks a matrix
+# column, so calling them per node and level costs O(levels * n^2) scattered
+# reads.  Nothing under src/cover/ calls them.
+cover_scan=$(grep -rnE '(\.|->)(ball|rt_diameter)\(' \
+  src/cover --include='*.cpp' --include='*.h' 2>/dev/null |
+  grep -vE '//.*(ball|rt_diameter)\(')
+report "ball()/rt_diameter() call in src/cover (read the streamed rows)" \
+  "$cover_scan"
+
 # --- rule: src/util headers are self-contained -----------------------------
 # Every utility header must compile on its own (no hidden include-order
 # dependencies); gate on a C++ compiler being present so the script also
