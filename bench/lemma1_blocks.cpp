@@ -26,11 +26,10 @@ void run() {
     Alphabet alpha(inst.n(), 2);
     Neighborhoods hoods = compute_neighborhoods(*inst.metric, inst.names);
     Rng rng(n);
-    BlockAssignment a =
-        assign_blocks(alpha, *inst.metric, inst.names, hoods, rng);
+    BlockAssignment a = assign_blocks(alpha, hoods, rng);
     double total = 0;
     for (const auto& s : a.blocks_of) total += static_cast<double>(s.size());
-    const bool covered = verify_coverage(alpha, hoods, inst.names, a);
+    const bool covered = verify_coverage(alpha, hoods, a);
     table.add_row({fmt_int(inst.n()), fmt_int(alpha.relevant_block_count()),
                    fmt_int(a.max_blocks_per_node()),
                    fmt_double(total / static_cast<double>(inst.n())),

@@ -25,16 +25,14 @@ void run() {
       Alphabet alpha(inst.n(), k);
       Neighborhoods hoods = compute_neighborhoods(*inst.metric, inst.names);
       Rng rng(n + k);
-      BlockAssignment a =
-          assign_blocks(alpha, *inst.metric, inst.names, hoods, rng);
+      BlockAssignment a = assign_blocks(alpha, hoods, rng);
       double total = 0;
       for (const auto& s : a.blocks_of) total += static_cast<double>(s.size());
       table.add_row({fmt_int(inst.n()), fmt_int(k), fmt_int(alpha.q()),
                      fmt_int(a.max_blocks_per_node()),
                      fmt_double(total / static_cast<double>(inst.n())),
                      fmt_int(a.randomized_tries), fmt_int(a.greedy_repairs),
-                     verify_coverage(alpha, hoods, inst.names, a) ? "ok"
-                                                                  : "VIOLATED"});
+                     verify_coverage(alpha, hoods, a) ? "ok" : "VIOLATED"});
     }
   }
   std::cout << table.render();

@@ -225,9 +225,9 @@ Instance build_instance(Family family, NodeId n, Weight max_weight,
   inst.names = NameAssignment::random(builder.node_count(), rng);
   inst.graph = std::make_shared<const Digraph>(builder.freeze());
   // Only kDense's matrix is built once here and shared by every cell: it is
-  // immutable.  kAuto and kSparse rows (and kAuto's whole-level matrix) fill
-  // during a scheme build, so a shared one would let a cell's build_ms reuse
-  // what earlier cells grew; run_cell makes each cell its own instead.
+  // immutable.  kAuto's whole-level matrix (and the neighborhood hint) fill
+  // during a scheme build, so a shared metric would let a cell's build_ms
+  // reuse what earlier cells made; run_cell makes each cell its own instead.
   if (metric_mode == MetricMode::kDense) {
     const auto t0 = Clock::now();
     inst.metric = make_roundtrip_metric(inst.graph, metric_mode, threads);

@@ -103,7 +103,7 @@ struct BenchConfig {
   int threads = 0;
   std::uint64_t seed = 7;
   Weight max_weight = 4;
-  /// Metric backend per instance: kAuto is bounded-Dijkstra sparse rows,
+  /// Metric backend per instance: kAuto is sparse bounded searches,
   /// and only the cover schemes (whole-level consumers) materialise the APSP
   /// matrix, up to kDenseMetricAutoThreshold nodes; that is what lets the
   /// full sweep pass 4096.

@@ -104,7 +104,6 @@ ExStretchScheme::ExStretchScheme(const Digraph& g, const RoundtripMetric& metric
   hierarchy_ =
       std::make_shared<const CoverHierarchy>(g, reversed, m, k, threads);
   cover_ = CoverTable(*hierarchy_);
-  m.prepare_all_pairs(threads);
   if (static_cast<std::int64_t>(k) * alphabet_.power(k) > INT32_MAX) {
     throw std::length_error("exstretch: dictionary keys exceed 32 bits");
   }
@@ -114,8 +113,7 @@ ExStretchScheme::ExStretchScheme(const Digraph& g, const RoundtripMetric& metric
   const auto hood_rows = static_cast<NodeId>(
       std::min<std::int64_t>(alphabet_.power(k - 1), n));
   Neighborhoods hoods = compute_neighborhoods(m, names_, hood_rows, threads);
-  assignment_ =
-      assign_blocks(alphabet_, m, names_, hoods, rng, options.blocks);
+  assignment_ = assign_blocks(alphabet_, hoods, rng, options.blocks);
 
   // S'_u = S_u + u's own block (Section 3.3).
   std::vector<std::vector<BlockId>> held(static_cast<std::size_t>(n));
@@ -155,11 +153,14 @@ ExStretchScheme::ExStretchScheme(const Digraph& g, const RoundtripMetric& metric
 
   std::vector<NodeStaging> tables(static_cast<std::size_t>(n));
   // Both per-node table loops write only tables[u], so they fan out over
-  // the ticket pool; (2) and (3) fuse into one pass per node.
+  // the ticket pool; (2) and (3) fuse into one pass per node, which reads
+  // the roundtrip row r(u, .) once.
   parallel_tickets(n, threads, [&] {
-    return [&](std::int64_t ticket) {
+    return [&, row = std::vector<Dist>(static_cast<std::size_t>(n))](
+               std::int64_t ticket) mutable {
     const auto u = static_cast<NodeId>(ticket);
     auto& tab = tables[static_cast<std::size_t>(u)];
+    m.roundtrip_row(u, row);
 
     // (2): R2 for the immediate neighborhood N_1(u) (first q of Init_u).
     for (NodeId v : hoods.prefix(u, static_cast<NodeId>(q))) {
@@ -187,7 +188,7 @@ ExStretchScheme::ExStretchScheme(const Digraph& g, const RoundtripMetric& metric
             NodeId best = kNoNode;
             Dist best_r = kInfDist;
             for (NodeId h : list) {
-              const Dist rr = m.r(u, h);
+              const Dist rr = row[static_cast<std::size_t>(h)];
               if (rr < best_r || (rr == best_r && best != kNoNode &&
                                   names_.name_of(h) < names_.name_of(best))) {
                 best_r = rr;

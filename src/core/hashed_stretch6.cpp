@@ -123,7 +123,7 @@ HashedStretch6Scheme::HashedStretch6Scheme(const Digraph& g,
   Neighborhoods hoods =
       compute_neighborhoods(metric, internal, hood_size_, threads);
   BlockAssignment assignment =
-      assign_blocks(alphabet_, metric, internal, hoods, rng, options.blocks);
+      assign_blocks(alphabet_, hoods, rng, options.blocks);
 
   // Invert the hash: bucket -> nodes whose chosen name lands there.
   std::vector<std::vector<NodeId>> bucket_members(static_cast<std::size_t>(n));

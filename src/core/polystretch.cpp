@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "audit/audit.h"
 #include "graph/apsp.h"
@@ -22,11 +21,6 @@ struct DictEntry {
   NodeName node = kNoNode;
   std::int64_t owner = -1;
 };
-
-/// One tree's members grouped by name prefix: entry j maps a (j+1)-digit
-/// prefix value to the members carrying it, for nearest-extension queries.
-using PrefixIndex =
-    std::vector<std::unordered_map<std::int64_t, std::vector<NodeId>>>;
 
 }  // namespace
 
@@ -78,6 +72,7 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
       alphabet_(g.node_count(), options.k),
       node_space_(g.node_count()),
       port_space_(g.port_space()) {
+  const NodeId n = g.node_count();
   const int k = alphabet_.k();
   const std::int64_t q = alphabet_.q();
   const int threads = resolve_apsp_threads(options.threads);
@@ -88,69 +83,72 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
   hierarchy_ =
       std::make_shared<const CoverHierarchy>(g, reversed, m, k, threads);
   cover_ = CoverTable(*hierarchy_);
-  m.prepare_all_pairs(threads);
   if (static_cast<std::int64_t>(k) * q > UINT16_MAX) {
     throw std::length_error("polystretch: dictionary keys exceed 16 bits");
   }
 
-  // Staging per cover-table membership; every (tree, member) pair owns one.
+  // Every membership's own label is minted, and every tree's member names
+  // sorted, before any dictionary reads them.  Staging is per cover-table
+  // membership; every (tree, member) pair owns one.  A name's i-digit
+  // prefix is name / q^(k-i), so in name order the members extending a
+  // prefix form one contiguous run.
   const auto memberships = static_cast<std::size_t>(cover_.size());
   std::vector<TreeLabel> own(memberships);
   std::vector<std::vector<DictEntry>> dicts(memberships);
-  struct Membership {
-    std::int32_t tree;
-    NodeId member;
-    std::int64_t slot;  // cover-table index
-  };
+  std::vector<std::vector<std::vector<NodeName>>> member_names(
+      static_cast<std::size_t>(hierarchy_->level_count()));
   for (std::int32_t level = 0; level < hierarchy_->level_count(); ++level) {
     const HierarchyLevel& lvl = hierarchy_->level(level);
-    // Every membership's own label is minted once, and every tree's prefix
-    // index built, before the level's dictionaries read them.
-    std::vector<PrefixIndex> by_prefix(lvl.trees.size(),
-                                       PrefixIndex(static_cast<std::size_t>(k)));
-    std::vector<Membership> items;
+    auto& level_names = member_names[static_cast<std::size_t>(level)];
+    level_names.resize(lvl.trees.size());
     for (std::int32_t t = 0; t < static_cast<std::int32_t>(lvl.trees.size()); ++t) {
       const DoubleTree& tree = lvl.trees[static_cast<std::size_t>(t)];
-      PrefixIndex& index = by_prefix[static_cast<std::size_t>(t)];
+      std::vector<NodeName>& sorted = level_names[static_cast<std::size_t>(t)];
       for (NodeId v : tree.members()) {
-        const std::int64_t slot = cover_.find(v, TreeRef{level, t});
-        own[static_cast<std::size_t>(slot)] = tree.out_router().label(v);
-        items.push_back(Membership{t, v, slot});
-        const NodeName vn = names_.name_of(v);
-        for (int j = 0; j < k; ++j) {
-          index[static_cast<std::size_t>(j)][alphabet_.prefix_value(vn, j + 1)]
-              .push_back(v);
-        }
+        own[static_cast<std::size_t>(cover_.find(v, TreeRef{level, t}))] =
+            tree.out_router().label(v);
+        sorted.push_back(names_.name_of(v));
       }
+      std::sort(sorted.begin(), sorted.end());
     }
-    // One ticket per membership of the level: each writes only its own
-    // dictionary; labels, prefix indexes, cover table and metric are read.
-    parallel_tickets(static_cast<std::int64_t>(items.size()), threads, [&] {
-      return [&](std::int64_t ticket) {
-        const Membership& item = items[static_cast<std::size_t>(ticket)];
-        const NodeId u = item.member;
-        const TreeRef ref{level, item.tree};
-        const PrefixIndex& index = by_prefix[static_cast<std::size_t>(item.tree)];
-        auto& dict = dicts[static_cast<std::size_t>(item.slot)];
-        const NodeName un = names_.name_of(u);
+  }
+  // One ticket per node u over all of u's memberships at every level: it
+  // reads the roundtrip row r(u, .) once and writes only u's dictionaries;
+  // labels, member names and the cover table are read.
+  parallel_tickets(n, threads, [&] {
+    return [&, row = std::vector<Dist>(static_cast<std::size_t>(n))](
+               std::int64_t ticket) mutable {
+      const auto u = static_cast<NodeId>(ticket);
+      m.roundtrip_row(u, row);
+      const NodeName un = names_.name_of(u);
+      for (std::int64_t slot = cover_.begin(u); slot < cover_.end(u); ++slot) {
+        const TreeRef ref = cover_.at(slot).tree;
+        const std::vector<NodeName>& sorted = member_names[static_cast<
+            std::size_t>(ref.level)][static_cast<std::size_t>(ref.tree)];
+        auto& dict = dicts[static_cast<std::size_t>(slot)];
         // (2c): for every j and tau, the nearest member extending u's own
-        // j-digit prefix with digit tau, if one exists.
+        // j-digit prefix with digit tau, if one exists; ties go to the
+        // smaller name, which the name-ordered scan meets first.
         for (int j = 0; j < k; ++j) {
+          // Names sharing one (j+1)-digit prefix p: [p, p + 1) * per_prefix.
+          const std::int64_t per_prefix = alphabet_.power(k - j - 1);
           for (int tau = 0; tau < q; ++tau) {
             const PrefixValue p = alphabet_.prefix_value(un, j) * q + tau;
-            auto it = index[static_cast<std::size_t>(j)].find(p);
-            if (it == index[static_cast<std::size_t>(j)].end()) continue;
+            const auto first =
+                std::lower_bound(sorted.begin(), sorted.end(), p * per_prefix);
+            const auto last =
+                std::lower_bound(first, sorted.end(), (p + 1) * per_prefix);
+            if (first == last) continue;
             NodeId best = kNoNode;
             Dist best_r = kInfDist;
-            for (NodeId v : it->second) {
+            for (auto it = first; it != last; ++it) {
+              const NodeId v = names_.id_of(*it);
               if (v == u) {  // a zero-cost extension: always the nearest
                 best = u;
-                best_r = 0;
                 break;
               }
-              const Dist rr = m.r(u, v);
-              if (rr < best_r || (rr == best_r && best != kNoNode &&
-                                  names_.name_of(v) < names_.name_of(best))) {
+              const Dist rr = row[static_cast<std::size_t>(v)];
+              if (rr < best_r) {
                 best_r = rr;
                 best = v;
               }
@@ -162,9 +160,9 @@ PolyStretchScheme::PolyStretchScheme(const Digraph& g,
                 names_.name_of(best), cover_.find(best, ref)});
           }
         }
-      };
-    });
-  }
+      }
+    };
+  });
 
   std::vector<std::int64_t> dict_off{0};
   std::vector<std::uint16_t> dict_key;

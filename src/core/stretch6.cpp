@@ -99,8 +99,7 @@ Stretch6Scheme::Stretch6Scheme(const Digraph& g, const RoundtripMetric& metric,
   // positions of Init_u, so truncated rows suffice.
   Neighborhoods hoods =
       compute_neighborhoods(metric, names_, hood_size_, threads);
-  assignment_ =
-      assign_blocks(alphabet_, metric, names_, hoods, rng, options.blocks);
+  assignment_ = assign_blocks(alphabet_, hoods, rng, options.blocks);
 
   const std::int64_t blocks = alphabet_.relevant_block_count();
   block_count_ = blocks;

@@ -114,9 +114,7 @@ NodeId level_size(const Alphabet& alpha, int i) {
 }  // namespace
 
 bool verify_coverage(const Alphabet& alpha, const Neighborhoods& hoods,
-                     const NameAssignment& names,
                      const BlockAssignment& assignment) {
-  (void)names;
   const NodeId n = alpha.n();
   for (NodeId v = 0; v < n; ++v) {
     const auto& order = hoods.order[static_cast<std::size_t>(v)];
@@ -143,11 +141,8 @@ bool verify_coverage(const Alphabet& alpha, const Neighborhoods& hoods,
 }
 
 BlockAssignment assign_blocks(const Alphabet& alpha,
-                              const RoundtripMetric& metric,
-                              const NameAssignment& names,
                               const Neighborhoods& hoods, Rng& rng,
                               BlockAssignmentOptions options) {
-  (void)metric;
   const NodeId n = alpha.n();
   const std::int64_t blocks = alpha.relevant_block_count();
   BlockAssignment result;
@@ -173,7 +168,7 @@ BlockAssignment assign_blocks(const Alphabet& alpha,
       }
     }
     result.randomized_tries = attempt;
-    if (verify_coverage(alpha, hoods, names, result)) return result;
+    if (verify_coverage(alpha, hoods, result)) return result;
     factor *= 1.5;  // densify and retry, as the probabilistic proof allows
   }
 

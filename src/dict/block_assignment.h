@@ -33,7 +33,8 @@ struct Neighborhoods {
   /// v).  Rows hold the full permutation when compute_neighborhoods was
   /// called with max_size 0, and exactly min(max_size, n) nodes otherwise --
   /// the Lemma 4 machinery only ever reads the first q^{k-1} positions, and
-  /// truncated rows are what keep the sparse metric's memory O~(n sqrt n).
+  /// truncated rows keep both these rows and the sparse metric's searches
+  /// at O~(sqrt n) nodes each.
   std::vector<std::vector<NodeId>> order;
 
   /// First m nodes of Init_v.  m must not exceed the computed row length.
@@ -81,8 +82,8 @@ struct BlockAssignment {
   /// inside the alphabet's realizable range, and the Lemma 1 / Lemma 4
   /// O(log n) bound (block_slack * log2 n blocks per node).  Coverage itself
   /// (every realizable prefix held in every neighborhood) stays with
-  /// verify_coverage(), which needs the metric; the audit checks the shape
-  /// the serving path depends on.
+  /// verify_coverage(), which needs the neighborhoods; the audit checks the
+  /// shape the serving path depends on.
   void audit(AuditReport& report, const Alphabet& alpha) const;
 };
 
@@ -94,8 +95,6 @@ void save_block_assignment(SnapshotWriter& w, const BlockAssignment& a);
 /// Builds an assignment satisfying Lemma 4 for the given alphabet (levels
 /// 1..k-1, realizable prefixes).  Deterministic given the rng state.
 [[nodiscard]] BlockAssignment assign_blocks(const Alphabet& alpha,
-                                            const RoundtripMetric& metric,
-                                            const NameAssignment& names,
                                             const Neighborhoods& hoods,
                                             Rng& rng,
                                             BlockAssignmentOptions options = {});
@@ -104,7 +103,6 @@ void save_block_assignment(SnapshotWriter& w, const BlockAssignment& a);
 /// true iff every (v, level i, realizable tau) has a holder in N_i(v).
 [[nodiscard]] bool verify_coverage(const Alphabet& alpha,
                                    const Neighborhoods& hoods,
-                                   const NameAssignment& names,
                                    const BlockAssignment& assignment);
 
 }  // namespace rtr

@@ -58,8 +58,8 @@ BuildContext BuildContext::for_graph(GraphBuilder g, std::uint64_t seed,
   }
   ctx.names = NameAssignment::random(frozen.node_count(), *ctx.rng);
   auto graph = std::make_shared<Digraph>(std::move(frozen));
-  // The "metric" option picks the backend: dense APSP matrix or bounded-
-  // Dijkstra sparse rows ("auto" is sparse rows whose whole-level consumers
+  // The "metric" option picks the backend: dense APSP matrix or sparse
+  // bounded searches ("auto" is sparse searches whose whole-level consumers
   // get the matrix up to the cap); "threads" feeds the APSP fan-out and the
   // schemes' parallel build loops.
   const auto mode_it = ctx.options.find("metric");

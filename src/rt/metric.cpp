@@ -10,20 +10,6 @@
 
 namespace rtr {
 
-std::int32_t RoundtripMetric::nearest(
-    NodeId v, const std::vector<NodeId>& candidates) const {
-  std::int32_t best = -1;
-  Dist best_r = kInfDist;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const Dist rv = r(v, candidates[i]);
-    if (rv < best_r) {
-      best_r = rv;
-      best = static_cast<std::int32_t>(i);
-    }
-  }
-  return best;
-}
-
 void RoundtripMetric::nearest_all(const std::vector<NodeId>& candidates,
                                   int threads,
                                   std::vector<std::int32_t>& nearest_idx,
@@ -37,11 +23,24 @@ void RoundtripMetric::nearest_all(const std::vector<NodeId>& candidates,
     return [&](std::int64_t ticket) {
       const auto v = static_cast<NodeId>(ticket);
       const auto vz = static_cast<std::size_t>(v);
-      const std::int32_t best = nearest(v, candidates);
-      nearest_idx[vz] = best;
-      nearest_r[vz] = r(v, candidates[static_cast<std::size_t>(best)]);
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const Dist rv = r(v, candidates[i]);
+        if (rv < nearest_r[vz]) {
+          nearest_r[vz] = rv;
+          nearest_idx[vz] = static_cast<std::int32_t>(i);
+        }
+      }
     };
   });
+}
+
+void RoundtripMetric::for_each_roundtrip_row(const RowVisitor& visit) const {
+  const NodeId n = node_count();
+  std::vector<Dist> row(static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v) {
+    roundtrip_row(v, row);
+    visit(v, row);
+  }
 }
 
 Dist RoundtripMetric::rt_diameter() const {
@@ -68,25 +67,23 @@ DenseRoundtripMetric::DenseRoundtripMetric(const Digraph& g, DistMatrix apsp)
   }
 }
 
-std::vector<NodeId> DenseRoundtripMetric::init_order(
-    NodeId v, std::span<const NodeName> names) const {
-  std::vector<NodeId> order(static_cast<std::size_t>(node_count()));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    const Dist ra = r(v, a), rb = r(v, b);
-    if (ra != rb) return ra < rb;
-    const Dist da = d(a, v), db = d(b, v);
-    if (da != db) return da < db;
-    return names[static_cast<std::size_t>(a)] < names[static_cast<std::size_t>(b)];
-  });
-  return order;
-}
-
 std::vector<NodeId> DenseRoundtripMetric::neighborhood(
     NodeId v, NodeId size, std::span<const NodeName> names) const {
-  auto order = init_order(v, names);
-  order.resize(static_cast<std::size_t>(
-      std::min<NodeId>(size, node_count())));
+  std::vector<NodeId> order(static_cast<std::size_t>(node_count()));
+  std::iota(order.begin(), order.end(), 0);
+  const auto take = static_cast<std::ptrdiff_t>(
+      std::clamp<NodeId>(size, 0, node_count()));
+  std::partial_sort(
+      order.begin(), order.begin() + take, order.end(),
+      [&](NodeId a, NodeId b) {
+        const Dist ra = r(v, a), rb = r(v, b);
+        if (ra != rb) return ra < rb;
+        const Dist da = d(a, v), db = d(b, v);
+        if (da != db) return da < db;
+        return names[static_cast<std::size_t>(a)] <
+               names[static_cast<std::size_t>(b)];
+      });
+  order.resize(static_cast<std::size_t>(take));
   return order;
 }
 
@@ -98,10 +95,12 @@ std::vector<NodeId> DenseRoundtripMetric::ball(NodeId v, Dist radius) const {
   return members;
 }
 
-Dist DenseRoundtripMetric::rt_radius_from(NodeId v) const {
-  Dist mx = 0;
-  for (NodeId u = 0; u < node_count(); ++u) mx = std::max(mx, r(v, u));
-  return mx;
+void DenseRoundtripMetric::roundtrip_row(NodeId v, std::span<Dist> row) const {
+  const std::span<const Dist> out = d_.row(v);
+  for (NodeId u = 0; u < node_count(); ++u) {
+    const auto uz = static_cast<std::size_t>(u);
+    row[uz] = out[uz] + d_.at(u, v);
+  }
 }
 
 void DenseRoundtripMetric::for_each_roundtrip_row(
@@ -130,42 +129,28 @@ void DenseRoundtripMetric::for_each_roundtrip_row(
 
 namespace {
 
-// Bounded-run scratch, thread-local so lazily expanding rows from the
-// QueryEngine pool or a parallel scheme build never shares buffers.  The
-// dist arrays reset sparsely (touched lists), so reuse across rows, graphs,
-// and metrics is free; buffers grow to the largest graph seen per thread.
-struct BoundedScratch {
-  BoundedDijkstraWorkspace fwd;
-  BoundedDijkstraWorkspace rev;
-  std::vector<BoundedReach> fwd_out;
-  std::vector<BoundedReach> rev_out;
-  RoundtripBallWorkspace rt;
-  std::vector<RoundtripReach> ball_out;
+// Search scratch, thread-local so queries from the QueryEngine pool or a
+// parallel scheme build never share buffers.  The bounded runs reset their
+// dist arrays sparsely (touched lists), so reuse across queries, graphs and
+// metrics is free; buffers grow to the largest graph seen per thread.
+struct SearchScratch {
+  BoundedDijkstraWorkspace pair;      // point-to-point d/r
+  RoundtripBallWorkspace rt;          // balls and count searches
+  std::vector<RoundtripReach> ball;   // the last complete ball searched
+  DijkstraWorkspace sweep;            // full sweeps for roundtrip rows
+  std::vector<Dist> back;             // d(., v) during a row sweep
 };
 
-BoundedScratch& bounded_scratch() {
-  thread_local BoundedScratch scratch;
+SearchScratch& search_scratch() {
+  thread_local SearchScratch scratch;
   return scratch;
 }
 
-// Doubling schedule for open-ended row growth: seed first, then double the
-// covered radius, saturating at kInfDist (forces a full row).
-Dist next_radius(Dist covered, Dist seed) {
-  if (covered < seed) return seed;
-  return covered > kInfDist / 2 ? kInfDist : covered * 2;
-}
-
-// One both-directions bounded sweep from v: fills scratch.fwd_out/rev_out
-// with the nodes settled within `limit` in each direction.  After the call,
-// scratch.rev.dist[u] holds the exact d(u, v) for every u in rev_out (and
-// kInfDist semantics for the rest of the touched set), valid until the next
-// reverse run on this thread.
-void bounded_sweep(const Digraph& g, const Digraph& reversed, NodeId v,
-                   Dist limit, BoundedScratch& scratch) {
-  scratch.fwd_out.clear();
-  scratch.rev_out.clear();
-  dijkstra_bounded(g, v, limit, scratch.fwd, scratch.fwd_out);
-  dijkstra_bounded(reversed, v, limit, scratch.rev, scratch.rev_out);
+// Doubling schedule for open-ended radius growth: seed first, then double,
+// saturating at kInfDist (the whole graph).
+Dist next_radius(Dist radius, Dist seed) {
+  if (radius < seed) return seed;
+  return radius > kInfDist / 2 ? kInfDist : radius * 2;
 }
 
 }  // namespace
@@ -175,12 +160,10 @@ SparseRoundtripMetric::SparseRoundtripMetric(std::shared_ptr<const Digraph> g,
                                              int threads)
     : graph_(std::move(g)),
       reversed_(graph_->reversed()),
-      // A few hops' worth of the heaviest edge: small enough that a seed row
-      // stays tiny, large enough that the first expansion usually catches the
+      // A few hops' worth of the heaviest edge: small enough that a seed ball
+      // stays tiny, large enough that the first probe usually catches the
       // immediate roundtrip neighbours (min r to a neighbour is >= 2 weights).
       seed_radius_(std::max<Dist>(1, 4 * graph_->max_weight())),
-      rows_(static_cast<std::size_t>(graph_->node_count())),
-      locks_(static_cast<std::size_t>(graph_->node_count())),
       whole_level_matrix_(whole_level_matrix),
       threads_(threads) {
   if (!is_strongly_connected(*graph_)) {
@@ -189,53 +172,8 @@ SparseRoundtripMetric::SparseRoundtripMetric(std::shared_ptr<const Digraph> g,
   }
 }
 
-void SparseRoundtripMetric::rebuild_row_from_ball(Row& row,
-                                                  Dist covered) const {
-  const BoundedScratch& scratch = bounded_scratch();
-  row.entries.clear();
-  row.entries.reserve(scratch.ball_out.size());
-  for (const RoundtripReach& m : scratch.ball_out) {
-    row.entries.push_back(Entry{m.node, m.d_out + m.d_in, m.d_out, m.d_in});
-  }
-  // (r, d_in, node id): the Init_v order up to the per-call name tie-break,
-  // which queries apply themselves -- one metric may serve several
-  // NameAssignments (hashed64 builds its own).
-  std::sort(row.entries.begin(), row.entries.end(),
-            [](const Entry& a, const Entry& b) {
-              if (a.r != b.r) return a.r < b.r;
-              if (a.d_in != b.d_in) return a.d_in < b.d_in;
-              return a.node < b.node;
-            });
-  row.covered = covered;
-  row.full = row.entries.size() == static_cast<std::size_t>(
-                                       rows_.size());
-  row.by_id.resize(row.entries.size());
-  std::iota(row.by_id.begin(), row.by_id.end(), 0);
-  std::sort(row.by_id.begin(), row.by_id.end(),
-            [&](std::int32_t a, std::int32_t b) {
-              return row.entries[static_cast<std::size_t>(a)].node <
-                     row.entries[static_cast<std::size_t>(b)].node;
-            });
-}
-
-void SparseRoundtripMetric::expand_to_radius(NodeId v, Row& row,
-                                             Dist radius) const {
-  if (row.full || row.covered >= radius) return;
-  BoundedScratch& scratch = bounded_scratch();
-  scratch.ball_out.clear();
-  roundtrip_ball_bounded(*graph_, reversed_, v, radius, scratch.rt,
-                         scratch.ball_out);
-  rebuild_row_from_ball(row, radius);
-}
-
-void SparseRoundtripMetric::expand_to_count(NodeId v, Row& row,
-                                            NodeId want) const {
-  const NodeId n = graph_->node_count();
-  want = std::min<NodeId>(want, n);
-  // Every row entry is a certified ball member (r <= covered), so the row's
-  // size IS its complete count.
-  if (row.full || static_cast<NodeId>(row.entries.size()) >= want) return;
-  BoundedScratch& scratch = bounded_scratch();
+Dist SparseRoundtripMetric::count_ball(NodeId v, NodeId want) const {
+  SearchScratch& scratch = search_scratch();
   // Probes are capped at the overshoot allowance: a budget past the critical
   // radius answers "more than cap" (-1) after O(cap) confirmations instead
   // of walking the whole oversize ball (which on expander-like graphs is
@@ -244,22 +182,21 @@ void SparseRoundtripMetric::expand_to_count(NodeId v, Row& row,
   // Radius whose *complete* ball scratch currently holds, or -1.
   Dist held = -1;
   const auto probe = [&](Dist budget, std::int64_t probe_cap) {
-    scratch.ball_out.clear();
+    scratch.ball.clear();
     const bool complete = roundtrip_ball_bounded(
-        *graph_, reversed_, v, budget, scratch.rt, scratch.ball_out,
-        probe_cap);
+        *graph_, reversed_, v, budget, scratch.rt, scratch.ball, probe_cap);
     held = complete ? budget : -1;
-    return complete ? static_cast<std::int64_t>(scratch.ball_out.size())
+    return complete ? static_cast<std::int64_t>(scratch.ball.size())
                     : std::int64_t{-1};
   };
   // Exponential phase: grow the budget until the ball holds enough members
   // (strong connectivity guarantees all n appear eventually) or overshoots
   // the cap.  When prepare_neighborhoods has published a pilot radius for a
-  // request this large, the first probe past it lands there and further
-  // growth is a gentle 1.25x: critical radii concentrate sharply across
-  // nodes, so most rows resolve in one near-critical probe and the doubling
-  // ladder's expensive overshoot budgets (where one-directional balls
-  // approach the whole graph on expander-like families) are never visited.
+  // request this large, the first probe lands there and further growth is a
+  // gentle 1.25x: critical radii concentrate sharply across nodes, so most
+  // searches resolve in one near-critical probe and the doubling ladder's
+  // expensive overshoot budgets (where one-directional balls approach the
+  // whole graph on expander-like families) are never visited.
   const Dist hint = hint_radius_.load(std::memory_order_relaxed);
   const NodeId hint_want = hint_want_.load(std::memory_order_relaxed);
   const bool hinted = hint > 0 && hint_want > 0 && want >= hint_want;
@@ -268,7 +205,7 @@ void SparseRoundtripMetric::expand_to_count(NodeId v, Row& row,
     if (cur < hint) return hint;
     return cur > kInfDist / 2 ? kInfDist : cur + std::max<Dist>(1, cur / 4);
   };
-  Dist lo = std::max<Dist>(row.covered, 0);  // member count at lo is < want
+  Dist lo = 0;
   Dist hi = step(lo);
   std::int64_t cnt_hi = probe(hi, cap);  // -1 means more than cap
   while (cnt_hi >= 0 && cnt_hi < want) {
@@ -276,11 +213,10 @@ void SparseRoundtripMetric::expand_to_count(NodeId v, Row& row,
     hi = step(hi);
     cnt_hi = probe(hi, cap);
   }
-  // Refinement phase: binary-search an over-cap budget down until the
-  // committed row is within the allowance of the request.  If the window
-  // collapses while still over cap, the member count jumps past the cap at a
-  // single radius and the minimal sufficient budget hi must be committed
-  // with its full ball.
+  // Refinement phase: binary-search an over-cap budget down until the ball
+  // is within the allowance of the request.  If the window collapses while
+  // still over cap, the member count jumps past the cap at a single radius
+  // and the minimal sufficient budget hi must be taken with its full ball.
   while (cnt_hi < 0 && hi - lo > 1) {
     const Dist mid = lo + (hi - lo) / 2;
     const std::int64_t cnt = probe(mid, cap);
@@ -291,120 +227,62 @@ void SparseRoundtripMetric::expand_to_count(NodeId v, Row& row,
       cnt_hi = cnt;
     }
   }
-  if (held != hi) probe(hi, -1);  // scratch must hold the committed ball
-  rebuild_row_from_ball(row, hi);
+  if (held != hi) probe(hi, -1);  // scratch must hold the complete ball
+  return hi;
 }
 
-const SparseRoundtripMetric::Entry* SparseRoundtripMetric::find_entry(
-    const Row& row, NodeId u) const {
-  const auto it = std::lower_bound(
-      row.by_id.begin(), row.by_id.end(), u,
-      [&](std::int32_t idx, NodeId val) {
-        return row.entries[static_cast<std::size_t>(idx)].node < val;
-      });
-  if (it == row.by_id.end()) return nullptr;
-  const Entry& e = row.entries[static_cast<std::size_t>(*it)];
-  return e.node == u ? &e : nullptr;
-}
-
-std::optional<SparseRoundtripMetric::Entry> SparseRoundtripMetric::cached_pair(
-    NodeId u, NodeId v) const {
-  const std::lock_guard<std::mutex> lock(locks_[static_cast<std::size_t>(u)]);
-  if (const Entry* e = find_entry(rows_[static_cast<std::size_t>(u)], v)) {
-    return *e;
-  }
-  return std::nullopt;
-}
-
-// A miss is one exact search per direction that stops at its target.  It
-// grows no row: sampled pairs (stretch denominators) are far apart, and
-// covering r(u,v) would hold about half the graph per source.
+// One exact search per direction that stops at its target.
 Dist SparseRoundtripMetric::d(NodeId u, NodeId v) const {
   if (const DenseRoundtripMetric* m = matrix_.load(std::memory_order_acquire)) {
     return m->d(u, v);
   }
-  if (const auto e = cached_pair(u, v)) return e->d_out;
-  return dijkstra_point_to_point(*graph_, u, v, bounded_scratch().fwd);
+  return dijkstra_point_to_point(*graph_, u, v, search_scratch().pair);
 }
 
 Dist SparseRoundtripMetric::r(NodeId u, NodeId v) const {
   if (const DenseRoundtripMetric* m = matrix_.load(std::memory_order_acquire)) {
     return m->r(u, v);
   }
-  if (const auto e = cached_pair(u, v)) return e->r;
-  BoundedDijkstraWorkspace& ws = bounded_scratch().fwd;
+  BoundedDijkstraWorkspace& ws = search_scratch().pair;
   return dijkstra_point_to_point(*graph_, u, v, ws) +
          dijkstra_point_to_point(*graph_, v, u, ws);
 }
 
-std::vector<NodeId> SparseRoundtripMetric::init_order(
-    NodeId v, std::span<const NodeName> names) const {
-  return neighborhood(v, node_count(), names);
-}
-
 std::vector<NodeId> SparseRoundtripMetric::neighborhood(
     NodeId v, NodeId size, std::span<const NodeName> names) const {
-  const std::lock_guard<std::mutex> lock(locks_[static_cast<std::size_t>(v)]);
-  Row& row = rows_[static_cast<std::size_t>(v)];
-  expand_to_count(v, row, size);
-  // Every entry is complete (r <= covered) and the set is downward-closed
-  // under the (r, d_in) major keys, so refining its order with the per-call
-  // name tie-break and truncating reproduces the dense Init_v prefix exactly.
-  const std::size_t complete = row.entries.size();
-  std::vector<std::int32_t> idx(complete);
-  std::iota(idx.begin(), idx.end(), 0);
-  std::sort(idx.begin(), idx.end(), [&](std::int32_t a, std::int32_t b) {
-    const Entry& ea = row.entries[static_cast<std::size_t>(a)];
-    const Entry& eb = row.entries[static_cast<std::size_t>(b)];
-    if (ea.r != eb.r) return ea.r < eb.r;
-    if (ea.d_in != eb.d_in) return ea.d_in < eb.d_in;
-    return names[static_cast<std::size_t>(ea.node)] <
-           names[static_cast<std::size_t>(eb.node)];
-  });
-  const auto take = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max<NodeId>(size, 0)), idx.size());
-  std::vector<NodeId> out;
-  out.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    out.push_back(row.entries[static_cast<std::size_t>(idx[i])].node);
-  }
+  const NodeId want = std::min<NodeId>(size, node_count());
+  if (want <= 0) return {};
+  (void)count_ball(v, want);
+  // The ball holds every u with r(v,u) <= its radius and nothing beyond, so
+  // it is downward-closed under Init_v's major key r: its Init order,
+  // truncated, is the Init_v prefix.
+  std::vector<RoundtripReach>& ball = search_scratch().ball;
+  const auto take = static_cast<std::ptrdiff_t>(want);
+  std::partial_sort(ball.begin(), ball.begin() + take, ball.end(),
+                    [&](const RoundtripReach& a, const RoundtripReach& b) {
+                      const Dist ra = a.d_out + a.d_in, rb = b.d_out + b.d_in;
+                      if (ra != rb) return ra < rb;
+                      if (a.d_in != b.d_in) return a.d_in < b.d_in;
+                      return names[static_cast<std::size_t>(a.node)] <
+                             names[static_cast<std::size_t>(b.node)];
+                    });
+  std::vector<NodeId> out(static_cast<std::size_t>(want));
+  std::transform(ball.begin(), ball.begin() + take, out.begin(),
+                 [](const RoundtripReach& m) { return m.node; });
   return out;
 }
 
 std::vector<NodeId> SparseRoundtripMetric::ball(NodeId v, Dist radius) const {
-  const std::lock_guard<std::mutex> lock(locks_[static_cast<std::size_t>(v)]);
-  Row& row = rows_[static_cast<std::size_t>(v)];
-  expand_to_radius(v, row, std::max<Dist>(radius, 0));
-  std::vector<NodeId> members;
-  for (const Entry& e : row.entries) {
-    if (e.r <= radius) members.push_back(e.node);
-  }
+  if (radius < 0) return {};
+  SearchScratch& scratch = search_scratch();
+  scratch.ball.clear();
+  roundtrip_ball_bounded(*graph_, reversed_, v, radius, scratch.rt,
+                         scratch.ball);
+  std::vector<NodeId> members(scratch.ball.size());
+  std::transform(scratch.ball.begin(), scratch.ball.end(), members.begin(),
+                 [](const RoundtripReach& m) { return m.node; });
   std::sort(members.begin(), members.end());
   return members;
-}
-
-std::int32_t SparseRoundtripMetric::nearest(
-    NodeId v, const std::vector<NodeId>& candidates) const {
-  if (candidates.empty()) return -1;
-  const std::lock_guard<std::mutex> lock(locks_[static_cast<std::size_t>(v)]);
-  Row& row = rows_[static_cast<std::size_t>(v)];
-  for (;;) {
-    std::int32_t best = -1;
-    Dist best_r = kInfDist;
-    // Every row entry has r <= covered, so any present candidate beats all
-    // absent ones (their r exceeds covered) and the scan is decisive as
-    // soon as one candidate appears.
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const Entry* e = find_entry(row, candidates[i]);
-      if (e == nullptr) continue;
-      if (e->r < best_r) {
-        best_r = e->r;
-        best = static_cast<std::int32_t>(i);
-      }
-    }
-    if (best != -1 || row.full) return best;
-    expand_to_radius(v, row, next_radius(row.covered, seed_radius_));
-  }
 }
 
 void SparseRoundtripMetric::nearest_all(const std::vector<NodeId>& candidates,
@@ -416,11 +294,11 @@ void SparseRoundtripMetric::nearest_all(const std::vector<NodeId>& candidates,
   nearest_r.assign(static_cast<std::size_t>(n), kInfDist);
   if (candidates.empty()) return;
   const int workers = resolve_apsp_threads(threads);
-  // |candidates| global sweeps instead of n row expansions: per-node rows
-  // can only certify a nearest center by covering out to it, which on
-  // expander-like graphs means near-full rows and O(n^2) resident entries.
-  // Two full Dijkstras per candidate give every node's r(v, c) at once;
-  // chunking bounds the resident distance rows to 2 * kSweepChunk * n.
+  // |candidates| global sweeps instead of one search per node: a per-node
+  // search can only certify its nearest center by covering out to it, which
+  // on expander-like graphs means near-whole-graph searches.  Two full
+  // Dijkstras per candidate give every node's r(v, c) at once; chunking
+  // bounds the resident distance rows to 2 * kSweepChunk * n.
   constexpr std::size_t kSweepChunk = 32;
   std::vector<std::vector<Dist>> fwd(kSweepChunk);
   std::vector<std::vector<Dist>> rev(kSweepChunk);
@@ -437,7 +315,7 @@ void SparseRoundtripMetric::nearest_all(const std::vector<NodeId>& candidates,
       };
     });
     // Serial merge in ascending candidate order with a strict < reproduces
-    // nearest()'s earliest-list-position tie-break exactly.
+    // the base scan's earliest-list-position tie-break exactly.
     for (std::size_t k = 0; k < chunk; ++k) {
       const auto idx = static_cast<std::int32_t>(base + k);
       const auto& df = fwd[k];
@@ -456,72 +334,38 @@ void SparseRoundtripMetric::nearest_all(const std::vector<NodeId>& candidates,
 
 void SparseRoundtripMetric::prepare_neighborhoods(NodeId want,
                                                   int threads) const {
-  (void)threads;  // pilots run serially: kHintPilots rows, each one ladder
+  (void)threads;  // pilots run serially: kHintPilots searches, each one ladder
   const NodeId n = node_count();
   want = std::min<NodeId>(want, n);
-  if (want <= 0 || want >= n) return;  // full rows have no critical radius
-  // Deterministic evenly spaced pilots: expand each through the regular
-  // (unhinted) ladder and publish the median committed radius.  A pilot row
-  // holding >= want entries is already past its critical radius, so every
-  // sample is an upper bound and the median resists fat outlier rows left by
-  // earlier pair queries.  Row contents stay schedule-independent, so the
-  // hint only redirects probe budgets -- answers are identical with or
-  // without it.
+  if (want <= 0 || want >= n) return;  // whole orders have no critical radius
+  // Deterministic evenly spaced pilots: search each through the regular
+  // (unhinted) ladder and publish the median radius.  Every pilot radius
+  // holds >= want members, so every sample is an upper bound on its node's
+  // critical radius and the median resists outliers.  The hint only
+  // redirects probe budgets -- answers are identical with or without it.
   std::vector<Dist> radii;
   radii.reserve(static_cast<std::size_t>(kHintPilots));
   for (NodeId i = 0; i < kHintPilots && i < n; ++i) {
     const NodeId v = static_cast<NodeId>(
         (static_cast<std::int64_t>(i) * n) / kHintPilots);
-    const std::lock_guard<std::mutex> lock(locks_[static_cast<std::size_t>(v)]);
-    Row& row = rows_[static_cast<std::size_t>(v)];
-    expand_to_count(v, row, want);
-    radii.push_back(row.covered);
+    radii.push_back(count_ball(v, want));
   }
-  if (radii.empty()) return;
   std::sort(radii.begin(), radii.end());
   hint_radius_.store(radii[radii.size() / 2], std::memory_order_relaxed);
   hint_want_.store(want, std::memory_order_relaxed);
 }
 
-void SparseRoundtripMetric::prepare_all_pairs(int threads) const {
-  if (matrix_.load(std::memory_order_acquire) != nullptr) return;
-  // Each full row depends only on v, so any schedule commits the same rows.
-  parallel_tickets(node_count(), resolve_apsp_threads(threads), [&] {
-    return [&](std::int64_t ticket) {
-      const auto v = static_cast<std::size_t>(ticket);
-      const std::lock_guard<std::mutex> lock(locks_[v]);
-      expand_to_radius(static_cast<NodeId>(v), rows_[v], kInfDist);
-    };
-  });
-}
-
-Dist SparseRoundtripMetric::rt_radius_from(NodeId v) const {
-  const std::lock_guard<std::mutex> lock(locks_[static_cast<std::size_t>(v)]);
-  Row& row = rows_[static_cast<std::size_t>(v)];
-  expand_to_radius(v, row, kInfDist);
-  Dist mx = 0;
-  for (const Entry& e : row.entries) mx = std::max(mx, e.r);
-  return mx;
-}
-
-void SparseRoundtripMetric::for_each_roundtrip_row(
-    const RowVisitor& visit) const {
+void SparseRoundtripMetric::roundtrip_row(NodeId v, std::span<Dist> row) const {
   if (const DenseRoundtripMetric* m = matrix_.load(std::memory_order_acquire)) {
-    m->for_each_roundtrip_row(visit);
+    m->roundtrip_row(v, row);
     return;
   }
-  const NodeId n = graph_->node_count();
-  BoundedScratch& scratch = bounded_scratch();
-  std::vector<Dist> row(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    // Strongly connected: both unbounded sweeps settle every node.
-    bounded_sweep(*graph_, reversed_, v, kInfDist, scratch);
-    for (const BoundedReach& f : scratch.fwd_out) {
-      const auto u = static_cast<std::size_t>(f.node);
-      row[u] = f.dist + scratch.rev.dist[u];
-    }
-    visit(v, row);
-  }
+  // Strongly connected: both unbounded sweeps settle every node.
+  SearchScratch& scratch = search_scratch();
+  scratch.back.resize(row.size());
+  dijkstra_distances_into(*graph_, v, scratch.sweep, row);             // d(v, .)
+  dijkstra_distances_into(reversed_, v, scratch.sweep, scratch.back);  // d(., v)
+  for (std::size_t u = 0; u < row.size(); ++u) row[u] += scratch.back[u];
 }
 
 const RoundtripMetric& SparseRoundtripMetric::whole_levels() const {
@@ -532,15 +376,6 @@ const RoundtripMetric& SparseRoundtripMetric::whole_levels() const {
     matrix_.store(matrix_owner_.get(), std::memory_order_release);
   });
   return *matrix_owner_;
-}
-
-std::int64_t SparseRoundtripMetric::cached_entries() const {
-  std::int64_t total = 0;
-  for (std::size_t v = 0; v < rows_.size(); ++v) {
-    const std::lock_guard<std::mutex> lock(locks_[v]);
-    total += static_cast<std::int64_t>(rows_[v].entries.size());
-  }
-  return total;
 }
 
 // ------------------------------------------------------------- MetricMode --

@@ -20,21 +20,21 @@
 //   * DenseRoundtripMetric  -- the full APSP matrix; O(1) d/r lookups, O(n^2)
 //     memory.  A test oracle, and what whole-level consumers read up to
 //     kDenseMetricAutoThreshold nodes (see whole_levels()).
-//   * SparseRoundtripMetric -- lazy per-node rows fed by *bounded* Dijkstra
-//     (forward on g plus forward on reversed(g), both stopped at a radius).
-//     A row covering radius R holds exactly the nodes with r(v,u) <= R, so
-//     balls and Init prefixes are served from O(|row|) state and memory grows
-//     with what the schemes actually touch -- O~(n sqrt n) for the paper's
-//     constructions -- instead of O(n^2).  Rows double their radius on demand;
-//     a d/r pair outside the cached rows is one exact point-to-point search.
-//     Results are identical to the dense backend by construction (pinned by
-//     the differential suite in tests/sparse_metric_test.cpp).
+//   * SparseRoundtripMetric -- a pure function of its graph: every query
+//     searches and leaves nothing behind.  A ball is one budget-pruned
+//     bidirectional search (roundtrip_ball_bounded), and an Init prefix a
+//     few of them probing for a radius, so both cost about what the ball
+//     costs, O~(sqrt n) nodes for the paper's constructions; a d/r pair is
+//     one exact point-to-point search per direction; a roundtrip row is one
+//     full sweep per direction.  Results
+//     are identical to the dense backend by construction (pinned by the
+//     differential suite in tests/sparse_metric_test.cpp).
 //
-// Whole-metric readers (rt_diameter, the cover hierarchy's seed balls) take
-// the roundtrip rows r(v, .) in one stream, for_each_roundtrip_row: the
-// dense backend serves it from cache-line-wide tiles of D and its
-// transpose, the sparse one from one unbounded both-directions sweep per
-// node.  Neither walks a matrix column per node.
+// Whole-metric readers (rt_diameter, the cover hierarchy's seed balls, the
+// exstretch/polystretch dictionaries) read roundtrip rows r(v, .), one node
+// at a time (roundtrip_row) or all in one stream (for_each_roundtrip_row).
+// The dense backend streams them from cache-line-wide tiles of D and its
+// transpose; the sparse one fills each row from two sweeps in O(n) memory.
 #ifndef RTR_RT_METRIC_H
 #define RTR_RT_METRIC_H
 
@@ -42,7 +42,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <span>
 #include <vector>
@@ -53,7 +52,7 @@
 namespace rtr {
 
 /// Roundtrip metric over a strongly connected digraph.  Also exposes the
-/// cover-construction vocabulary of Section 4: balls, radii, diameter.
+/// cover-construction vocabulary of Section 4: balls, rows, diameter.
 /// Implementations must be safe to query concurrently from many threads
 /// (the QueryEngine pool and the parallel scheme builders do exactly that).
 class RoundtripMetric {
@@ -68,12 +67,9 @@ class RoundtripMetric {
   /// Roundtrip distance r(u,v) = d(u,v) + d(v,u).
   [[nodiscard]] virtual Dist r(NodeId u, NodeId v) const = 0;
 
-  /// The full Init_v order: a permutation of V sorted by (r(v,u), d(u,v),
-  /// name(u)).  names[x] is the TINN name of internal node x.
-  [[nodiscard]] virtual std::vector<NodeId> init_order(
-      NodeId v, std::span<const NodeName> names) const = 0;
-
-  /// First `size` nodes of Init_v (the neighborhood ball N(v) / N_i(v)).
+  /// First min(size, n) nodes of Init_v (the neighborhood ball N(v) /
+  /// N_i(v)); size n gives the whole order.  names[x] is the TINN name of
+  /// internal node x.
   [[nodiscard]] virtual std::vector<NodeId> neighborhood(
       NodeId v, NodeId size, std::span<const NodeName> names) const = 0;
 
@@ -81,21 +77,13 @@ class RoundtripMetric {
   /// ascending by node id.
   [[nodiscard]] virtual std::vector<NodeId> ball(NodeId v, Dist radius) const = 0;
 
-  /// Index into `candidates` of the nearest candidate by roundtrip distance
-  /// from v; ties break toward the earlier list position.  -1 only when
-  /// `candidates` is empty.  Exactly the scan the Thorup-Zwick center step
-  /// performs, exposed here so the sparse backend can answer it from one row
-  /// expansion instead of |candidates| full r() calls.
-  [[nodiscard]] virtual std::int32_t nearest(
-      NodeId v, const std::vector<NodeId>& candidates) const;
-
-  /// nearest() for every node at once: nearest_idx[v] / nearest_r[v] receive
-  /// the winning candidate index and its roundtrip distance from v (-1 /
-  /// kInfDist only when `candidates` is empty).  The base implementation
-  /// loops nearest(); the sparse backend overrides it with |candidates|
-  /// global sweeps instead of n row expansions -- the one query in the
-  /// Thorup-Zwick center step whose answer genuinely needs distances to ALL
-  /// candidates, which per-node rows can only certify by growing near-full.
+  /// The Thorup-Zwick center step for every node at once: nearest_idx[v] /
+  /// nearest_r[v] receive the index into `candidates` of the candidate
+  /// nearest to v by roundtrip distance (ties toward the earlier list
+  /// position) and that distance; -1 / kInfDist only when `candidates` is
+  /// empty.  The base implementation scans r(v, c) per node; the sparse
+  /// backend overrides it with |candidates| global sweeps, since the answer
+  /// genuinely needs the distances to ALL candidates.
   virtual void nearest_all(const std::vector<NodeId>& candidates, int threads,
                            std::vector<std::int32_t>& nearest_idx,
                            std::vector<Dist>& nearest_r) const;
@@ -103,35 +91,28 @@ class RoundtripMetric {
   /// Hint that `neighborhood(v, want, ...)` is about to be asked for every
   /// node.  Answers are identical with or without the call; backends may use
   /// it to amortize work.  The sparse backend measures the critical q-NN
-  /// radius on a deterministic pilot sample and starts each row's budget
-  /// search there, instead of walking a doubling ladder whose overshoot
-  /// probes explore near-whole-graph one-directional balls on expander-like
+  /// radius on a deterministic pilot sample and starts each count search
+  /// there, instead of walking a doubling ladder whose overshoot probes
+  /// explore near-whole-graph one-directional balls on expander-like
   /// families.  Base implementation is a no-op.
   virtual void prepare_neighborhoods(NodeId want, int threads) const {
     (void)want;
     (void)threads;
   }
 
-  /// Hint that r(v, u) is about to be asked for arbitrary pairs from every
-  /// node v (the exstretch/polystretch dictionaries' nearest-member scans).
-  /// Answers are identical with or without the call.  The sparse backend,
-  /// unless it reads a matrix, grows every row to full over `threads`
-  /// workers, so those reads are row lookups instead of one point-to-point
-  /// search each.  Base implementation is a no-op.
-  virtual void prepare_all_pairs(int threads) const { (void)threads; }
-
-  /// max_u r(v,u).
-  [[nodiscard]] virtual Dist rt_radius_from(NodeId v) const = 0;
+  /// Fills row[u] = r(v,u) for every u in [0, n); row.size() must be n.
+  /// O(n) memory beyond the backend's own state, safe to call from many
+  /// threads at once, each with its own row.
+  virtual void roundtrip_row(NodeId v, std::span<Dist> row) const = 0;
 
   /// Receives one roundtrip row: row[u] = r(v,u) for every u in [0, n).
   using RowVisitor = std::function<void(NodeId v, std::span<const Dist> row)>;
 
   /// Streams every node's roundtrip row: calls visit(v, row) once per node,
   /// v ascending, on the calling thread.  `row` is valid only during the
-  /// call.  This is the one way to read the whole metric: it costs O(n^2)
-  /// time but only O(n) memory beyond the backend's own state, and no backend
-  /// walks a column of the distance matrix to serve it.
-  virtual void for_each_roundtrip_row(const RowVisitor& visit) const = 0;
+  /// call.  Costs O(n^2) time but only O(n) memory beyond the backend's own
+  /// state.  The base implementation loops roundtrip_row().
+  virtual void for_each_roundtrip_row(const RowVisitor& visit) const;
 
   /// RTDiam(G) = max over pairs of r(u,v), from one pass over the rows.
   [[nodiscard]] Dist rt_diameter() const;
@@ -139,7 +120,7 @@ class RoundtripMetric {
   /// The metric a whole-level consumer reads, with answers identical to
   /// this one.  Whole-level consumers are the cover hierarchy (every
   /// roundtrip row once, for the diameter and every level's balls) and the
-  /// exstretch/polystretch dictionaries (r() between arbitrarily far pairs).
+  /// exstretch/polystretch dictionaries (one roundtrip row per node).
   /// Those touch every pair, so a matrix pays for itself there.  The base
   /// returns *this; an auto-mode sparse metric at n <=
   /// kDenseMetricAutoThreshold materialises the APSP matrix on the first call.
@@ -162,12 +143,11 @@ class DenseRoundtripMetric final : public RoundtripMetric {
   [[nodiscard]] Dist r(NodeId u, NodeId v) const override {
     return d_.at(u, v) + d_.at(v, u);
   }
-  [[nodiscard]] std::vector<NodeId> init_order(
-      NodeId v, std::span<const NodeName> names) const override;
   [[nodiscard]] std::vector<NodeId> neighborhood(
       NodeId v, NodeId size, std::span<const NodeName> names) const override;
   [[nodiscard]] std::vector<NodeId> ball(NodeId v, Dist radius) const override;
-  [[nodiscard]] Dist rt_radius_from(NodeId v) const override;
+  /// d(v,u) from row v of D, d(u,v) from column v.
+  void roundtrip_row(NodeId v, std::span<Dist> row) const override;
   /// Serves kRowTile rows at a time from one tile of D and the matching
   /// kRowTile-wide column strip of D, read row by row: r(v,u) = d(v,u) +
   /// d(u,v), and d(u, v0 .. v0+kRowTile) is contiguous in row u.
@@ -182,31 +162,27 @@ class DenseRoundtripMetric final : public RoundtripMetric {
   DistMatrix d_;
 };
 
-/// Sparse backend: lazy per-node rows fed by the bidirectional roundtrip-ball
-/// search (roundtrip_ball_bounded).  A row for v is complete up to its covered
-/// radius R -- it lists every u with r(v,u) <= R, each with exact d(v,u) and
-/// d(u,v) -- and grows by doubling R (recomputing from scratch, ~2x the final
-/// cost) whenever a ball, Init prefix or nearest query needs more.  d(u,v)
-/// and r(u,v) read row u when it holds v; otherwise they run exact
-/// point-to-point searches and grow no row, so sampled pair checks (stretch
-/// denominators) leave no state behind.  The budget search is load-bearing for
-/// the memory bound: the row holds exactly the roundtrip-ball members, never
-/// the near-n one-directional balls that a pair of radius-R Dijkstras would
-/// certify with on expander-like graphs, so resident entries track O~(ball)
-/// and total memory stays O~(n sqrt n) for the paper's constructions.
-/// Count-driven requests (neighborhoods) narrow the probe radius by binary
-/// search, so committed rows overshoot the request by a bounded factor
-/// instead of a radius-doubling jump.  Rows are guarded by per-node mutexes,
-/// so concurrent queries are safe; answers never depend on the expansion
-/// history, so any build schedule (serial, parallel, any thread count)
-/// observes identical results.
+/// Sparse backend: a pure function of its graph, holding no per-node state.
+/// Every query runs its own search on per-thread scratch and keeps nothing:
+///   * ball(v, R) is one roundtrip_ball_bounded search with budget R, which
+///     settles only the ball members and the half-radius one-directional
+///     balls around them -- never the near-n one-directional balls that a
+///     pair of radius-R Dijkstras would explore on expander-like graphs;
+///   * neighborhood(v, k) searches for a radius whose ball holds at least k
+///     members (doubling, then binary search while the ball overshoots
+///     kCountSlack * k) and returns the Init_v prefix of that ball;
+///   * d/r run exact point-to-point searches;
+///   * roundtrip_row runs one full sweep per direction.
+/// Concurrent queries share nothing but the hint atomics, and answers never
+/// depend on the query history, so any build schedule (serial, parallel,
+/// any thread count) observes identical results.
 class SparseRoundtripMetric final : public RoundtripMetric {
  public:
   /// Keeps shared ownership of g and materializes its reversal once.  Throws
   /// if g is not strongly connected.  With `whole_level_matrix`, the first
   /// whole_levels() call builds the dense APSP matrix (`threads` wide, <= 0
-  /// resolves via default_apsp_threads) and d/r read it from then on; without
-  /// it whole_levels() returns *this.
+  /// resolves via default_apsp_threads) and d/r/rows read it from then on;
+  /// without it whole_levels() returns *this.
   explicit SparseRoundtripMetric(std::shared_ptr<const Digraph> g,
                                  bool whole_level_matrix = false,
                                  int threads = 0);
@@ -216,80 +192,45 @@ class SparseRoundtripMetric final : public RoundtripMetric {
   }
   [[nodiscard]] Dist d(NodeId u, NodeId v) const override;
   [[nodiscard]] Dist r(NodeId u, NodeId v) const override;
-  [[nodiscard]] std::vector<NodeId> init_order(
-      NodeId v, std::span<const NodeName> names) const override;
   [[nodiscard]] std::vector<NodeId> neighborhood(
       NodeId v, NodeId size, std::span<const NodeName> names) const override;
   [[nodiscard]] std::vector<NodeId> ball(NodeId v, Dist radius) const override;
-  [[nodiscard]] std::int32_t nearest(
-      NodeId v, const std::vector<NodeId>& candidates) const override;
   void nearest_all(const std::vector<NodeId>& candidates, int threads,
                    std::vector<std::int32_t>& nearest_idx,
                    std::vector<Dist>& nearest_r) const override;
   void prepare_neighborhoods(NodeId want, int threads) const override;
-  void prepare_all_pairs(int threads) const override;
-  [[nodiscard]] Dist rt_radius_from(NodeId v) const override;
-  /// One full both-directions sweep per node, streamed and never cached, so
-  /// the O(n^2) distances stay out of memory; reads the matrix instead once
-  /// whole_levels() has built it.
-  void for_each_roundtrip_row(const RowVisitor& visit) const override;
+  void roundtrip_row(NodeId v, std::span<Dist> row) const override;
   [[nodiscard]] const RoundtripMetric& whole_levels() const override;
 
-  /// Resident entry count across all cached rows (memory diagnostics).
-  [[nodiscard]] std::int64_t cached_entries() const;
-
  private:
-  struct Entry {
-    NodeId node = kNoNode;
-    Dist r = kInfDist;
-    Dist d_out = kInfDist;  // d(v, node)
-    Dist d_in = kInfDist;   // d(node, v)
-  };
-  struct Row {
-    Dist covered = -1;  // complete for every u with r(v,u) <= covered
-    bool full = false;  // all n nodes present (covered is then RTRadius(v))
-    std::vector<Entry> entries;       // sorted by (r, d_in, node)
-    std::vector<std::int32_t> by_id;  // entry indices sorted by node id
-  };
+  /// Finds a radius whose complete roundtrip ball around v holds at least
+  /// `want` members (want in [1, n]) and leaves that ball in this thread's
+  /// scratch: doubles the probe radius until enough members appear, then
+  /// narrows by binary search while the member count overshoots
+  /// kCountSlack * want, so the ball stays near the request even on
+  /// expander-like graphs where ball sizes jump sharply with radius.
+  /// Returns the radius.
+  Dist count_ball(NodeId v, NodeId want) const;
 
-  /// Grows row v until covered >= radius (kInfDist forces a full row) with
-  /// one roundtrip-budget search; the rebuilt row holds exactly the ball
-  /// members, so resident memory tracks ball sizes, not the one-directional
-  /// balls the exploration transits.  Caller must hold locks_[v].
-  void expand_to_radius(NodeId v, Row& row, Dist radius) const;
-  /// Grows row v until it holds >= want complete entries (capped at full):
-  /// doubles the probe radius until enough members appear, then narrows by
-  /// binary search while the member count overshoots kCountSlack * want, so
-  /// the committed row stays near the request even on expander-like graphs
-  /// where ball sizes jump sharply with radius.  Caller must hold locks_[v].
-  void expand_to_count(NodeId v, Row& row, NodeId want) const;
-  /// Rebuilds row entries/by_id from the thread-local ball scratch
-  /// (roundtrip_ball_bounded output) and stamps the covered radius.
-  void rebuild_row_from_ball(Row& row, Dist covered) const;
-  [[nodiscard]] const Entry* find_entry(const Row& row, NodeId u) const;
-  /// Row u's entry for v when the row already holds it; never expands.
-  [[nodiscard]] std::optional<Entry> cached_pair(NodeId u, NodeId v) const;
-
-  /// Committed rows may overshoot a count request by at most this factor.
+  /// The ball count_ball returns may overshoot the request by at most this
+  /// factor, unless the member count jumps past it at a single radius.
   static constexpr NodeId kCountSlack = 4;
   /// Pilot sample size for prepare_neighborhoods.
   static constexpr NodeId kHintPilots = 16;
 
   std::shared_ptr<const Digraph> graph_;
   Digraph reversed_;
-  Dist seed_radius_;  // first expansion radius guess
-  /// Median committed radius of the prepare_neighborhoods pilot rows (-1
-  /// until prepared) and the count it was measured for.  Read relaxed inside
-  /// expand_to_count: any stale or torn view only changes which budgets get
-  /// probed, never what a committed row contains.
+  Dist seed_radius_;  // first probe radius of an unhinted count search
+  /// Median count_ball radius of the prepare_neighborhoods pilots (-1 until
+  /// prepared) and the count it was measured for.  Read relaxed inside
+  /// count_ball: any stale or torn view only changes which budgets get
+  /// probed, never which nodes an answer holds.
   mutable std::atomic<Dist> hint_radius_{-1};
   mutable std::atomic<NodeId> hint_want_{0};
-  mutable std::vector<Row> rows_;
-  mutable std::vector<std::mutex> locks_;
   const bool whole_level_matrix_;
   const int threads_;
   /// The matrix whole_levels() materialises (once, under matrix_once_);
-  /// `matrix_` publishes it to d/r without taking the once flag.
+  /// `matrix_` publishes it to d/r/rows without taking the once flag.
   mutable std::once_flag matrix_once_;
   mutable std::unique_ptr<const DenseRoundtripMetric> matrix_owner_;
   mutable std::atomic<const DenseRoundtripMetric*> matrix_{nullptr};
@@ -297,15 +238,15 @@ class SparseRoundtripMetric final : public RoundtripMetric {
 
 /// Which backend BuildContext / the bench harness should materialize.
 enum class MetricMode {
-  kAuto,    // sparse rows; whole-level consumers get the matrix up to the cap
+  kAuto,    // sparse searches; whole-level consumers get the matrix up to the cap
   kDense,   // the APSP matrix, built up front
-  kSparse,  // sparse rows only; whole_levels() never builds a matrix
+  kSparse,  // sparse searches only; whole_levels() never builds a matrix
 };
 
 /// Largest node count at which an auto-mode metric's whole_levels()
 /// materialises the APSP matrix.  Up to here the matrix is at most 134 MB and
-/// its O(1) lookups beat rows grown to full for the cover schemes, which
-/// touch every pair anyway; beyond it they answer from rows.  Consumers that
+/// its O(1) lookups beat per-row sweeps for the cover schemes, which touch
+/// every pair anyway; beyond it they read swept rows.  Consumers that
 /// read only O~(sqrt n) balls (rtz3, stretch6, hashed64) never build it.
 inline constexpr NodeId kDenseMetricAutoThreshold = 4096;
 
@@ -317,7 +258,7 @@ inline constexpr NodeId kDenseMetricAutoThreshold = 4096;
 /// O(m) here (one reversal, one SCC check); kDense pays the APSP.  `threads`
 /// feeds the APSP fan-out, up front for kDense and on the first
 /// whole_levels() call for kAuto (<= 0 resolves via default_apsp_threads);
-/// sparse rows expand lazily on querying threads instead.
+/// sparse queries otherwise search on the querying threads.
 [[nodiscard]] std::shared_ptr<const RoundtripMetric> make_roundtrip_metric(
     std::shared_ptr<const Digraph> graph, MetricMode mode = MetricMode::kAuto,
     int threads = 0);

@@ -232,8 +232,8 @@ BallSystem build_ball_system(const RoundtripMetric& metric,
   }
 
   // One batch query answers every node's nearest center: the sparse metric
-  // serves it with |A| global sweeps, which keeps its per-node rows at ball
-  // size instead of forcing them to cover out to the centers.
+  // serves it with |A| global sweeps, which keeps its per-node searches at
+  // ball size instead of forcing them to cover out to the centers.
   std::vector<std::int32_t> nearest;
   std::vector<Dist> r_to_centers;
   metric.nearest_all(centers, threads, nearest, r_to_centers);

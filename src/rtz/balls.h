@@ -100,8 +100,9 @@ struct BallSystem {
 /// (nearest center + ball membership) fans out over `threads` workers
 /// (<= 0 resolves the process default); the result is a pure function of
 /// (metric, centers) for any thread count.  Ball membership is served by
-/// metric.nearest() + metric.ball(), so the sparse backend answers from
-/// one bounded-Dijkstra row per node instead of n full r() lookups.
+/// metric.nearest_all() + metric.ball(), so the sparse backend answers from
+/// |A| global sweeps plus one bounded ball search per node instead of n full
+/// r() lookups.
 [[nodiscard]] BallSystem build_ball_system(const RoundtripMetric& metric,
                                            std::vector<NodeId> centers,
                                            int threads = 1);

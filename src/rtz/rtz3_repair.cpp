@@ -26,7 +26,7 @@
 //     whole graph, so genuine topology churn almost always touches them;
 //     84-111 ms at random n = 4096 on 2 workers).
 //     The saving over a full build is skipping clean balls' trees and
-//     never running the dense APSP (callers hand in a lazy sparse metric).
+//     never running the dense APSP (callers hand in a sparse metric).
 //
 // Both phases are the constructor's own (build_center_trees and
 // build_ball_trees); repair hands the ball phase the old scheme and the

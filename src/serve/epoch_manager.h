@@ -91,7 +91,7 @@ struct EpochManagerOptions {
   /// the center draw is reproducible across epochs (the precondition for
   /// the incremental repair splice).
   std::uint64_t scheme_seed = 1;
-  /// Metric backend per epoch: kAuto is bounded-Dijkstra sparse rows, and
+  /// Metric backend per epoch: kAuto is sparse bounded searches, and
   /// only a cover scheme's build (a whole-level consumer) materialises the
   /// APSP matrix, up to kDenseMetricAutoThreshold nodes.
   MetricMode metric_mode = MetricMode::kAuto;

@@ -3,18 +3,23 @@
 // stack.  And a cover hierarchy's double trees, like an rtz3 build's ball
 // trees, allocate in proportion to their memberships, not to trees x n.
 // Under the auto metric mode only a whole-level consumer (polystretch here)
-// allocates the n x n APSP matrix; rtz3 and stretch6 builds never do.
+// allocates the n x n APSP matrix; rtz3 and stretch6 builds never do, and a
+// sparse metric keeps nothing once a build is over.
 // This binary replaces the global operator new with one that counts
 // allocations and bytes, which is why it is not part of rtr_tests: a
 // replacement applies to the whole program.
-// Only allocations made on the calling thread are counted.
+// Allocations and bytes are counted per thread (the calling thread's own);
+// live bytes, allocated minus freed, are counted over all threads.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cover/hierarchy.h"
@@ -30,6 +35,9 @@ namespace {
 thread_local std::int64_t t_allocations = 0;
 thread_local std::int64_t t_allocated_bytes = 0;
 thread_local std::int64_t t_largest_allocation = 0;
+// Usable bytes of every block the replaced operator new handed out and
+// operator delete has not yet taken back, on any thread.
+std::atomic<std::int64_t> g_live_bytes{0};
 
 void count(std::size_t size) noexcept {
   ++t_allocations;
@@ -38,22 +46,32 @@ void count(std::size_t size) noexcept {
       std::max(t_largest_allocation, static_cast<std::int64_t>(size));
 }
 
+void* track(void* p) noexcept {
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  return p;
+}
+
 void* counted_alloc(std::size_t size) noexcept {
   count(size);
-  return std::malloc(size == 0 ? 1 : size);
+  return track(std::malloc(size == 0 ? 1 : size));
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) noexcept {
   count(size);
   const auto a = static_cast<std::size_t>(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
-  return std::aligned_alloc(a, (size + a - 1) / a * a);
+  return track(std::aligned_alloc(a, (size + a - 1) / a * a));
 }
 
 // Not inlined: where GCC sees free() meet a pointer from the replaced
 // operator new it warns of a mismatch that is not there (both sides are
 // malloc/free).
-[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void release(void* p) noexcept {
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 
 }  // namespace
 
@@ -286,6 +304,29 @@ INSTANTIATE_TEST_SUITE_P(
                                                    : std::string("scale_free_n")) +
              std::to_string(info.param.n);
     });
+
+// A sparse metric is a pure function of its graph: a cover scheme's build
+// reads one roundtrip row per node through it and leaves nothing behind.
+// Rows grown to full for the dictionaries' pair reads held n^2 entries
+// (~30 MB here) until the metric died.  The build runs on its own thread,
+// so that thread's search scratch is freed when it exits, and the bytes
+// still live after the scheme is gone are what the metric retains.
+TEST(SparseMetricRetentionTest, CoverBuildLeavesNothingInTheMetric) {
+  const Instance inst = make_instance(Family::kScaleFree, 1024, 5, 42);
+  const auto graph = std::make_shared<const Digraph>(inst.graph);
+  const auto metric = make_roundtrip_metric(graph, MetricMode::kSparse, 1);
+  (void)SchemeRegistry::global();  // the process-lifetime registry
+  const std::int64_t before = g_live_bytes.load();
+  std::thread build([&] {
+    const BuildContext ctx = BuildContext::wrap(graph, metric, inst.names, 43,
+                                                {{"threads", "1"}});
+    (void)SchemeRegistry::global().build("polystretch", ctx);
+  });
+  build.join();
+  const std::int64_t retained = g_live_bytes.load() - before;
+  EXPECT_LT(retained, 64 * static_cast<std::int64_t>(inst.n()))
+      << retained << " bytes still live after a sparse polystretch build";
+}
 
 }  // namespace
 }  // namespace rtr

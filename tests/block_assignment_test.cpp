@@ -26,11 +26,10 @@ TEST_P(BlockAssignmentTest, CoverageAndLogSizeBound) {
   Alphabet alpha(inst.n(), p.k);
   Neighborhoods hoods = compute_neighborhoods(*inst.metric, inst.names);
   Rng rng(p.seed + 1);
-  BlockAssignment a =
-      assign_blocks(alpha, *inst.metric, inst.names, hoods, rng);
+  BlockAssignment a = assign_blocks(alpha, hoods, rng);
 
   // Lemma 1 / Lemma 4 coverage.
-  EXPECT_TRUE(verify_coverage(alpha, hoods, inst.names, a));
+  EXPECT_TRUE(verify_coverage(alpha, hoods, a));
 
   // O(log n) blocks per node: our constant is log_factor (3) with up to 1.5x
   // growth per retry; assert a loose but honest multiple.
@@ -60,7 +59,7 @@ TEST(BlockAssignment, HoldsIsConsistentWithBlockLists) {
   Alphabet alpha(inst.n(), 2);
   Neighborhoods hoods = compute_neighborhoods(*inst.metric, inst.names);
   Rng rng(12);
-  BlockAssignment a = assign_blocks(alpha, *inst.metric, inst.names, hoods, rng);
+  BlockAssignment a = assign_blocks(alpha, hoods, rng);
   for (NodeId v = 0; v < inst.n(); ++v) {
     for (BlockId b = 0; b < alpha.relevant_block_count(); ++b) {
       bool listed = false;
@@ -77,15 +76,15 @@ TEST(BlockAssignment, TinyInstancesHoldEverything) {
   Alphabet alpha(inst.n(), 2);
   Neighborhoods hoods = compute_neighborhoods(*inst.metric, inst.names);
   Rng rng(14);
-  BlockAssignment a = assign_blocks(alpha, *inst.metric, inst.names, hoods, rng);
-  EXPECT_TRUE(verify_coverage(alpha, hoods, inst.names, a));
+  BlockAssignment a = assign_blocks(alpha, hoods, rng);
+  EXPECT_TRUE(verify_coverage(alpha, hoods, a));
 }
 
 TEST(BlockAssignment, NeighborhoodOrderSharedWithMetric) {
   Instance inst = make_instance(Family::kRing, 40, 4, 15);
   Neighborhoods hoods = compute_neighborhoods(*inst.metric, inst.names);
   for (NodeId v = 0; v < inst.n(); v += 5) {
-    auto direct = inst.metric->init_order(v, inst.names.names());
+    auto direct = inst.metric->neighborhood(v, inst.n(), inst.names.names());
     EXPECT_EQ(hoods.order[static_cast<std::size_t>(v)], direct);
     EXPECT_EQ(hoods.prefix(v, 5).size(), 5u);
   }
@@ -99,10 +98,9 @@ TEST(BlockAssignment, GreedyRepairTriggersWhenRandomizedBudgetTooSmall) {
   BlockAssignmentOptions opts;
   opts.log_factor = 0.05;  // starve the randomized phase
   opts.max_tries = 1;
-  BlockAssignment a =
-      assign_blocks(alpha, *inst.metric, inst.names, hoods, rng, opts);
+  BlockAssignment a = assign_blocks(alpha, hoods, rng, opts);
   // Coverage must hold regardless, via greedy repairs.
-  EXPECT_TRUE(verify_coverage(alpha, hoods, inst.names, a));
+  EXPECT_TRUE(verify_coverage(alpha, hoods, a));
   EXPECT_GT(a.greedy_repairs, 0);
 }
 

@@ -45,7 +45,7 @@ TEST_P(MetricFamilyTest, InitOrderIsATotalOrderStartingAtSelf) {
   Instance inst = make_instance(family, n, 8, seed);
   const RoundtripMetric& m = *inst.metric;
   for (NodeId v = 0; v < m.node_count(); v += 7) {
-    auto order = m.init_order(v, inst.names.names());
+    auto order = m.neighborhood(v, m.node_count(), inst.names.names());
     ASSERT_EQ(static_cast<NodeId>(order.size()), m.node_count());
     EXPECT_EQ(order[0], v) << "Init_v must start with v (r(v,v)=0)";
     // Non-decreasing in r; ties broken by (d(u,v), name) strictly.
@@ -114,7 +114,11 @@ TEST(Metric, DiameterAndRadiusConsistency) {
   DenseRoundtripMetric m(g);
   Dist diam = m.rt_diameter();
   Dist max_rad = 0;
-  for (NodeId v = 0; v < 40; ++v) max_rad = std::max(max_rad, m.rt_radius_from(v));
+  std::vector<Dist> row(40);
+  for (NodeId v = 0; v < 40; ++v) {
+    m.roundtrip_row(v, row);
+    max_rad = std::max(max_rad, *std::max_element(row.begin(), row.end()));
+  }
   EXPECT_EQ(diam, max_rad);
   EXPECT_GT(diam, 0);
 }

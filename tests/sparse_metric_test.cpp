@@ -1,20 +1,22 @@
 // Differential conformance for the sparse roundtrip metric and the parallel
 // scheme builders:
 //
-//  * The lazily-expanded SparseRoundtripMetric must be observationally
+//  * The search-backed SparseRoundtripMetric must be observationally
 //    identical to the dense APSP-backed metric -- distances, init orders,
-//    neighborhood prefixes, balls, radii -- on every family and size.
+//    neighborhood prefixes, balls, roundtrip rows -- on every family and
+//    size, whatever was asked of it before.
 //  * Every registered scheme built on the sparse metric, or on the auto-mode
 //    metric, must produce byte-identical snapshots to the same build on the
 //    dense metric (the metric is construction-time scaffolding; tables
-//    cannot depend on it).  Pair distances outside the cached rows come from
-//    point-to-point searches that leave the rows as they were.
+//    cannot depend on it).
 //  * Parallel construction (options["threads"]) must be byte-identical to
 //    the serial build for any thread count, on both metric backends.  The
-//    ParallelDeterminism suite runs under TSAN in CI, where the sparse
-//    metric's per-row locking is exercised by concurrent builder threads.
+//    ParallelDeterminism suite runs under TSAN in CI, where concurrent
+//    builder threads search the sparse metric and fill roundtrip rows on
+//    their own per-thread scratch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -25,6 +27,7 @@
 #include "net/scheme.h"
 #include "rt/metric.h"
 #include "test_support.h"
+#include "util/parallel.h"
 
 namespace rtr {
 namespace {
@@ -46,19 +49,31 @@ TEST_P(SparseMetricTest, MatchesDenseMetricObservationally) {
   EXPECT_EQ(sparse.rt_diameter(), dense.rt_diameter());
 
   // Sampled sources keep the n=2048 instantiation affordable; every row a
-  // scheme would read (init order, neighborhoods, balls) is checked exactly.
+  // scheme would read (init order, neighborhoods, balls, roundtrip rows) is
+  // checked exactly.
   const NodeId stride = std::max<NodeId>(1, n / 64);
+  // The sampled rows fill from three threads at once, the way the
+  // dictionaries' fan-out reads them (TSAN watches this suite in CI).
+  const auto row_size = static_cast<std::size_t>(dense.node_count());
+  std::vector<std::vector<Dist>> sparse_rows((n + stride - 1) / stride);
+  parallel_tickets(static_cast<std::int64_t>(sparse_rows.size()), 3, [&] {
+    return [&](std::int64_t i) {
+      auto& row = sparse_rows[static_cast<std::size_t>(i)];
+      row.resize(row_size);
+      sparse.roundtrip_row(static_cast<NodeId>(i) * stride, row);
+    };
+  });
+  std::vector<Dist> dense_row(row_size);
   for (NodeId v = 0; v < n; v += stride) {
-    EXPECT_EQ(sparse.rt_radius_from(v), dense.rt_radius_from(v)) << "v=" << v;
-    EXPECT_EQ(sparse.init_order(v, inst->names.names()),
-              dense.init_order(v, inst->names.names()))
+    dense.roundtrip_row(v, dense_row);
+    EXPECT_EQ(sparse_rows[static_cast<std::size_t>(v / stride)], dense_row)
         << "v=" << v;
     for (const NodeId size : {NodeId{1}, NodeId{7}, n / 4, n}) {
       EXPECT_EQ(sparse.neighborhood(v, size, inst->names.names()),
                 dense.neighborhood(v, size, inst->names.names()))
           << "v=" << v << " size=" << size;
     }
-    const Dist rv = dense.rt_radius_from(v);
+    const Dist rv = *std::max_element(dense_row.begin(), dense_row.end());
     for (const Dist radius : {Dist{0}, Dist{1}, rv / 4, rv / 2, rv}) {
       EXPECT_EQ(sparse.ball(v, radius), dense.ball(v, radius))
           << "v=" << v << " radius=" << radius;
@@ -83,10 +98,9 @@ INSTANTIATE_TEST_SUITE_P(
                       FamilyParam{Family::kRing, 2048, 9}),
     [](const auto& info) { return family_param_name(info.param); });
 
-// d(u,v) and r(u,v) outside the cached rows are exact point-to-point
-// searches that grow no row: every pair matches the dense metric on every
-// family, and the resident entry count does not move, before or after other
-// queries have grown rows (which then answer the pairs they hold).
+// d(u,v) and r(u,v) are exact point-to-point searches: every pair matches
+// the dense metric on every family, the same before and after other queries
+// (balls, neighborhoods), since the metric keeps nothing between queries.
 class SparsePairSearchTest : public ::testing::TestWithParam<Family> {};
 
 TEST_P(SparsePairSearchTest, MissesMatchDenseAndCacheNothing) {
@@ -96,27 +110,24 @@ TEST_P(SparsePairSearchTest, MissesMatchDenseAndCacheNothing) {
       std::make_shared<const Digraph>(inst->graph));
   const NodeId n = inst->n();
   const auto expect_all_pairs = [&](const char* phase) {
-    const std::int64_t cached = sparse.cached_entries();
     for (NodeId u = 0; u < n; ++u) {
       for (NodeId v = 0; v < n; ++v) {
         ASSERT_EQ(sparse.d(u, v), dense.d(u, v)) << phase << " " << u << "->" << v;
         ASSERT_EQ(sparse.r(u, v), dense.r(u, v)) << phase << " " << u << "<->" << v;
       }
     }
-    EXPECT_EQ(sparse.cached_entries(), cached) << phase;
   };
   expect_all_pairs("cold");
-  EXPECT_EQ(sparse.cached_entries(), 0);
   for (NodeId v = 0; v < n; v += 5) {
-    (void)sparse.ball(v, dense.rt_radius_from(v) / 2);
+    (void)sparse.ball(v, dense.r(v, (v + n / 2) % n));
+    (void)sparse.neighborhood(v, n / 2, inst->names.names());
   }
-  ASSERT_GT(sparse.cached_entries(), 0);
-  expect_all_pairs("warm");
+  expect_all_pairs("after balls and neighborhoods");
 }
 
-// The row stream serves exactly the dense rows, in node order, and grows no
-// row; prepare_all_pairs then grows every row to full without changing an
-// answer, so the dictionaries' far-pair reads become row lookups.
+// The row stream serves exactly the dense rows, in node order, and
+// roundtrip_row fills every row with r(v, .) on both backends, also from
+// several threads at once (the dictionaries' fan-out).
 TEST_P(SparsePairSearchTest, RowStreamCachesNothingAndAllPairsFillEveryRow) {
   const auto inst = shared_instance(GetParam(), 64, 8, 13);
   const RoundtripMetric& dense = *inst->metric;
@@ -133,15 +144,24 @@ TEST_P(SparsePairSearchTest, RowStreamCachesNothingAndAllPairsFillEveryRow) {
     }
   });
   EXPECT_EQ(next, n);
-  EXPECT_EQ(sparse.cached_entries(), 0);
 
-  sparse.prepare_all_pairs(3);
-  EXPECT_EQ(sparse.cached_entries(), static_cast<std::int64_t>(n) * n);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = 0; v < n; ++v) {
-      ASSERT_EQ(sparse.d(u, v), dense.d(u, v)) << u << "->" << v;
-      ASSERT_EQ(sparse.r(u, v), dense.r(u, v)) << u << "<->" << v;
-    }
+  for (const RoundtripMetric* metric : {&dense, static_cast<const RoundtripMetric*>(&sparse)}) {
+    std::vector<std::int64_t> wrong(static_cast<std::size_t>(n), -1);
+    parallel_tickets(n, 3, [&] {
+      return [&, row = std::vector<Dist>(static_cast<std::size_t>(n))](
+                 std::int64_t v) mutable {
+        metric->roundtrip_row(static_cast<NodeId>(v), row);
+        std::int64_t bad = 0;
+        for (NodeId u = 0; u < n; ++u) {
+          bad += row[static_cast<std::size_t>(u)] !=
+                 dense.r(static_cast<NodeId>(v), u);
+        }
+        wrong[static_cast<std::size_t>(v)] = bad;
+      };
+    });
+    EXPECT_EQ(std::count(wrong.begin(), wrong.end(), 0), n)
+        << (metric == &dense ? "dense" : "sparse")
+        << " roundtrip_row differs from r(v, .)";
   }
 }
 
@@ -237,7 +257,8 @@ class SparseSchemeDifferentialTest
 
 TEST_P(SparseSchemeDifferentialTest, SnapshotBytesMatchDenseBuild) {
   const std::string scheme_name = GetParam();
-  for (const Family family : {Family::kRandom, Family::kGrid, Family::kRing}) {
+  for (const Family family : {Family::kRandom, Family::kGrid, Family::kRing,
+                              Family::kScaleFree}) {
     const auto inst = shared_instance(family, 128, 6, 31);
     const auto graph = std::make_shared<const Digraph>(inst->graph);
     const auto sparse = std::make_shared<const SparseRoundtripMetric>(graph);
@@ -296,38 +317,14 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, AutoSchemeDifferentialTest,
                            return name;
                          });
 
-TEST(SparseMetricMemory, ResidentRowsStaySublinearAfterSchemeBuild) {
-  // Regression for the covered-radius blow-up: certifying the nearest-center
-  // scan through per-node rows forced them to cover out to the centers,
-  // which on the expander family meant near-full rows (~0.9 n entries per
-  // node).  With the batch nearest_all sweeps and the budget-pruned ball
-  // search, resident rows track roundtrip-ball sizes -- O~(sqrt(n ln n))
-  // entries per node -- which is the whole memory story of the sparse
-  // backend.  The budget has ~4x headroom over the measured value and sits
-  // ~5x below the pre-fix failure mode.
-  const NodeId n = 1024;
-  const auto inst = shared_instance(Family::kRandom, n, 8, 77);
-  const auto graph = std::make_shared<const Digraph>(inst->graph);
-  const auto sparse = std::make_shared<const SparseRoundtripMetric>(graph);
-  const BuildContext ctx = BuildContext::wrap(graph, sparse, inst->names, 17);
-  (void)SchemeRegistry::global().build("rtz3", ctx);
-  const double per_node =
-      static_cast<double>(sparse->cached_entries()) / static_cast<double>(n);
-  const double budget =
-      8.0 * std::sqrt(static_cast<double>(n) * std::log(static_cast<double>(n)));
-  EXPECT_LE(per_node, budget)
-      << "resident sparse rows average " << per_node
-      << " entries/node after an rtz3 build; sublinear budget is " << budget;
-}
-
 TEST(SparseMetricHint, PreparedNeighborhoodsMatchUnpreparedAnswers) {
   // Regression for the neighborhood budget ladder: prepare_neighborhoods
-  // publishes a pilot radius that redirects expand_to_count's probe budgets
+  // publishes a pilot radius that redirects the count search's probe budgets
   // (one near-critical probe instead of a doubling ladder whose overshoot
   // budgets explore near-whole-graph one-directional balls).  The hint is a
   // pure performance channel: every neighborhood prefix, distance, and ball
-  // must be identical to a metric that never saw the hint, including on rows
-  // left warm by earlier queries (the bench's shared-metric shape).
+  // must be identical to a metric that never saw the hint, including after
+  // earlier far-reaching queries (the bench's shared-metric shape).
   const NodeId n = 512;
   const auto inst = shared_instance(Family::kRandom, n, 8, 21);
   const auto graph = std::make_shared<const Digraph>(inst->graph);
@@ -335,8 +332,8 @@ TEST(SparseMetricHint, PreparedNeighborhoodsMatchUnpreparedAnswers) {
   const SparseRoundtripMetric plain(graph);
   const NodeId q = static_cast<NodeId>(
       std::ceil(std::sqrt(static_cast<double>(n))));
-  // Warm a few rows out to a far node, the way an earlier ball query leaves
-  // them before the hood pass.
+  // Reach a few balls out to a far node, the way earlier ball queries do
+  // before the hood pass.
   for (NodeId v = 0; v < n; v += 97) {
     (void)hinted.ball(v, hinted.r(v, (v + n / 2) % n));
   }
@@ -372,8 +369,9 @@ TEST_P(ParallelDeterminismTest, SnapshotBytesMatchSerialForAnyThreadCount) {
     EXPECT_EQ(bytes_with(inst->metric, threads), serial)
         << scheme_name << " threads=" << threads << " (dense metric)";
   }
-  // The sparse metric adds concurrent lazy row expansion under the builder
-  // threads (per-row mutexes; TSAN watches this instantiation in CI).
+  // The sparse metric adds concurrent searches and roundtrip_row sweeps
+  // under the builder threads, each on its own thread-local scratch (TSAN
+  // watches this instantiation in CI).
   EXPECT_EQ(bytes_with(sparse, "4"), serial)
       << scheme_name << " threads=4 (sparse metric)";
 }

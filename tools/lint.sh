@@ -98,6 +98,18 @@ cover_scan=$(grep -rnE '(\.|->)(ball|rt_diameter)\(' \
 report "ball()/rt_diameter() call in src/cover (read the streamed rows)" \
   "$cover_scan"
 
+# --- rule: no pairwise metric reads in the cover dictionaries --------------
+# The exstretch/polystretch dictionaries scan every node's nearest holders
+# and prefix extensions, millions of pairs at n = 1024.  They read one
+# roundtrip row per node (RoundtripMetric::roundtrip_row) and index it; a
+# pairwise m.r()/m.d() there is a point-to-point search per pair on the
+# sparse backend and a column read per pair on the dense one.
+dict_pairs=$(grep -nE '(^|[^_[:alnum:]])(m|metric)(\.|->)(r|d)\(' \
+  src/core/exstretch.cpp src/core/polystretch.cpp 2>/dev/null |
+  grep -vE '//.*(\.|->)(r|d)\(')
+report "pairwise m.r()/m.d() in the cover dictionaries (read roundtrip rows)" \
+  "$dict_pairs"
+
 # --- rule: src/util headers are self-contained -----------------------------
 # Every utility header must compile on its own (no hidden include-order
 # dependencies); gate on a C++ compiler being present so the script also
