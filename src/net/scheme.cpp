@@ -1,5 +1,9 @@
 #include "net/scheme.h"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <limits>
 #include <sstream>
 
@@ -10,6 +14,18 @@
 namespace rtr {
 
 double unbounded_stretch() { return std::numeric_limits<double>::infinity(); }
+
+// The base destructor runs after the derived tables are freed.  They are
+// usually the largest allocation in the process, and glibc keeps freed heap
+// memory resident until it lies at the top of its heap.  Left to that,
+// whether a dropped scheme's pages go back depends on which holes the build
+// threads left, so the resident size after a rebuild would differ by about
+// one scheme from run to run.  Trimming here returns every free page.
+Scheme::~Scheme() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+}
 
 void Scheme::audit(AuditReport& report) const {
   auto scope = report.scope("scheme");

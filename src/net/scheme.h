@@ -56,7 +56,9 @@ struct ChurnDelta;   // graph/churn_delta.h
 /// concrete header on the walking thread's stack, never in the scheme.
 class Scheme {
  public:
-  virtual ~Scheme() = default;
+  /// Hands the pages the scheme's tables occupied back to the OS (see
+  /// scheme.cpp).
+  virtual ~Scheme();
 
   /// Human-readable scheme identity, e.g. "stretch6(TINN)".
   [[nodiscard]] virtual std::string name() const = 0;
