@@ -9,6 +9,7 @@
 #include <bit>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "util/types.h"
 
@@ -158,7 +159,34 @@ void unlink_arena_shm(const std::string& shm_name) {
 
 // ----------------------------------------------------------------- writer --
 
-ArenaWriter::ArenaWriter() : bytes_(kArenaSectionStart, 0) {}
+ArenaWriter::ArenaWriter(int fd, std::string what)
+    : fd_(fd), what_(std::move(what)) {
+  const std::uint8_t zeros[kArenaSectionStart] = {};
+  write_at(zeros, sizeof zeros, 0);
+}
+
+void ArenaWriter::write_at(const std::uint8_t* data, std::size_t size,
+                           std::uint64_t offset) {
+  while (size > 0) {
+    const ssize_t k = ::pwrite(fd_, data, size, static_cast<off_t>(offset));
+    if (k < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("arena: write " + what_);
+    }
+    if (k == 0) {
+      throw SnapshotIoError("arena: write " + what_ + " made no progress");
+    }
+    data += k;
+    size -= static_cast<std::size_t>(k);
+    offset += static_cast<std::uint64_t>(k);
+  }
+  end_ = std::max(end_, offset);
+}
+
+void ArenaWriter::pad_to_align() {
+  const std::uint8_t zeros[kArenaAlign] = {};
+  write_at(zeros, (kArenaAlign - end_ % kArenaAlign) % kArenaAlign, end_);
+}
 
 void ArenaWriter::add_raw(const std::string& name, const std::uint8_t* data,
                           std::size_t count, std::size_t elem_size) {
@@ -171,55 +199,49 @@ void ArenaWriter::add_raw(const std::string& name, const std::uint8_t* data,
                                   "'");
     }
   }
-  while (bytes_.size() % kArenaAlign != 0) bytes_.push_back(0);
+  pad_to_align();
   ArenaDirEntry e{};
   std::copy(name.begin(), name.end(), e.name);
-  e.offset = bytes_.size();
+  e.offset = end_;
   e.count = count;
   e.elem_size = static_cast<std::uint32_t>(elem_size);
   const std::size_t payload = count * elem_size;
   e.crc = crc32(data, payload);
-  if (payload != 0) bytes_.insert(bytes_.end(), data, data + payload);
+  write_at(data, payload, end_);
   dir_.push_back(e);
 }
 
-std::vector<std::uint8_t> ArenaWriter::finalize(const std::string& scheme,
-                                                std::int64_t node_count,
-                                                std::int64_t edge_count) {
+void ArenaWriter::finish(const std::string& scheme, std::int64_t node_count,
+                         std::int64_t edge_count) {
   if (scheme.empty() || scheme.size() > kArenaSchemeNameMax) {
     throw std::invalid_argument("ArenaWriter: bad scheme name '" + scheme +
                                 "'");
   }
-  while (bytes_.size() % kArenaAlign != 0) bytes_.push_back(0);
-  const std::uint64_t dir_offset = bytes_.size();
-  for (const ArenaDirEntry& e : dir_) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&e);
-    bytes_.insert(bytes_.end(), p, p + sizeof e);
-  }
+  pad_to_align();
+  const auto* dir = reinterpret_cast<const std::uint8_t*>(dir_.data());
+  const std::size_t dir_bytes = dir_.size() * sizeof(ArenaDirEntry);
 
   ArenaFileHeader h{};
   std::copy(scheme.begin(), scheme.end(), h.scheme);
   h.layout_tag = arena_layout_tag();
   h.node_count = static_cast<std::uint32_t>(node_count);
   h.edge_count = static_cast<std::uint64_t>(edge_count);
-  h.dir_offset = dir_offset;
+  h.dir_offset = end_;
   h.dir_count = static_cast<std::uint32_t>(dir_.size());
-  h.dir_crc = crc32(bytes_.data() + dir_offset,
-                    dir_.size() * sizeof(ArenaDirEntry));
+  h.dir_crc = crc32(dir, dir_bytes);
   h.header_crc = crc32(reinterpret_cast<const std::uint8_t*>(&h), sizeof h);
+  write_at(dir, dir_bytes, end_);
 
-  std::copy(snapshot_magic(), snapshot_magic() + kArenaMagicSize,
-            bytes_.begin());
-  // Version u32 + zero pad u32, little-endian, right after the magic.
+  // Magic, then version u32 + zero pad u32 (little-endian), then the header.
+  std::uint8_t prologue[kArenaSectionStart] = {};
+  std::copy(snapshot_magic(), snapshot_magic() + kArenaMagicSize, prologue);
   for (std::size_t i = 0; i < 4; ++i) {
-    bytes_[kArenaMagicSize + i] =
+    prologue[kArenaMagicSize + i] =
         static_cast<std::uint8_t>(kArenaFormatVersion >> (8 * i));
-    bytes_[kArenaMagicSize + 4 + i] = 0;
   }
   const auto* hp = reinterpret_cast<const std::uint8_t*>(&h);
-  std::copy(hp, hp + sizeof h,
-            bytes_.begin() + static_cast<std::ptrdiff_t>(kArenaMagicSize + 8));
-  return std::move(bytes_);
+  std::copy(hp, hp + sizeof h, prologue + kArenaMagicSize + 8);
+  write_at(prologue, sizeof prologue, 0);
 }
 
 // ------------------------------------------------------------------- view --

@@ -19,7 +19,7 @@
 // Because every reference is a file offset and every array element is a
 // fixed-width POD, the region is *relocatable*: load-in-place is open +
 // mmap + header/CRC check + fixup of offsets into FlatVec views -- O(ms) at
-// any n.  The same bytes can live in an owned heap buffer (today's path), a
+// any n.  The same bytes can live in an owned heap buffer (load_snapshot), a
 // file mapping, or a POSIX shared-memory object that multiple serving
 // processes attach read-only (epoch swap = remap; one physical copy).
 //
@@ -146,12 +146,18 @@ void publish_arena_shm(const std::string& shm_name, const std::uint8_t* data,
 /// Removes a published shared-memory object (best effort; missing is fine).
 void unlink_arena_shm(const std::string& shm_name);
 
-/// Builds an arena image section by section.  Sections are appended in call
-/// order (deterministic bytes for deterministic inputs), 8-aligned with zero
-/// padding, and CRC'd individually.
+/// Streams an arena to an open file section by section.  The constructor
+/// reserves the prologue with zeros; each `add` pads to kArenaAlign, CRCs the
+/// payload and writes it at once, so the writer keeps no pointer to the
+/// caller's data and holds only the directory.  `finish` appends the
+/// directory and writes magic, version and header at offset 0.  Sections
+/// land in call order, so deterministic inputs give deterministic bytes.
+/// Every write failure throws SnapshotIoError carrying strerror(errno).
 class ArenaWriter {
  public:
-  ArenaWriter();
+  /// `fd` is an empty regular file open for writing; the writer does not
+  /// own it.  `what` names it in error messages.
+  ArenaWriter(int fd, std::string what);
 
   /// Appends `count` elements of a trivially copyable type with alignment
   /// <= kArenaAlign.  Section names are unique, non-empty, and at most
@@ -177,16 +183,22 @@ class ArenaWriter {
     add_raw(name, data, size, 1);
   }
 
-  /// Stamps header + directory and returns the complete file image.
-  [[nodiscard]] std::vector<std::uint8_t> finalize(const std::string& scheme,
-                                                   std::int64_t node_count,
-                                                   std::int64_t edge_count);
+  /// Appends the directory and stamps the prologue (magic, version, header
+  /// with its directory and header CRCs) at offset 0.
+  void finish(const std::string& scheme, std::int64_t node_count,
+              std::int64_t edge_count);
 
  private:
   void add_raw(const std::string& name, const std::uint8_t* data,
                std::size_t count, std::size_t elem_size);
+  /// Writes all `size` bytes at `offset`, retrying on EINTR and short writes.
+  void write_at(const std::uint8_t* data, std::size_t size,
+                std::uint64_t offset);
+  void pad_to_align();
 
-  std::vector<std::uint8_t> bytes_;  // prologue placeholder + sections
+  int fd_;
+  std::string what_;
+  std::uint64_t end_ = 0;  // bytes written so far
   std::vector<ArenaDirEntry> dir_;
 };
 

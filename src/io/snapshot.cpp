@@ -1,9 +1,12 @@
 #include "io/snapshot.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <utility>
@@ -32,45 +35,24 @@ std::vector<std::uint8_t> slurp(const std::string& path) {
   return bytes;
 }
 
-/// Write-then-rename so a crashed or concurrent writer never leaves a
-/// half-written file where a reader expects a snapshot.  The scratch name
-/// is unique per process *and* per call, so concurrent savers targeting
-/// the same cache path (several cold serving processes racing on a miss)
-/// each publish a complete file; last rename wins.
-void write_file_atomic(const std::string& path,
-                       const std::vector<std::uint8_t>& bytes) {
-  static std::atomic<std::uint64_t> save_counter{0};
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                          std::to_string(save_counter.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw SnapshotIoError("snapshot: cannot open '" + tmp + "' for writing");
-    }
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      throw SnapshotIoError("snapshot: write error on '" + tmp + "'");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw SnapshotIoError("snapshot: cannot rename '" + tmp + "' to '" + path +
-                          "'");
-  }
-}
-
-/// The complete file image: graph + names as flat sections, the scheme's
-/// tables through its registry hooks.
-std::vector<std::uint8_t> build_image(const std::string& scheme_name,
-                                      const SchemeHandle& handle,
-                                      const SchemeRegistry& registry) {
-  ArenaWriter w;
+/// Streams the complete file into `fd`: graph + names as flat sections, the
+/// scheme's tables through its registry hooks, the header last.
+void write_image(int fd, const std::string& what,
+                 const std::string& scheme_name, const SchemeHandle& handle,
+                 const SchemeRegistry& registry) {
+  ArenaWriter w(fd, what);
   handle.graph().save_arena(w);
   handle.names().save_arena(w);
   registry.arena_saver(scheme_name)(handle.scheme(), w);
-  return w.finalize(scheme_name, handle.graph().node_count(),
-                    handle.graph().edge_count());
+  w.finish(scheme_name, handle.graph().node_count(),
+           handle.graph().edge_count());
+}
+
+/// Removes the scratch file and throws with the errno text of the failure.
+[[noreturn]] void fail_save(const std::string& tmp, const std::string& what) {
+  const int err = errno;
+  ::unlink(tmp.c_str());
+  throw SnapshotIoError("snapshot: " + what + ": " + std::strerror(err));
 }
 
 /// Constructs a ready-to-serve handle over a validated arena view.  Shared
@@ -124,7 +106,31 @@ SchemeHandle handle_from_arena(const ArenaView& view, const std::string& where,
 
 void save_snapshot(const std::string& path, const std::string& scheme_name,
                    const SchemeHandle& handle, const SchemeRegistry& registry) {
-  write_file_atomic(path, build_image(scheme_name, handle, registry));
+  // Write-then-rename so a crashed or concurrent writer never leaves a
+  // half-written file where a reader expects a snapshot.  The scratch name
+  // is unique per process *and* per call, so concurrent savers targeting
+  // the same cache path (several cold serving processes racing on a miss)
+  // each publish a complete file; last rename wins.
+  static std::atomic<std::uint64_t> save_counter{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(save_counter.fetch_add(1));
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    throw SnapshotIoError("snapshot: cannot open '" + tmp +
+                          "' for writing: " + std::strerror(errno));
+  }
+  try {
+    write_image(fd, tmp, scheme_name, handle, registry);
+  } catch (...) {
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    throw;
+  }
+  if (::close(fd) != 0) fail_save(tmp, "cannot close '" + tmp + "'");
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    fail_save(tmp, "cannot rename '" + tmp + "' to '" + path + "'");
+  }
 }
 
 SchemeHandle load_snapshot(const std::string& path,
@@ -156,14 +162,14 @@ std::string publish_snapshot_shm(const std::string& path,
   // Validate end to end before publishing: a shared-memory object is read by
   // many processes on their fast (no-payload-CRC) path, so the publisher
   // carries the full verification.
-  ArenaView view(make_owned_arena(slurp(path)));
+  ArenaView view(map_arena_file(path));
   view.verify_section_crcs();
   publish_arena_shm(shm_name, view.storage()->data(), view.storage()->size());
   return view.scheme();
 }
 
 SnapshotInfo inspect_snapshot(const std::string& path) {
-  ArenaView view(make_owned_arena(slurp(path)));
+  ArenaView view(map_arena_file(path));
   view.verify_section_crcs();
   SnapshotInfo info;
   info.version = kSnapshotVersion;

@@ -62,9 +62,11 @@ struct SnapshotInfo {
 };
 
 /// Serializes a built handle under the registry name it was built as.  The
-/// registry must have snapshot hooks for that name.  Writes to a temporary
-/// sibling first and renames into place, so readers never observe a torn
-/// file.  Throws SnapshotIoError on filesystem trouble.
+/// registry must have snapshot hooks for that name.  Streams the sections
+/// to a temporary sibling as the hooks add them, writes the header last and
+/// renames into place, so readers never observe a torn file and the image
+/// is never held in memory.  Throws SnapshotIoError (with the errno text) on
+/// filesystem trouble, after unlinking the temporary file.
 void save_snapshot(const std::string& path, const std::string& scheme_name,
                    const SchemeHandle& handle,
                    const SchemeRegistry& registry = SchemeRegistry::global());
@@ -96,8 +98,9 @@ void save_snapshot(const std::string& path, const std::string& scheme_name,
     const SchemeRegistry& registry = SchemeRegistry::global());
 
 /// Publishes a snapshot file into a POSIX shared-memory object after
-/// fully validating it (framing + every section CRC).  Readers attach with
-/// map_snapshot_shm.  Returns the snapshot's scheme name.
+/// fully validating it (framing + every section CRC) through a read-only
+/// mapping of the file.  Readers attach with map_snapshot_shm.  Returns the
+/// snapshot's scheme name.
 std::string publish_snapshot_shm(const std::string& path,
                                  const std::string& shm_name);
 

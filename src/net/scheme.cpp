@@ -233,7 +233,11 @@ const SchemeRegistry::ArenaLoader& SchemeRegistry::arena_loader(
 
 SchemeHandle SchemeRegistry::build_or_load(
     const std::string& name, const std::function<BuildContext()>& make_ctx,
-    const std::string& path, SnapshotLoadMode mode) const {
+    const std::string& path, SnapshotLoadMode mode,
+    CacheOutcome* outcome) const {
+  const auto set_outcome = [outcome](CacheOutcome o) {
+    if (outcome != nullptr) *outcome = o;
+  };
   // Fail fast -- before any build cost -- on unknown names AND on entries
   // registered without snapshot hooks (neither the load nor the save leg
   // could ever work for those).
@@ -252,6 +256,7 @@ SchemeHandle SchemeRegistry::build_or_load(
       audit_handle(mapped, report);
       throw_if_audit_fails(report, "mapped snapshot '" + path + "'");
 #endif
+      set_outcome(CacheOutcome::kLoaded);
       return mapped;
     } catch (const SnapshotError&) {
       // Unusable mapping: the owned path below still applies (and, failing
@@ -265,6 +270,7 @@ SchemeHandle SchemeRegistry::build_or_load(
     audit_handle(loaded, report);
     throw_if_audit_fails(report, "snapshot '" + path + "'");
 #endif
+    set_outcome(CacheOutcome::kLoaded);
     return loaded;
   } catch (const SnapshotError&) {
     // Absent, stale, corrupt, older-format, or mismatched cache: build and
@@ -274,11 +280,13 @@ SchemeHandle SchemeRegistry::build_or_load(
   SchemeHandle handle(ctx.graph, ctx.names, entry.factory(ctx));
   try {
     save_snapshot(path, name, handle, *this);
+    set_outcome(CacheOutcome::kSaved);
   } catch (const SnapshotError& e) {
     // A full disk or read-only cache directory must not take down serving:
     // the freshly built handle is usable regardless; the next process just
     // pays the build again.
     warn_snapshot_cache_save_failed_once("SchemeRegistry::build_or_load", e);
+    set_outcome(CacheOutcome::kSaveFailed);
   }
   return handle;
 }
@@ -286,9 +294,10 @@ SchemeHandle SchemeRegistry::build_or_load(
 SchemeHandle SchemeRegistry::build_or_load(const std::string& name,
                                            const BuildContext& ctx,
                                            const std::string& path,
-                                           SnapshotLoadMode mode) const {
+                                           SnapshotLoadMode mode,
+                                           CacheOutcome* outcome) const {
   return build_or_load(
-      name, [&ctx]() -> BuildContext { return ctx; }, path, mode);
+      name, [&ctx]() -> BuildContext { return ctx; }, path, mode, outcome);
 }
 
 std::vector<std::string> SchemeRegistry::names() const {

@@ -199,22 +199,30 @@ class SchemeRegistry {
   /// path -- and falls back to kOwned when the mapping fails.
   enum class SnapshotLoadMode { kOwned, kMapped };
 
+  /// What build_or_load did with the cache file.  After kSaveFailed, `path`
+  /// may still hold an older file (valid CRCs included) that is not the
+  /// returned handle's.
+  enum class CacheOutcome { kLoaded, kSaved, kSaveFailed };
+
   /// The serve-path entry point: if `path` holds a valid snapshot of `name`,
   /// load it and skip construction entirely (make_ctx is never called -- no
   /// APSP, no scheme build); otherwise build from make_ctx(), save the
   /// snapshot to `path` for the next process, and return the built handle.
   /// A stale, corrupt, or older-format cache file is treated as a miss and
-  /// overwritten.
+  /// overwritten.  A failed save is not an error (serving wins); `outcome`,
+  /// when given, says which of the three happened.
   [[nodiscard]] SchemeHandle build_or_load(
       const std::string& name, const std::function<BuildContext()>& make_ctx,
       const std::string& path,
-      SnapshotLoadMode mode = SnapshotLoadMode::kOwned) const;
+      SnapshotLoadMode mode = SnapshotLoadMode::kOwned,
+      CacheOutcome* outcome = nullptr) const;
 
   /// Convenience overload for callers that already paid for a BuildContext.
   [[nodiscard]] SchemeHandle build_or_load(
       const std::string& name, const BuildContext& ctx,
       const std::string& path,
-      SnapshotLoadMode mode = SnapshotLoadMode::kOwned) const;
+      SnapshotLoadMode mode = SnapshotLoadMode::kOwned,
+      CacheOutcome* outcome = nullptr) const;
 
   /// Registered names, sorted.
   [[nodiscard]] std::vector<std::string> names() const;

@@ -91,10 +91,14 @@ std::shared_ptr<const Epoch> EpochManager::build_epoch(
     const auto mode = options_.mapped_snapshots
                           ? SchemeRegistry::SnapshotLoadMode::kMapped
                           : SchemeRegistry::SnapshotLoadMode::kOwned;
-    SchemeHandle cached = registry_.build_or_load(scheme_name_, ctx, path, mode);
-    // Pointer identity tells a load from a build: the build leg hands back
-    // the ctx graph itself, a load materializes its own from the file.
-    from_cache = cached.graph_ptr() != graph;
+    SchemeRegistry::CacheOutcome outcome{};
+    SchemeHandle cached =
+        registry_.build_or_load(scheme_name_, ctx, path, mode, &outcome);
+    from_cache = outcome == SchemeRegistry::CacheOutcome::kLoaded;
+    // Whether `path` holds this epoch: a failed save can leave a stale file
+    // there, CRCs valid, that must not go out to shm as this epoch.
+    bool path_holds_epoch =
+        outcome != SchemeRegistry::CacheOutcome::kSaveFailed;
     // Trust the cache only if it froze exactly this epoch: same fixed
     // naming, same topology down to the adversary's port numbers.  A stale
     // file (e.g. a reused cache_dir from a different churn sequence) is
@@ -111,9 +115,16 @@ std::shared_ptr<const Epoch> EpochManager::build_epoch(
       } catch (const SnapshotError& e) {
         // Same degradation contract as build_or_load: serving wins.
         warn_snapshot_cache_save_failed_once("EpochManager", e);
+        path_holds_epoch = false;
       }
     }
-    if (!options_.shm_prefix.empty()) publish_epoch_shm(seq, path);
+    if (!options_.shm_prefix.empty()) {
+      if (path_holds_epoch) {
+        publish_epoch_shm(seq, path);
+      } else {
+        shm_publish_failures_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
   } else {
     handle = std::make_unique<SchemeHandle>(graph, names_,
                                             registry_.build(scheme_name_, ctx));
@@ -135,8 +146,8 @@ void EpochManager::publish_epoch_shm(std::uint64_t seq,
   try {
     publish_snapshot_shm(path, shm_name);
   } catch (const std::exception&) {
-    // No shm on this host, a name shm_open rejects, or a failed save
-    // upstream: sibling processes fall back to the snapshot file.  Serving
+    // No shm on this host, a name shm_open rejects, or a file that does not
+    // verify: sibling processes fall back to the snapshot file.  Serving
     // wins; the counter says it happened.
     shm_publish_failures_.fetch_add(1, std::memory_order_relaxed);
     return;

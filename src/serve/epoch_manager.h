@@ -191,9 +191,10 @@ class EpochManager {
     std::uint64_t epochs_built = 0;  ///< successful rebuilds (excl. epoch 0)
     std::uint64_t cache_hits = 0;    ///< epochs warm-started from snapshots
     std::uint64_t shm_published = 0;  ///< epochs posted to shared memory
-    /// Epochs whose shm publish failed (no shm on the host, a rejected
-    /// object name, a snapshot that did not verify); they still serve, and
-    /// siblings fall back to the snapshot file.
+    /// Epochs whose shm publish failed or was skipped (no shm on the host, a
+    /// rejected object name, a snapshot that did not verify, a failed save
+    /// that left no file of this epoch); they still serve, and siblings fall
+    /// back to the snapshot file.
     std::uint64_t shm_publish_failures = 0;
     std::uint64_t repairs = 0;  ///< epochs published via incremental repair
     /// Non-empty deltas that went through a full build despite repair being

@@ -269,13 +269,15 @@ TEST(ArenaEmptySections, MapAtFirstMiddleAndLastPosition) {
   const std::vector<std::int64_t> x = {1, 2, 3};
   const std::vector<std::int32_t> y = {4, 5};
   const std::vector<std::int32_t> none;
-  ArenaWriter w;
-  w.add("a/empty_first", none);
-  w.add("a/x", x);
-  w.add("a/empty_mid", none);
-  w.add("a/y", y);
-  w.add("a/empty_last", none);
-  std::vector<std::uint8_t> bytes = w.finalize("test", 0, 0);
+  std::vector<std::uint8_t> bytes = testing::arena_image(
+      [&](ArenaWriter& w) {
+        w.add("a/empty_first", none);
+        w.add("a/x", x);
+        w.add("a/empty_mid", none);
+        w.add("a/y", y);
+        w.add("a/empty_last", none);
+      },
+      "test");
 
   const auto check = [&](const std::vector<std::uint8_t>& image) {
     const ArenaView view(make_owned_arena(image));

@@ -124,9 +124,8 @@ TEST(Churn, SelfLoopAndDuplicateFree) {
 }
 
 std::vector<std::uint8_t> graph_bytes(const Digraph& g) {
-  ArenaWriter w;
-  g.save_arena(w);
-  return w.finalize("graph", g.node_count(), g.edge_count());
+  return testing::arena_image([&g](ArenaWriter& w) { g.save_arena(w); },
+                              "graph", g.node_count(), g.edge_count());
 }
 
 // Builder/freeze round-trips must be loss-free at the byte level: thawing a

@@ -21,6 +21,7 @@
 #include "net/scheme.h"
 #include "net/scheme_adapter.h"
 #include "rtz/rtz3_scheme.h"
+#include "test_support.h"
 
 namespace rtr::testing {
 
@@ -61,11 +62,11 @@ void visit_concrete_scheme(const std::string& name, const Scheme& scheme,
   } else if (name == "fulltable") {
     detail::walk_adapted<FullTableScheme>(name, scheme, ctx.names, walk);
   } else if (name == "hashed64") {
-    ArenaWriter w;
-    SchemeRegistry::global().arena_saver(name)(scheme, w);
-    std::vector<std::uint8_t> image = w.finalize(
-        name, ctx.graph->node_count(), ctx.graph->edge_count());
-    const ArenaView view(make_owned_arena(std::move(image)));
+    const ArenaView view(make_owned_arena(arena_image(
+        [&](ArenaWriter& w) {
+          SchemeRegistry::global().arena_saver(name)(scheme, w);
+        },
+        name, ctx.graph->node_count(), ctx.graph->edge_count())));
     const HashedStretch6Scheme hashed =
         HashedStretch6Scheme::from_arena(view, "scheme/", *ctx.graph);
     const ChosenNames& chosen = hashed.chosen();

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -287,6 +288,51 @@ TEST(EpochManager, ShmPrefixPublishesEpochsForSiblingProcesses) {
   }
   // Destruction unlinks: a fresh attach by name must now fail.
   EXPECT_THROW((void)map_snapshot_shm(shm_name, "stretch6"), SnapshotError);
+}
+
+// After a failed save the cache path can still hold an older file whose
+// CRCs are valid; it is not this epoch and must not reach shm as one.  Two
+// stale files take both save legs: a stretch6 snapshot of another topology
+// loads, fails the topology check and is rebuilt over by the manager's own
+// save; an rtz3 snapshot fails the load, so build_or_load rebuilds and
+// saves.  The stale files are of a smaller graph, and a file-size limit
+// equal to a stale file's size stops the epoch's save but would still let
+// the stale file be copied into shm.
+TEST(EpochManager, FailedSaveNeverPublishesTheStaleFile) {
+  const NodeId n = 40;
+  const NodeId stale_n = 8;
+  const NameAssignment names = fixed_names(n, 45);
+  const std::string cache_dir =
+      ::testing::TempDir() + "rtr_epoch_stale_shm_cache";
+  ASSERT_EQ(::mkdir(cache_dir.c_str(), 0755) == 0 || errno == EEXIST, true);
+  const std::string path = cache_dir + "/stretch6_epoch0.rtrsnap";
+  for (const char* stale_scheme : {"stretch6", "rtz3"}) {
+    SCOPED_TRACE(stale_scheme);
+    {
+      const auto graph =
+          std::make_shared<const Digraph>(initial_graph(stale_n, 46));
+      const NameAssignment stale_names = fixed_names(stale_n, 47);
+      const BuildContext ctx = BuildContext::wrap(
+          graph, make_roundtrip_metric(graph), stale_names, 47);
+      save_snapshot(path, stale_scheme,
+                    SchemeHandle(graph, stale_names,
+                                 SchemeRegistry::global().build(stale_scheme,
+                                                                ctx)));
+    }
+    EpochManagerOptions opts;
+    opts.cache_dir = cache_dir;
+    opts.shm_prefix = "rtr_test_stale_" + std::to_string(::getpid()) + "_" +
+                      stale_scheme;
+    const testing::FileSizeLimit limit(std::filesystem::file_size(path));
+    EpochManager mgr("stretch6", names, initial_graph(n, 48), opts);
+    EXPECT_FALSE(mgr.current()->loaded_from_cache);
+    EXPECT_EQ(mgr.counters().shm_published, 0u);
+    EXPECT_EQ(mgr.counters().shm_publish_failures, 1u);
+    EXPECT_THROW((void)map_snapshot_shm(mgr.shm_name_for(0)), SnapshotError);
+    EXPECT_TRUE(
+        mgr.roundtrip_by_name(names.name_of(3), names.name_of(9)).ok());
+  }
+  (void)std::remove(path.c_str());
 }
 
 // A failed shm publish degrades to file-only distribution, never to an

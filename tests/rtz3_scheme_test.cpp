@@ -126,9 +126,9 @@ TEST(Rtz3, ArenaRoundTripPreservesTablesProbeForProbe) {
   const Rtz3Scheme built(inst.graph, *inst.metric, inst.names, rng);
 
   const auto arena_bytes = [&inst](const Rtz3Scheme& s) {
-    ArenaWriter w;
-    s.save_arena(w, "scheme/");
-    return w.finalize("rtz3", inst.n(), inst.graph.edge_count());
+    return testing::arena_image(
+        [&s](ArenaWriter& w) { s.save_arena(w, "scheme/"); }, "rtz3",
+        inst.n(), inst.graph.edge_count());
   };
   const std::vector<std::uint8_t> bytes = arena_bytes(built);
   const Rtz3Scheme loaded = Rtz3Scheme::from_arena(

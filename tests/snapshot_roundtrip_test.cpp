@@ -6,8 +6,17 @@
 // within a fixed multiple of the table state it accounts for.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
@@ -168,6 +177,70 @@ TEST_P(SnapshotRoundtripTest, V1ToV2RepackAndMappedLoadAnswerIdentically) {
   std::remove(direct.c_str());
 }
 
+/// The arena image laid out in memory from a file's sections alone: the
+/// prologue, each payload 8-aligned and zero-padded in directory order, the
+/// directory, and the header with every offset and CRC recomputed.  This is
+/// the layout the writer built in memory before it streamed to the file.
+std::vector<std::uint8_t> canonical_image(const ArenaView& file) {
+  std::vector<std::uint8_t> image(kArenaSectionStart, 0);
+  const auto pad = [&image] {
+    while (image.size() % kArenaAlign != 0) image.push_back(0);
+  };
+  std::vector<ArenaDirEntry> dir;
+  for (const ArenaDirEntry& src : file.entries()) {
+    pad();
+    const std::uint8_t* payload = file.storage()->data() + src.offset;
+    const auto size = static_cast<std::size_t>(src.byte_size());
+    ArenaDirEntry e{};
+    std::copy(std::begin(src.name), std::end(src.name), e.name);
+    e.offset = image.size();
+    e.count = src.count;
+    e.elem_size = src.elem_size;
+    e.crc = crc32(payload, size);
+    image.insert(image.end(), payload, payload + size);
+    dir.push_back(e);
+  }
+  pad();
+  ArenaFileHeader h{};
+  const std::string scheme = file.scheme();
+  std::copy(scheme.begin(), scheme.end(), h.scheme);
+  h.layout_tag = arena_layout_tag();
+  h.node_count = file.header().node_count;
+  h.edge_count = file.header().edge_count;
+  h.dir_offset = image.size();
+  h.dir_count = static_cast<std::uint32_t>(dir.size());
+  const auto* d = reinterpret_cast<const std::uint8_t*>(dir.data());
+  h.dir_crc = crc32(d, dir.size() * sizeof(ArenaDirEntry));
+  h.header_crc = crc32(reinterpret_cast<const std::uint8_t*>(&h), sizeof h);
+  image.insert(image.end(), d, d + dir.size() * sizeof(ArenaDirEntry));
+  std::copy(snapshot_magic(), snapshot_magic() + kArenaMagicSize,
+            image.begin());
+  image[kArenaMagicSize] = static_cast<std::uint8_t>(kArenaFormatVersion);
+  const auto* hp = reinterpret_cast<const std::uint8_t*>(&h);
+  std::copy(hp, hp + sizeof h, image.begin() + kArenaMagicSize + 8);
+  return image;
+}
+
+// save_snapshot streams each section to the file as the hooks add it and
+// writes the header last; the file must be exactly the canonical image.
+TEST_P(SnapshotRoundtripTest, StreamedFileEqualsTheCanonicalImage) {
+  const std::string scheme_name = GetParam();
+  const auto inst = shared_instance(Family::kRandom, 64, 4, 2024);
+  const BuildContext ctx = inst->context(7);
+  const SchemeHandle built(ctx.graph, ctx.names,
+                           SchemeRegistry::global().build(scheme_name, ctx));
+  const std::string path = temp_path(scheme_name + "_streamed");
+  save_snapshot(path, scheme_name, built);
+  const std::vector<std::uint8_t> bytes = read_file(path);
+  const ArenaView view(make_owned_arena(bytes));
+  EXPECT_EQ(view.scheme(), scheme_name);
+  EXPECT_EQ(view.header().node_count, static_cast<std::uint32_t>(inst->n()));
+  EXPECT_EQ(view.header().edge_count,
+            static_cast<std::uint64_t>(inst->graph.edge_count()));
+  EXPECT_EQ(bytes, canonical_image(view)) << scheme_name;
+  std::remove(path.c_str());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SnapshotRoundtripTest,
                          ::testing::ValuesIn(SchemeRegistry::global().names()),
                          [](const auto& info) {
@@ -210,6 +283,74 @@ TEST(SnapshotInspect, ReportsHeaderAndSections) {
   std::uint64_t section_bytes = 0;
   for (const auto& s : info.sections) section_bytes += s.bytes;
   EXPECT_LT(section_bytes, info.file_bytes);
+  std::remove(path.c_str());
+}
+
+/// Whether any write-then-rename scratch file of `path` exists.
+bool scratch_files_left(const std::string& path) {
+  namespace fs = std::filesystem;
+  const fs::path p(path);
+  if (!fs::is_directory(p.parent_path())) return false;
+  const std::string scratch = p.filename().string() + ".tmp.";
+  for (const auto& entry : fs::directory_iterator(p.parent_path())) {
+    if (entry.path().filename().string().rfind(scratch, 0) == 0) return true;
+  }
+  return false;
+}
+
+TEST(SnapshotStream, WriterOverAFullDeviceThrowsWithTheErrnoText) {
+  const int fd = ::open("/dev/full", O_WRONLY | O_CLOEXEC);
+  if (fd < 0) GTEST_SKIP() << "no /dev/full on this host";
+  const std::vector<std::int64_t> x = {1, 2, 3};
+  try {
+    ArenaWriter w(fd, "/dev/full");
+    w.add("a/x", x);
+    w.finish("test", 0, 0);
+    ADD_FAILURE() << "writing to /dev/full succeeded";
+  } catch (const SnapshotIoError& e) {
+    EXPECT_NE(std::string(e.what()).find(std::strerror(ENOSPC)),
+              std::string::npos)
+        << e.what();
+  }
+  ::close(fd);
+}
+
+TEST(SnapshotStream, SaveIntoAMissingDirectoryThrowsAndLeavesNothing) {
+  const auto inst = shared_instance(Family::kRandom, 32, 3, 11);
+  const BuildContext ctx = inst->context(3);
+  const SchemeHandle built(ctx.graph, ctx.names,
+                           SchemeRegistry::global().build("rtz3", ctx));
+  const std::string path =
+      ::testing::TempDir() + "rtr_no_such_dir/snap.rtrsnap";
+  std::filesystem::remove_all(::testing::TempDir() + "rtr_no_such_dir");
+  EXPECT_THROW(save_snapshot(path, "rtz3", built), SnapshotIoError);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(scratch_files_left(path));
+}
+
+// A save that fails part way (here the file-size limit stops it) unlinks
+// its scratch file and leaves the previous file untouched.
+TEST(SnapshotStream, SaveThatFailsMidStreamLeavesNoScratchFile) {
+  const auto inst = shared_instance(Family::kRandom, 64, 4, 2024);
+  const BuildContext ctx = inst->context(7);
+  const SchemeHandle built(ctx.graph, ctx.names,
+                           SchemeRegistry::global().build("rtz3", ctx));
+  const std::string path = temp_path("midstream");
+  save_snapshot(path, "rtz3", built);
+  const std::vector<std::uint8_t> before = read_file(path);
+  {
+    const testing::FileSizeLimit limit(4096);
+    try {
+      save_snapshot(path, "rtz3", built);
+      ADD_FAILURE() << "a save past the file-size limit succeeded";
+    } catch (const SnapshotIoError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::strerror(EFBIG)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(read_file(path), before);
+  EXPECT_FALSE(scratch_files_left(path));
   std::remove(path.c_str());
 }
 

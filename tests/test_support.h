@@ -2,9 +2,14 @@
 #ifndef RTR_TESTS_TEST_SUPPORT_H
 #define RTR_TESTS_TEST_SUPPORT_H
 
+#include <sys/resource.h>
+
+#include <csignal>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -85,14 +90,63 @@ inline std::string family_param_name(const FamilyParam& p) {
   return name + "_n" + std::to_string(n) + "_s" + std::to_string(seed);
 }
 
+/// Streams the sections `fill` adds to an ArenaWriter into an anonymous
+/// temporary file, finishes the arena as `scheme`, and returns the file's
+/// bytes: the image save_snapshot writes for the same sections.
+template <typename Fill>
+std::vector<std::uint8_t> arena_image(Fill&& fill, const std::string& scheme,
+                                      std::int64_t node_count = 0,
+                                      std::int64_t edge_count = 0) {
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(std::tmpfile(),
+                                                            &std::fclose);
+  if (file == nullptr) throw std::runtime_error("arena_image: no tmpfile");
+  ArenaWriter w(::fileno(file.get()), "tmpfile");
+  fill(w);
+  w.finish(scheme, node_count, edge_count);
+  std::fseek(file.get(), 0, SEEK_END);
+  std::vector<std::uint8_t> bytes(
+      static_cast<std::size_t>(std::ftell(file.get())));
+  std::rewind(file.get());
+  if (std::fread(bytes.data(), 1, bytes.size(), file.get()) != bytes.size()) {
+    throw std::runtime_error("arena_image: short read");
+  }
+  return bytes;
+}
+
+/// Lowers this process's file-size limit (RLIMIT_FSIZE) with SIGXFSZ
+/// ignored, so a write past `bytes` fails with EFBIG instead of killing the
+/// process; both come back on scope exit.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = bytes;
+    ::setrlimit(RLIMIT_FSIZE, &lowered);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*old_handler_)(int) = SIG_DFL;
+};
+
 /// A scheme's snapshot sections (its registry arena hooks, nothing else)
 /// framed as one arena image: the canonical encoding makes byte equality the
 /// strongest available "same tables" check.
 inline std::vector<std::uint8_t> scheme_arena_bytes(
     const std::string& scheme_name, const Scheme& scheme) {
-  ArenaWriter w;
-  SchemeRegistry::global().arena_saver(scheme_name)(scheme, w);
-  return w.finalize(scheme_name, 0, 0);
+  return arena_image(
+      [&](ArenaWriter& w) {
+        SchemeRegistry::global().arena_saver(scheme_name)(scheme, w);
+      },
+      scheme_name);
 }
 
 }  // namespace rtr::testing

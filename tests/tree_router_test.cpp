@@ -9,6 +9,7 @@
 #include "graph/dijkstra.h"
 #include "graph/generators.h"
 #include "io/arena.h"
+#include "test_support.h"
 #include "treeroute/tree_router.h"
 #include "util/rng.h"
 
@@ -236,9 +237,11 @@ TEST(LightHops, SnapshotWireFormatIsPinned) {
   label.light_hops = {{1, 2}, {3, 4}};
   TreeLabel leaf;
   leaf.dfs_in = 7;
-  ArenaWriter w;
-  PackedLabels<std::int32_t>({label, leaf}).save_arena(w, "l/");
-  const ArenaView view(make_owned_arena(w.finalize("labels", 0, 0)));
+  const ArenaView view(make_owned_arena(testing::arena_image(
+      [&](ArenaWriter& w) {
+        PackedLabels<std::int32_t>({label, leaf}).save_arena(w, "l/");
+      },
+      "labels")));
   const auto section = [&view](const std::string& name) {
     const ArenaDirEntry& e = view.entry(name);
     const std::uint8_t* p = view.storage()->data() + e.offset;
@@ -298,9 +301,11 @@ TEST(LightHops, DeepTreeLabelsSpillAndStillRouteAndRoundtrip) {
   // Pack -> view -> repack is byte-identical with spilled labels in play.
   const TreeLabel deep_label = router.label(deepest);
   const auto packed_bytes = [](const TreeLabel& l) {
-    ArenaWriter w;
-    PackedLabels<std::int32_t>({l}).save_arena(w, "l/");
-    return w.finalize("labels", 0, 0);
+    return testing::arena_image(
+        [&l](ArenaWriter& w) {
+          PackedLabels<std::int32_t>({l}).save_arena(w, "l/");
+        },
+        "labels");
   };
   const std::vector<std::uint8_t> bytes = packed_bytes(deep_label);
   const TreeLabel loaded =
