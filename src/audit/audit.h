@@ -26,6 +26,7 @@
 #ifndef RTR_AUDIT_AUDIT_H
 #define RTR_AUDIT_AUDIT_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -155,6 +156,21 @@ void audit_sorted_dict(AuditReport& report, const std::string& invariant,
     }
   }
   report.check(invariant, sorted && unique, std::move(detail));
+}
+
+/// First row of a CSR table (rows framed by `off`, which must frame `keys`)
+/// whose keys are not strictly ascending, or -1.  Every lower_bound row
+/// lookup relies on that order: a violated row misroutes silently.
+template <typename Offsets, typename Keys>
+[[nodiscard]] std::int64_t first_unsorted_row(const Offsets& off,
+                                              const Keys& keys) {
+  for (std::size_t row = 0; row + 1 < off.size(); ++row) {
+    for (auto i = static_cast<std::size_t>(off[row]) + 1;
+         i < static_cast<std::size_t>(off[row + 1]); ++i) {
+      if (!(keys[i - 1] < keys[i])) return static_cast<std::int64_t>(row);
+    }
+  }
+  return -1;
 }
 
 /// Audits a full built artifact: graph, naming, and the scheme's own tables

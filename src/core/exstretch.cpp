@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "audit/audit.h"
 #include "graph/apsp.h"
@@ -16,25 +15,13 @@ namespace rtr {
 
 namespace {
 
-/// Per-node build staging; flattened into the CSR arrays in sorted-key order.
-struct DictEntry {
+/// A staged table entry: row key, waypoint name, and the tree R2 to the
+/// waypoint runs through (TreeRef{}: the node itself, a default label).
+struct StagedEntry {
+  std::int32_t key = 0;  // (2): the peer's name; (3): pack(i, p)
   NodeName node = kNoNode;
-  R2Label r2;
+  TreeRef tree;
 };
-struct NodeStaging {
-  std::unordered_map<NodeName, R2Label> nbr_r2;
-  std::unordered_map<std::int64_t, DictEntry> dict;
-};
-
-template <typename Map>
-std::vector<typename Map::key_type> sorted_keys(const Map& m) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(m.size());
-  for (const auto& [k, v] : m) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
 
 }  // namespace
 
@@ -118,13 +105,11 @@ ExStretchScheme::ExStretchScheme(const Digraph& g, const RoundtripMetric& metric
   // S'_u = S_u + u's own block (Section 3.3).
   std::vector<std::vector<BlockId>> held(static_cast<std::size_t>(n));
   for (NodeId u = 0; u < n; ++u) {
-    held[static_cast<std::size_t>(u)] =
+    auto& s = held[static_cast<std::size_t>(u)] =
         assignment_.blocks_of[static_cast<std::size_t>(u)];
-    auto& s = held[static_cast<std::size_t>(u)];
     const BlockId own = alphabet_.block_of(names_.name_of(u));
-    if (!std::binary_search(s.begin(), s.end(), own)) {
-      s.insert(std::upper_bound(s.begin(), s.end(), own), own);
-    }
+    const auto at = std::lower_bound(s.begin(), s.end(), own);
+    if (at == s.end() || *at != own) s.insert(at, own);
   }
 
   // holders_by_prefix[level l] : prefix value -> sorted list of node ids
@@ -138,110 +123,110 @@ ExStretchScheme::ExStretchScheme(const Digraph& g, const RoundtripMetric& metric
   for (NodeId u = 0; u < n; ++u) {
     for (int level = 1; level <= k - 1; ++level) {
       auto& lists = holders[static_cast<std::size_t>(level)];
-      // Dedup prefixes this node covers at this level.
-      std::vector<PrefixValue> seen;
       for (BlockId b : held[static_cast<std::size_t>(u)]) {
-        PrefixValue p = alphabet_.block_prefix_value(b, level);
+        const PrefixValue p = alphabet_.block_prefix_value(b, level);
         if (p >= static_cast<PrefixValue>(lists.size())) continue;
-        if (std::find(seen.begin(), seen.end(), p) == seen.end()) {
-          seen.push_back(p);
-          lists[static_cast<std::size_t>(p)].push_back(u);
-        }
+        // u lists itself once per prefix it covers at this level.
+        auto& list = lists[static_cast<std::size_t>(p)];
+        if (list.empty() || list.back() != u) list.push_back(u);
       }
     }
   }
 
-  std::vector<NodeStaging> tables(static_cast<std::size_t>(n));
-  // Both per-node table loops write only tables[u], so they fan out over
+  std::vector<std::vector<StagedEntry>> nbr_rows(static_cast<std::size_t>(n)),
+      dict_rows(static_cast<std::size_t>(n));
+  // Both per-node table loops write only u's rows, so they fan out over
   // the ticket pool; (2) and (3) fuse into one pass per node, which reads
   // the roundtrip row r(u, .) once.
   parallel_tickets(n, threads, [&] {
     return [&, row = std::vector<Dist>(static_cast<std::size_t>(n))](
                std::int64_t ticket) mutable {
     const auto u = static_cast<NodeId>(ticket);
-    auto& tab = tables[static_cast<std::size_t>(u)];
+    auto& nbr = nbr_rows[static_cast<std::size_t>(u)];
+    auto& dict = dict_rows[static_cast<std::size_t>(u)];
     m.roundtrip_row(u, row);
+    const auto entry = [&](std::int64_t key, NodeId v) {
+      return StagedEntry{static_cast<std::int32_t>(key), names_.name_of(v),
+                         v == u ? TreeRef{} : r2_tree(*hierarchy_, u, v)};
+    };
 
     // (2): R2 for the immediate neighborhood N_1(u) (first q of Init_u).
     for (NodeId v : hoods.prefix(u, static_cast<NodeId>(q))) {
-      if (v == u) continue;
-      tab.nbr_r2.emplace(names_.name_of(v), compute_r2(*hierarchy_, u, v));
+      if (v != u) nbr.push_back(entry(names_.name_of(v), v));
     }
+    std::ranges::sort(nbr, {}, &StagedEntry::key);
 
-    // (3a): per held block, per level i < k-1, per next digit tau: nearest
-    // holder of the extended prefix + R2 to it.
-    // (3b): i = k-1: the exact name "block + tau" + R2 to it.
-    for (BlockId b : held[static_cast<std::size_t>(u)]) {
-      for (int i = 0; i <= k - 1; ++i) {
-        for (int tau = 0; tau < q; ++tau) {
-          if (i < k - 1) {
-            const PrefixValue p = alphabet_.block_prefix_value(b, i) * q + tau;
-            if (p >= alphabet_.realizable_prefix_count(i + 1)) continue;
-            const std::int64_t key = pack(i, p);
-            if (tab.dict.contains(key)) continue;
-            // Nearest holder of a block with (i+1)-prefix p, by (r, name).
-            const auto& list =
-                holders[static_cast<std::size_t>(i + 1)][static_cast<std::size_t>(p)];
-            if (list.empty()) {
-              throw std::logic_error("exstretch: realizable prefix without holder");
-            }
-            NodeId best = kNoNode;
-            Dist best_r = kInfDist;
-            for (NodeId h : list) {
-              const Dist rr = row[static_cast<std::size_t>(h)];
-              if (rr < best_r || (rr == best_r && best != kNoNode &&
-                                  names_.name_of(h) < names_.name_of(best))) {
-                best_r = rr;
-                best = h;
-              }
-            }
-            DictEntry entry;
-            entry.node = names_.name_of(best);
-            if (best != u) entry.r2 = compute_r2(*hierarchy_, u, best);
-            tab.dict.emplace(key, std::move(entry));
-          } else {
-            const NodeName target = alphabet_.compose(b, tau);
-            if (target == kNoNode) continue;
-            const std::int64_t key = pack(i, target);
-            if (tab.dict.contains(key)) continue;
-            DictEntry entry;
-            entry.node = target;
-            const NodeId tid = names_.id_of(target);
-            if (tid != u) entry.r2 = compute_r2(*hierarchy_, u, tid);
-            tab.dict.emplace(key, std::move(entry));
+    // (3a): per level i < k-1, per held block's i-digit prefix, per digit
+    // tau: nearest holder of the extended prefix p; (3b): i = k-1: the exact
+    // name p.  held[u] ascends, so skipping repeated prefixes sorts the row.
+    for (int i = 0; i <= k - 1; ++i) {
+      const std::int64_t realizable = alphabet_.realizable_prefix_count(i + 1);
+      PrefixValue previous = -1;
+      for (BlockId b : held[static_cast<std::size_t>(u)]) {
+        const PrefixValue prefix = alphabet_.block_prefix_value(b, i);
+        if (prefix == previous) continue;
+        previous = prefix;
+        for (int tau = 0; tau < q && prefix * q + tau < realizable; ++tau) {
+          const PrefixValue p = prefix * q + tau;
+          if (i == k - 1) {
+            dict.push_back(
+                entry(pack(i, p), names_.id_of(static_cast<NodeName>(p))));
+            continue;
           }
+          // Nearest holder of a block with (i+1)-prefix p, by (r, name).
+          const auto& list =
+              holders[static_cast<std::size_t>(i + 1)][static_cast<std::size_t>(p)];
+          if (list.empty()) {
+            throw std::logic_error("exstretch: realizable prefix without holder");
+          }
+          NodeId best = kNoNode;
+          Dist best_r = kInfDist;
+          for (NodeId h : list) {
+            const Dist rr = row[static_cast<std::size_t>(h)];
+            if (rr < best_r || (rr == best_r && best != kNoNode &&
+                                names_.name_of(h) < names_.name_of(best))) {
+              best_r = rr;
+              best = h;
+            }
+          }
+          dict.push_back(entry(pack(i, p), best));
         }
       }
     }
     };
   });
 
-  // Flatten in sorted-key order.
+  // One serial pass packs the sorted rows into CSR, minting each entry's two
+  // R2 labels straight into the packed form.
   std::vector<std::int64_t> nbr_off{0}, dict_off{0};
   std::vector<NodeName> nbr_key, dict_node;
   std::vector<std::int32_t> dict_key;
-  std::vector<R2Label> nbr_r2, dict_r2;
-  for (const NodeStaging& tab : tables) {
-    for (const NodeName v : sorted_keys(tab.nbr_r2)) {
-      nbr_key.push_back(v);
-      nbr_r2.push_back(tab.nbr_r2.at(v));
+  PackedR2Labels::Builder nbr_r2, dict_r2;
+  const auto add_r2 = [&](auto& r2, NodeId u, const StagedEntry& e) {
+    if (e.tree == TreeRef{}) return r2.add(e.tree, {}, {});
+    const TreeRouter& router = hierarchy_->tree(e.tree).out_router();
+    r2.add(e.tree, router.label(u), router.label(names_.id_of(e.node)));
+  };
+  for (NodeId u = 0; u < n; ++u) {
+    for (const StagedEntry& e : nbr_rows[static_cast<std::size_t>(u)]) {
+      nbr_key.push_back(e.key);
+      add_r2(nbr_r2, u, e);
     }
     nbr_off.push_back(static_cast<std::int64_t>(nbr_key.size()));
-    for (const std::int64_t key : sorted_keys(tab.dict)) {
-      const DictEntry& entry = tab.dict.at(key);
-      dict_key.push_back(static_cast<std::int32_t>(key));
-      dict_node.push_back(entry.node);
-      dict_r2.push_back(entry.r2);
+    for (const StagedEntry& e : dict_rows[static_cast<std::size_t>(u)]) {
+      dict_key.push_back(e.key);
+      dict_node.push_back(e.node);
+      add_r2(dict_r2, u, e);
     }
     dict_off.push_back(static_cast<std::int64_t>(dict_key.size()));
   }
   nbr_off_ = std::move(nbr_off);
   nbr_key_ = std::move(nbr_key);
-  nbr_r2_ = PackedR2Labels(nbr_r2);
+  nbr_r2_ = nbr_r2.build();
   dict_off_ = std::move(dict_off);
   dict_key_ = std::move(dict_key);
   dict_node_ = std::move(dict_node);
-  dict_r2_ = PackedR2Labels(dict_r2);
+  dict_r2_ = dict_r2.build();
 }
 
 Decision ExStretchScheme::advance(NodeId at, Header& h) const {
@@ -425,6 +410,16 @@ void ExStretchScheme::audit(AuditReport& report) const {
     }
   }
   report.check("dict-keys-decodable", dict_ok, std::move(dict_detail));
+
+  // find_in_row binary-searches every row of both tables.
+  const std::int64_t unsorted =
+      std::max(first_unsorted_row(nbr_off_, nbr_key_),
+               first_unsorted_row(dict_off_, dict_key_));
+  report.check("rows-sorted-unique", unsorted < 0,
+               unsorted < 0 ? std::string()
+                            : "a table row of node " +
+                                  std::to_string(unsorted) +
+                                  " has unsorted or duplicate keys");
 }
 
 TableStats ExStretchScheme::table_stats() const {

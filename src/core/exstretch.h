@@ -109,7 +109,8 @@ class ExStretchScheme {
   /// Auditable: delegates to the naming, alphabet, cover table (and, for a
   /// built scheme, the cover hierarchy it came from), and block assignment,
   /// then checks every per-node dictionary key decodes to a valid (level,
-  /// prefix) pair with an in-range waypoint name.
+  /// prefix) pair with an in-range waypoint name, and that every row of
+  /// both tables has strictly ascending keys.
   void audit(AuditReport& report) const;
 
  private:

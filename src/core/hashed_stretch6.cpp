@@ -292,27 +292,19 @@ void HashedStretch6Scheme::audit(AuditReport& report) const {
   if (!holders_ok) {
     holder_detail = "holder rows do not record one holder per relevant block";
   }
-  const auto is_known = [&](ChosenName x) {
-    try {
-      (void)chosen_.id_of(x);
-      return true;
-    } catch (const std::invalid_argument&) {
-      return false;
-    }
-  };
   for (std::size_t v = 0; v < n; ++v) {
     const auto lo = static_cast<std::size_t>(r3_off_[v]);
     const auto hi = static_cast<std::size_t>(r3_off_[v + 1]);
     for (std::size_t i = lo; r3_ok && i < hi; ++i) {
       if ((i > lo && r3_names_[i - 1] >= r3_names_[i]) ||
-          !is_known(r3_names_[i])) {
+          !chosen_.contains(r3_names_[i])) {
         r3_ok = false;
         r3_detail = "r3 dictionary of node " + std::to_string(v) +
                     " unsorted or referencing an unknown chosen name";
       }
     }
     for (std::size_t b = 0; holders_ok && b < blocks; ++b) {
-      if (!is_known(holder_of_[v * blocks + b])) {
+      if (!chosen_.contains(holder_of_[v * blocks + b])) {
         holders_ok = false;
         holder_detail = "holder of block " + std::to_string(b) + " at node " +
                         std::to_string(v) + " is not a known chosen name";

@@ -53,7 +53,11 @@ class ChosenNames {
   [[nodiscard]] ChosenName of_id(NodeId v) const {
     return of_id_[static_cast<std::size_t>(v)];
   }
+  /// Throws std::invalid_argument unless contains(x).
   [[nodiscard]] NodeId id_of(ChosenName x) const;
+  [[nodiscard]] bool contains(ChosenName x) const {
+    return id_of_.contains(x);
+  }
 
   /// Auditable: chosen names non-zero and unique, with the reverse index the
   /// exact inverse of the forward table.

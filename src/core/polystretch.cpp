@@ -346,6 +346,14 @@ void PolyStretchScheme::audit(AuditReport& report) const {
     }
   }
   report.check("per-tree-refs-valid", refs_ok, std::move(refs_detail));
+
+  // next_hop binary-searches every dictionary row.
+  const std::int64_t unsorted = first_unsorted_row(dict_off_, dict_key_);
+  report.check("rows-sorted-unique", unsorted < 0,
+               unsorted < 0 ? std::string()
+                            : "the dictionary row of membership " +
+                                  std::to_string(unsorted) +
+                                  " has unsorted or duplicate keys");
 }
 
 TableStats PolyStretchScheme::table_stats() const {

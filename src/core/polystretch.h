@@ -101,7 +101,8 @@ class PolyStretchScheme {
   /// Auditable: delegates to the naming, alphabet, and cover table (and,
   /// for a built scheme, the cover hierarchy it came from), then checks the
   /// per-membership storage is framed by the cover table, with in-range
-  /// waypoint names in every dictionary entry.
+  /// waypoint names in every dictionary entry and strictly ascending keys
+  /// in every dictionary row.
   void audit(AuditReport& report) const;
 
  private:

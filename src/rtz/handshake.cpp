@@ -7,18 +7,19 @@
 
 namespace rtr {
 
-PackedR2Labels::PackedR2Labels(const std::vector<R2Label>& labels) {
-  std::vector<TreeRef> trees;
-  PackedLabels<std::int32_t>::Builder u, v;
-  trees.reserve(labels.size());
-  for (const R2Label& label : labels) {
-    trees.push_back(label.tree);
-    u.add(label.label_u);
-    v.add(label.label_v);
-  }
-  tree_ = std::move(trees);
-  u_ = u.build();
-  v_ = v.build();
+void PackedR2Labels::Builder::add(TreeRef tree, const TreeLabel& label_u,
+                                  const TreeLabel& label_v) {
+  tree_.push_back(tree);
+  u_.add(label_u);
+  v_.add(label_v);
+}
+
+PackedR2Labels PackedR2Labels::Builder::build() {
+  PackedR2Labels p;
+  p.tree_ = std::move(tree_);
+  p.u_ = u_.build();
+  p.v_ = v_.build();
+  return p;
 }
 
 void PackedR2Labels::save_arena(ArenaWriter& w,
@@ -56,7 +57,7 @@ DtStep dt_step(const CoverTable& cover, NodeId at, DtLeg& leg) {
   return DtStep{false, p};
 }
 
-R2Label compute_r2(const CoverHierarchy& hierarchy, NodeId u, NodeId v) {
+TreeRef r2_tree(const CoverHierarchy& hierarchy, NodeId u, NodeId v) {
   for (std::int32_t level = 0; level < hierarchy.level_count(); ++level) {
     const HierarchyLevel& lvl = hierarchy.level(level);
     std::int32_t best_tree = -1;
@@ -71,13 +72,15 @@ R2Label compute_r2(const CoverHierarchy& hierarchy, NodeId u, NodeId v) {
         best_tree = t;
       }
     }
-    if (best_tree >= 0) {
-      const DoubleTree& tree = lvl.trees[static_cast<std::size_t>(best_tree)];
-      return R2Label{TreeRef{level, best_tree}, tree.out_router().label(u),
-                     tree.out_router().label(v)};
-    }
+    if (best_tree >= 0) return TreeRef{level, best_tree};
   }
-  throw std::logic_error("compute_r2: no common double tree for the pair");
+  throw std::logic_error("r2_tree: no common double tree for the pair");
+}
+
+R2Label compute_r2(const CoverHierarchy& hierarchy, NodeId u, NodeId v) {
+  const TreeRef tree = r2_tree(hierarchy, u, v);
+  const TreeRouter& router = hierarchy.tree(tree).out_router();
+  return R2Label{tree, router.label(u), router.label(v)};
 }
 
 TableStats hierarchy_node_stats(const CoverTable& cover,
@@ -104,7 +107,6 @@ TableStats hierarchy_node_stats(const CoverTable& cover,
 std::int64_t r2_label_bits(const R2Label& label, std::int64_t node_space,
                            std::int64_t port_space) {
   const std::int64_t tree_id_bits = bits_for(node_space) + 8;
-  (void)label;
   return tree_id_bits + tree_label_bits(label.label_u, node_space, port_space) +
          tree_label_bits(label.label_v, node_space, port_space);
 }

@@ -42,8 +42,19 @@ struct R2Label {
 /// references plus the two endpoint labels, each side packed on its own.
 class PackedR2Labels {
  public:
+  /// Packs labels one at a time, in index order.
+  class Builder {
+   public:
+    void add(TreeRef tree, const TreeLabel& label_u, const TreeLabel& label_v);
+    [[nodiscard]] PackedR2Labels build();
+
+   private:
+    std::vector<TreeRef> tree_;
+    PackedLabels<std::int32_t>::Builder u_;
+    PackedLabels<std::int32_t>::Builder v_;
+  };
+
   PackedR2Labels() = default;
-  explicit PackedR2Labels(const std::vector<R2Label>& labels);
 
   [[nodiscard]] std::size_t size() const { return tree_.size(); }
   [[nodiscard]] R2Label at(std::size_t i) const {
@@ -83,10 +94,12 @@ struct DtStep {
 /// is not in the leg's tree.
 [[nodiscard]] DtStep dt_step(const CoverTable& cover, NodeId at, DtLeg& leg);
 
-/// Computes R2(u, v), or throws std::logic_error if no common tree exists
-/// (impossible when the hierarchy's top level covers the diameter).
-[[nodiscard]] R2Label compute_r2(const CoverHierarchy& hierarchy, NodeId u,
-                                 NodeId v);
+/// R2(u, v) is the tree r2_tree picks plus u's and v's labels in it; table
+/// builders pick trees in parallel, then mint labels into a
+/// PackedR2Labels::Builder.  Both throw std::logic_error if no common tree
+/// exists (impossible when the hierarchy's top level covers the diameter).
+[[nodiscard]] TreeRef r2_tree(const CoverHierarchy& h, NodeId u, NodeId v);
+[[nodiscard]] R2Label compute_r2(const CoverHierarchy& h, NodeId u, NodeId v);
 
 /// Worst-case roundtrip blowup of an R2 trip: beta(k) = 4 (2k - 1).
 [[nodiscard]] constexpr double r2_beta(int k) { return 4.0 * (2 * k - 1); }

@@ -4,7 +4,8 @@
 // trees, allocate in proportion to their memberships, not to trees x n.
 // Under the auto metric mode only a whole-level consumer (polystretch here)
 // allocates the n x n APSP matrix; rtz3 and stretch6 builds never do, and a
-// sparse metric keeps nothing once a build is over.
+// sparse metric keeps nothing once a build is over.  An exstretch build
+// peaks at less than twice what the built scheme keeps.
 // This binary replaces the global operator new with one that counts
 // allocations and bytes, which is why it is not part of rtr_tests: a
 // replacement applies to the whole program.
@@ -338,6 +339,35 @@ TEST(SparseMetricRetentionTest, CoverBuildLeavesNothingInTheMetric) {
   const std::int64_t retained = g_live_bytes.load() - before;
   EXPECT_LT(retained, 64 * static_cast<std::int64_t>(inst.n()))
       << retained << " bytes still live after a sparse polystretch build";
+}
+
+// An exstretch build stages each node's rows as small sorted records (a key,
+// a waypoint name, a tree reference) and mints the R2 labels straight into
+// packed CSR, so its peak holds little more than the tables it keeps -- and
+// a built scheme keeps its cover hierarchy for audit (~20 MB here).  Hash
+// maps of by-value R2 labels per node, copied again into label vectors
+// before packing, raised the peak to ~7.8x what the scheme keeps.  The
+// build runs on its own thread so that thread's search scratch is not
+// counted as kept.
+TEST(ExStretchBuildAllocationTest, BuildPeakStaysBelowTwiceWhatItKeeps) {
+  const Instance inst = make_instance(Family::kScaleFree, 1024, 5, 42);
+  const auto graph = std::make_shared<const Digraph>(inst.graph);
+  const auto metric = make_roundtrip_metric(graph, MetricMode::kSparse, 1);
+  (void)SchemeRegistry::global();  // the process-lifetime registry
+  std::shared_ptr<const Scheme> scheme;
+  const std::int64_t before = g_live_bytes.load();
+  g_peak_live_bytes.store(before);
+  std::thread build([&] {
+    const BuildContext ctx = BuildContext::wrap(graph, metric, inst.names, 43,
+                                                {{"threads", "1"}});
+    scheme = SchemeRegistry::global().build("exstretch", ctx);
+  });
+  build.join();
+  const std::int64_t raised = g_peak_live_bytes.load() - before;
+  const std::int64_t kept = g_live_bytes.load() - before;
+  EXPECT_LT(raised, 2 * kept)
+      << "an exstretch build raised peak live bytes by " << raised
+      << " for a scheme that keeps " << kept;
 }
 
 // save_snapshot streams each section to the file as the hooks add it, so a

@@ -3,7 +3,8 @@
 // The canonical arena encoding makes byte equality the strongest "same
 // tables" check (see testing::scheme_arena_bytes).  The digests below were
 // recorded from a build of the cover-tree and rtz3 schemes before their
-// double trees and tree routers moved to member-local storage; any change
+// double trees and tree routers moved to member-local storage (exstretch
+// at k = 2 and k = 4: before its tables were built as sorted rows); any change
 // to what those structures compute -- tree shapes, heavy-child ties, DFS
 // numbers, labels, dictionary choices -- shows up here as a different
 // digest.  A deliberate change of the encoding re-records them: the failure
@@ -12,6 +13,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -43,13 +45,14 @@ struct GoldenCase {
   std::uint64_t digest;  // fnv1a of the arena bytes
 };
 
-class ArenaGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
-
-TEST_P(ArenaGoldenTest, ArenaBytesMatchTheRecordedBuild) {
-  const GoldenCase& c = GetParam();
+/// Builds `c.scheme` with `options` and compares its arena with the record.
+void expect_recorded_arena(const GoldenCase& c,
+                           const std::map<std::string, std::string>& options) {
   const auto inst = make_instance(c.family, c.n, 5, 23);
+  BuildContext ctx = inst.context(29);
+  ctx.options = options;
   const std::shared_ptr<const Scheme> scheme =
-      SchemeRegistry::global().build(c.scheme, inst.context(29));
+      SchemeRegistry::global().build(c.scheme, ctx);
   const std::vector<std::uint8_t> bytes =
       testing::scheme_arena_bytes(c.scheme, *scheme);
   char got[64];
@@ -57,6 +60,21 @@ TEST_P(ArenaGoldenTest, ArenaBytesMatchTheRecordedBuild) {
                 static_cast<unsigned long long>(fnv1a(bytes)));
   EXPECT_EQ(bytes.size(), c.size) << got;
   EXPECT_EQ(fnv1a(bytes), c.digest) << got;
+}
+
+std::string case_name(const GoldenCase& c) {
+  std::string name =
+      c.scheme + "_" + family_name(c.family) + "_n" + std::to_string(c.n);
+  for (auto& ch : name) {
+    if (ch == '+' || ch == '-') ch = '_';
+  }
+  return name;
+}
+
+class ArenaGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(ArenaGoldenTest, ArenaBytesMatchTheRecordedBuild) {
+  expect_recorded_arena(GetParam(), {});
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -80,14 +98,30 @@ INSTANTIATE_TEST_SUITE_P(
                    0xc3a6324ba442ca6dULL},
         GoldenCase{"rtz3", Family::kRing, 96, 41176,
                    0xd66dd8a0db8e216aULL}),
+    [](const auto& info) { return case_name(info.param); });
+
+/// exstretch at other k: its dictionary loop skips repeated prefixes per
+/// level, so the recorded k = 3 cases alone would not cover it.
+class ArenaGoldenDepthTest
+    : public ::testing::TestWithParam<std::tuple<GoldenCase, int>> {};
+
+TEST_P(ArenaGoldenDepthTest, ArenaBytesMatchTheRecordedBuild) {
+  const auto& [c, k] = GetParam();
+  expect_recorded_arena(c, {{"k", std::to_string(k)}});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, ArenaGoldenDepthTest,
+    ::testing::Values(
+        std::tuple{GoldenCase{"exstretch", Family::kRandom, 128, 963192,
+                              0x0c90b7c2fb55b366ULL},
+                   2},
+        std::tuple{GoldenCase{"exstretch", Family::kRandom, 128, 535512,
+                              0xe93f8c76e8ad46f6ULL},
+                   4}),
     [](const auto& info) {
-      std::string name = info.param.scheme + "_" +
-                         family_name(info.param.family) + "_n" +
-                         std::to_string(info.param.n);
-      for (auto& ch : name) {
-        if (ch == '+' || ch == '-') ch = '_';
-      }
-      return name;
+      return case_name(std::get<0>(info.param)) + "_k" +
+             std::to_string(std::get<1>(info.param));
     });
 
 }  // namespace

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "audit/audit.h"
+#include "core/exstretch.h"
+#include "core/polystretch.h"
 #include "graph/dijkstra.h"
 #include "io/arena.h"
 #include "io/snapshot.h"
@@ -40,6 +42,22 @@ struct AuditTestPeer {
   static BallSystem& balls(Rtz3Scheme& s) { return s.balls_; }
   static FlatVec<std::int64_t>& ball_off(Rtz3Scheme& s) { return s.ball_off_; }
   static FlatVec<NodeName>& ball_keys(Rtz3Scheme& s) { return s.ball_key_; }
+  static FlatVec<std::int64_t>& nbr_off(ExStretchScheme& s) {
+    return s.nbr_off_;
+  }
+  static FlatVec<NodeName>& nbr_keys(ExStretchScheme& s) { return s.nbr_key_; }
+  static FlatVec<std::int64_t>& dict_off(ExStretchScheme& s) {
+    return s.dict_off_;
+  }
+  static FlatVec<std::int32_t>& dict_keys(ExStretchScheme& s) {
+    return s.dict_key_;
+  }
+  static FlatVec<std::int64_t>& dict_off(PolyStretchScheme& s) {
+    return s.dict_off_;
+  }
+  static FlatVec<std::uint16_t>& dict_keys(PolyStretchScheme& s) {
+    return s.dict_key_;
+  }
 };
 
 namespace {
@@ -72,6 +90,23 @@ const AuditEntry* find_prefix_entry(const AuditReport& report,
 
 /// Expects exactly this invariant to have failed (others may fail too when
 /// the damage cascades, but the named one must fire).
+/// Swaps the first and last key of the first CSR row holding two or more,
+/// so the row is no longer ascending; false when every row is shorter.
+template <typename K>
+bool unsort_one_row(const FlatVec<std::int64_t>& off, FlatVec<K>& keys) {
+  auto damaged = keys.to_vector();
+  for (std::size_t row = 0; row + 1 < off.size(); ++row) {
+    const auto b = static_cast<std::size_t>(off[row]);
+    const auto e = static_cast<std::size_t>(off[row + 1]);
+    if (e - b >= 2) {
+      std::swap(damaged[b], damaged[e - 1]);
+      keys = std::move(damaged);
+      return true;
+    }
+  }
+  return false;
+}
+
 void expect_fired(const AuditReport& report, const std::string& component,
                   const std::string& invariant) {
   EXPECT_FALSE(report.ok()) << report.summary(true);
@@ -191,6 +226,41 @@ TEST(AuditCorruption, UnsortedDictionaryFires) {
   expect_fired(report, "rtz3", "dicts-sorted-unique");
 }
 
+// exstretch's find_in_row and polystretch's next_hop binary-search their CSR
+// rows, so a mapped file with valid CRCs but an unsorted row would misroute
+// silently; the audit catches it.
+TEST(AuditCorruption, UnsortedExStretchNeighborRowFires) {
+  const Instance inst = make_instance(Family::kRandom, 120, 4, 17);
+  Rng rng(5);
+  ExStretchScheme scheme(inst.graph, *inst.metric, inst.names, rng);
+  ASSERT_TRUE(unsort_one_row(AuditTestPeer::nbr_off(scheme),
+                             AuditTestPeer::nbr_keys(scheme)));
+  AuditReport report;
+  scheme.audit(report);
+  expect_fired(report, "exstretch", "rows-sorted-unique");
+}
+
+TEST(AuditCorruption, UnsortedExStretchDictionaryRowFires) {
+  const Instance inst = make_instance(Family::kRandom, 120, 4, 17);
+  Rng rng(5);
+  ExStretchScheme scheme(inst.graph, *inst.metric, inst.names, rng);
+  ASSERT_TRUE(unsort_one_row(AuditTestPeer::dict_off(scheme),
+                             AuditTestPeer::dict_keys(scheme)));
+  AuditReport report;
+  scheme.audit(report);
+  expect_fired(report, "exstretch", "rows-sorted-unique");
+}
+
+TEST(AuditCorruption, UnsortedPolyStretchDictionaryRowFires) {
+  const Instance inst = make_instance(Family::kRandom, 120, 4, 17);
+  PolyStretchScheme scheme(inst.graph, *inst.metric, inst.names);
+  ASSERT_TRUE(unsort_one_row(AuditTestPeer::dict_off(scheme),
+                             AuditTestPeer::dict_keys(scheme)));
+  AuditReport report;
+  scheme.audit(report);
+  expect_fired(report, "polystretch", "rows-sorted-unique");
+}
+
 TEST(AuditCorruption, CyclicTreeParentFires) {
   const Instance inst = make_instance(Family::kRandom, 100, 4, 11);
   TreeRouter router(dijkstra_out_tree(inst.graph, 0));
@@ -258,6 +328,14 @@ TEST(AuditCorruption, SortedDictHelperCatchesDisorderAndDuplicates) {
   EXPECT_TRUE(find_entry(report, "", "sorted")->ok);
   EXPECT_FALSE(find_entry(report, "", "unsorted")->ok);
   EXPECT_FALSE(find_entry(report, "", "duplicate")->ok);
+}
+
+TEST(AuditCorruption, UnsortedRowHelperChecksEachRowOnItsOwn) {
+  const FlatVec<std::int64_t> off(std::vector<std::int64_t>{0, 2, 4, 4, 6});
+  // Rows {1, 5} {2, 7} {} {7, 9}: ascending in each row, not overall.
+  EXPECT_EQ(first_unsorted_row(off, std::vector<int>{1, 5, 2, 7, 7, 9}), -1);
+  EXPECT_EQ(first_unsorted_row(off, std::vector<int>{1, 5, 7, 2, 7, 9}), 1);
+  EXPECT_EQ(first_unsorted_row(off, std::vector<int>{1, 5, 2, 7, 9, 9}), 3);
 }
 
 // -------------------------------------------------------------- snapshot ---

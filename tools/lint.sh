@@ -110,6 +110,18 @@ dict_pairs=$(grep -nE '(^|[^_[:alnum:]])(m|metric)(\.|->)(r|d)\(' \
 report "pairwise m.r()/m.d() in the cover dictionaries (read roundtrip rows)" \
   "$dict_pairs"
 
+# --- rule: the cover dictionaries stage sorted flat rows -------------------
+# exstretch and polystretch stage small, already-sorted records per node and
+# pack them into CSR in one serial pass, minting labels straight into the
+# packed builders.  A hash map per node, or a vector of by-value R2Labels
+# (216 bytes each) copied again before packing, raised exstretch's build
+# peak on scale-free n = 1024 to ~7.8x the tables it keeps.
+dict_staging=$(grep -nE 'unordered_map|std::vector<R2Label>' \
+  src/core/exstretch.cpp src/core/polystretch.cpp 2>/dev/null |
+  grep -vE '//.*(unordered_map|std::vector<R2Label>)')
+report "hash-map or R2Label-vector staging in the cover dictionaries" \
+  "$dict_staging"
+
 # --- rule: src/util headers are self-contained -----------------------------
 # Every utility header must compile on its own (no hidden include-order
 # dependencies); gate on a C++ compiler being present so the script also
