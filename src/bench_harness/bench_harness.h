@@ -104,9 +104,9 @@ struct BenchConfig {
   std::uint64_t seed = 7;
   Weight max_weight = 4;
   /// Metric backend per instance: kAuto is sparse bounded searches,
-  /// and only the cover schemes (whole-level consumers) materialise the APSP
-  /// matrix, up to kDenseMetricAutoThreshold nodes; that is what lets the
-  /// full sweep pass 4096.
+  /// and only the cover schemes (whole-level consumers) fill the n x n 4-byte
+  /// roundtrip table, up to kDenseMetricAutoThreshold nodes; that is what
+  /// lets the full sweep pass 4096.
   MetricMode metric_mode = MetricMode::kAuto;
   bool snapshot_phase = true;   ///< measure snapshot save+load per cell
   /// Measure the network serving path end to end: RouteServer (the

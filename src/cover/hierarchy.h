@@ -47,9 +47,9 @@ struct HierarchyLevel {
 class CoverHierarchy {
  public:
   /// Builds all levels.  k > 1; metric must be g's roundtrip metric.  The
-  /// diameter and every level's seed balls come from one pass over
-  /// metric.whole_levels()'s roundtrip rows (RoundtripBallLevels, n^2 bytes,
-  /// freed when the constructor returns).  The
+  /// diameter and every level's seed balls come from one pass over the
+  /// metric's roundtrip rows, after metric.whole_levels() (RoundtripBallLevels,
+  /// n^2 bytes, freed when the constructor returns).  The
   /// per-cluster double trees of each level build in parallel over `threads`
   /// workers (<= 0 resolves the process default); the hierarchy is a pure
   /// function of (g, metric, k) for any thread count.

@@ -76,8 +76,8 @@ BuildContext BuildContext::for_graph(GraphBuilder g, std::uint64_t seed,
   auto graph = std::make_shared<Digraph>(std::move(frozen));
   // The "metric" option picks the backend: dense APSP matrix or sparse
   // bounded searches ("auto" is sparse searches whose whole-level consumers
-  // get the matrix up to the cap); "threads" feeds the APSP fan-out and the
-  // schemes' parallel build loops.
+  // get the roundtrip table up to the cap); "threads" feeds the metric's
+  // fan-outs and the schemes' parallel build loops.
   const auto mode_it = ctx.options.find("metric");
   const MetricMode mode = mode_it == ctx.options.end()
                               ? MetricMode::kAuto

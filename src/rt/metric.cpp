@@ -1,6 +1,7 @@
 #include "rt/metric.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 
@@ -32,15 +33,6 @@ void RoundtripMetric::nearest_all(const std::vector<NodeId>& candidates,
       }
     };
   });
-}
-
-void RoundtripMetric::for_each_roundtrip_row(const RowVisitor& visit) const {
-  const NodeId n = node_count();
-  std::vector<Dist> row(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    roundtrip_row(v, row);
-    visit(v, row);
-  }
 }
 
 Dist RoundtripMetric::rt_diameter() const {
@@ -153,10 +145,18 @@ Dist next_radius(Dist radius, Dist seed) {
   return radius > kInfDist / 2 ? kInfDist : radius * 2;
 }
 
+// Every roundtrip distance is at most 2(n-1) * max_weight (a simple path
+// each way), so that bound decides whether the table's 4-byte entries fit.
+bool roundtrip_table_fits(const Digraph& g) {
+  const NodeId n = g.node_count();
+  return n <= 1 ||
+         g.max_weight() <= INT32_MAX / (2 * static_cast<std::int64_t>(n - 1));
+}
+
 }  // namespace
 
 SparseRoundtripMetric::SparseRoundtripMetric(std::shared_ptr<const Digraph> g,
-                                             bool whole_level_matrix,
+                                             bool whole_level_table,
                                              int threads)
     : graph_(std::move(g)),
       reversed_(graph_->reversed()),
@@ -164,7 +164,7 @@ SparseRoundtripMetric::SparseRoundtripMetric(std::shared_ptr<const Digraph> g,
       // stays tiny, large enough that the first probe usually catches the
       // immediate roundtrip neighbours (min r to a neighbour is >= 2 weights).
       seed_radius_(std::max<Dist>(1, 4 * graph_->max_weight())),
-      whole_level_matrix_(whole_level_matrix),
+      table_eligible_(whole_level_table && roundtrip_table_fits(*graph_)),
       threads_(threads) {
   if (!is_strongly_connected(*graph_)) {
     throw std::invalid_argument(
@@ -174,6 +174,19 @@ SparseRoundtripMetric::SparseRoundtripMetric(std::shared_ptr<const Digraph> g,
 
 Dist SparseRoundtripMetric::count_ball(NodeId v, NodeId want) const {
   SearchScratch& scratch = search_scratch();
+  if (const std::int32_t* table = table_.load(std::memory_order_acquire)) {
+    // The want-th smallest r(v, .) is the least radius whose ball holds
+    // `want` members: one search at that radius, no probing.
+    const auto nz = static_cast<std::size_t>(node_count());
+    const std::int32_t* row = table + static_cast<std::size_t>(v) * nz;
+    scratch.back.assign(row, row + nz);
+    const auto kth = scratch.back.begin() + (want - 1);
+    std::nth_element(scratch.back.begin(), kth, scratch.back.end());
+    scratch.ball.clear();
+    roundtrip_ball_bounded(*graph_, reversed_, v, *kth, scratch.rt,
+                           scratch.ball);
+    return *kth;
+  }
   // Probes are capped at the overshoot allowance: a budget past the critical
   // radius answers "more than cap" (-1) after O(cap) confirmations instead
   // of walking the whole oversize ball (which on expander-like graphs is
@@ -233,15 +246,14 @@ Dist SparseRoundtripMetric::count_ball(NodeId v, NodeId want) const {
 
 // One exact search per direction that stops at its target.
 Dist SparseRoundtripMetric::d(NodeId u, NodeId v) const {
-  if (const DenseRoundtripMetric* m = matrix_.load(std::memory_order_acquire)) {
-    return m->d(u, v);
-  }
   return dijkstra_point_to_point(*graph_, u, v, search_scratch().pair);
 }
 
 Dist SparseRoundtripMetric::r(NodeId u, NodeId v) const {
-  if (const DenseRoundtripMetric* m = matrix_.load(std::memory_order_acquire)) {
-    return m->r(u, v);
+  if (const std::int32_t* table = table_.load(std::memory_order_acquire)) {
+    return table[static_cast<std::size_t>(u) *
+                     static_cast<std::size_t>(node_count()) +
+                 static_cast<std::size_t>(v)];
   }
   BoundedDijkstraWorkspace& ws = search_scratch().pair;
   return dijkstra_point_to_point(*graph_, u, v, ws) +
@@ -356,8 +368,9 @@ void SparseRoundtripMetric::prepare_neighborhoods(NodeId want,
 }
 
 void SparseRoundtripMetric::roundtrip_row(NodeId v, std::span<Dist> row) const {
-  if (const DenseRoundtripMetric* m = matrix_.load(std::memory_order_acquire)) {
-    m->roundtrip_row(v, row);
+  if (const std::int32_t* table = table_.load(std::memory_order_acquire)) {
+    std::copy_n(table + static_cast<std::size_t>(v) * row.size(), row.size(),
+                row.begin());
     return;
   }
   // Strongly connected: both unbounded sweeps settle every node.
@@ -368,14 +381,85 @@ void SparseRoundtripMetric::roundtrip_row(NodeId v, std::span<Dist> row) const {
   for (std::size_t u = 0; u < row.size(); ++u) row[u] += scratch.back[u];
 }
 
+void SparseRoundtripMetric::for_each_roundtrip_row(
+    const RowVisitor& visit) const {
+  const NodeId n = node_count();
+  const auto nz = static_cast<std::size_t>(n);
+  const int workers = resolve_apsp_threads(threads_);
+  // A table row is a copy, so the table streams one row at a time.
+  const NodeId block =
+      holds_roundtrip_table() || workers <= 1 || n <= 1
+          ? 1
+          : std::min<NodeId>(
+                n, std::max<NodeId>(workers,
+                                    static_cast<NodeId>(kStreamBlockBytes /
+                                                        (nz * sizeof(Dist)))));
+  std::vector<Dist> rows(static_cast<std::size_t>(block) * nz);
+  const auto row_of = [&](NodeId j) {
+    return std::span<Dist>(rows.data() + static_cast<std::size_t>(j) * nz, nz);
+  };
+  for (NodeId v0 = 0; v0 < n; v0 += block) {
+    const NodeId count = std::min(block, n - v0);
+    parallel_tickets(count, workers, [&] {
+      return [&](std::int64_t j) {
+        roundtrip_row(v0 + static_cast<NodeId>(j),
+                      row_of(static_cast<NodeId>(j)));
+      };
+    });
+    for (NodeId j = 0; j < count; ++j) visit(v0 + j, row_of(j));
+  }
+}
+
 const RoundtripMetric& SparseRoundtripMetric::whole_levels() const {
-  if (!whole_level_matrix_) return *this;
-  std::call_once(matrix_once_, [this] {
-    matrix_owner_ = std::make_unique<const DenseRoundtripMetric>(
-        *graph_, all_pairs_shortest_paths(*graph_, threads_));
-    matrix_.store(matrix_owner_.get(), std::memory_order_release);
+  if (table_eligible_) {
+    std::call_once(table_once_, [this] { fill_roundtrip_table(); });
+  }
+  return *this;
+}
+
+void SparseRoundtripMetric::fill_roundtrip_table() const {
+  const NodeId n = node_count();
+  const auto nz = static_cast<std::size_t>(n);
+  auto table = std::make_unique_for_overwrite<std::int32_t[]>(nz * nz);
+  std::int32_t* const t = table.get();
+  const int workers = resolve_apsp_threads(threads_);
+  // Row v <- d(v, .): one forward sweep per node.  roundtrip_table_fits
+  // bounds every one-way distance by (n-1) * max_weight, so it narrows.
+  parallel_tickets(n, workers, [&] {
+    return [&, ws = DijkstraWorkspace{}](std::int64_t v) mutable {
+      dijkstra_distances_into(*graph_, static_cast<NodeId>(v), ws);
+      std::transform(ws.dist.begin(), ws.dist.end(),
+                     t + static_cast<std::size_t>(v) * nz,
+                     [](Dist d) { return static_cast<std::int32_t>(d); });
+    };
   });
-  return *matrix_owner_;
+  // t[i][j] = t[j][i] = d(i,j) + d(j,i), in place over the upper triangle.
+  // Ticket I owns the tile pairs (I, J >= I): rows of tile I right of the
+  // diagonal and their mirror columns, disjoint from every other ticket's.
+  // The diagonal stays d(i,i) = 0.
+  const NodeId tiles = (n + kTableTile - 1) / kTableTile;
+  parallel_tickets(tiles, workers, [&] {
+    return [&](std::int64_t ticket) {
+      const NodeId i0 = static_cast<NodeId>(ticket) * kTableTile;
+      const NodeId i1 = std::min(n, i0 + kTableTile);
+      for (NodeId j0 = i0; j0 < n; j0 += kTableTile) {
+        const NodeId j1 = std::min(n, j0 + kTableTile);
+        for (NodeId i = i0; i < i1; ++i) {
+          std::int32_t* const row_i = t + static_cast<std::size_t>(i) * nz;
+          for (NodeId j = std::max(j0, i + 1); j < j1; ++j) {
+            std::int32_t& back = t[static_cast<std::size_t>(j) * nz +
+                                   static_cast<std::size_t>(i)];
+            const std::int32_t sum =
+                row_i[static_cast<std::size_t>(j)] + back;
+            row_i[static_cast<std::size_t>(j)] = sum;
+            back = sum;
+          }
+        }
+      }
+    };
+  });
+  table_owner_ = std::move(table);
+  table_.store(table_owner_.get(), std::memory_order_release);
 }
 
 // ------------------------------------------------------------- MetricMode --
@@ -406,11 +490,11 @@ std::shared_ptr<const RoundtripMetric> make_roundtrip_metric(
     return std::make_shared<const DenseRoundtripMetric>(
         *graph, all_pairs_shortest_paths(*graph, threads));
   }
-  const bool whole_level_matrix =
+  const bool whole_level_table =
       mode == MetricMode::kAuto &&
       graph->node_count() <= kDenseMetricAutoThreshold;
   return std::make_shared<const SparseRoundtripMetric>(
-      std::move(graph), whole_level_matrix, threads);
+      std::move(graph), whole_level_table, threads);
 }
 
 // -------------------------------------------------- induced roundtrip dist --

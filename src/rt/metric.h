@@ -18,8 +18,7 @@
 // Two interchangeable backends implement the metric:
 //
 //   * DenseRoundtripMetric  -- the full APSP matrix; O(1) d/r lookups, O(n^2)
-//     memory.  A test oracle, and what whole-level consumers read up to
-//     kDenseMetricAutoThreshold nodes (see whole_levels()).
+//     8-byte memory.  The MetricMode::kDense backend and the test oracle.
 //   * SparseRoundtripMetric -- a pure function of its graph: every query
 //     searches and leaves nothing behind.  A ball is one budget-pruned
 //     bidirectional search (roundtrip_ball_bounded), and an Init prefix a
@@ -34,7 +33,11 @@
 // exstretch/polystretch dictionaries) read roundtrip rows r(v, .), one node
 // at a time (roundtrip_row) or all in one stream (for_each_roundtrip_row).
 // The dense backend streams them from cache-line-wide tiles of D and its
-// transpose; the sparse one fills each row from two sweeps in O(n) memory.
+// transpose.  The sparse one fills each row from two sweeps in O(n) memory
+// and streams blocks of rows filled on the ticket pool; under kAuto up to
+// kDenseMetricAutoThreshold nodes, whole_levels() first fills the symmetric
+// n x n table R of 4-byte roundtrip distances (n forward sweeps, then one
+// in-place transpose-add), and r and every row read R's contiguous rows.
 #ifndef RTR_RT_METRIC_H
 #define RTR_RT_METRIC_H
 
@@ -110,20 +113,19 @@ class RoundtripMetric {
 
   /// Streams every node's roundtrip row: calls visit(v, row) once per node,
   /// v ascending, on the calling thread.  `row` is valid only during the
-  /// call.  Costs O(n^2) time but only O(n) memory beyond the backend's own
-  /// state.  The base implementation loops roundtrip_row().
-  virtual void for_each_roundtrip_row(const RowVisitor& visit) const;
+  /// call.  Costs O(n^2) time but holds only a bounded block of rows beyond
+  /// the backend's own state.
+  virtual void for_each_roundtrip_row(const RowVisitor& visit) const = 0;
 
   /// RTDiam(G) = max over pairs of r(u,v), from one pass over the rows.
   [[nodiscard]] Dist rt_diameter() const;
 
-  /// The metric a whole-level consumer reads, with answers identical to
-  /// this one.  Whole-level consumers are the cover hierarchy (every
-  /// roundtrip row once, for the diameter and every level's balls) and the
-  /// exstretch/polystretch dictionaries (one roundtrip row per node).
-  /// Those touch every pair, so a matrix pays for itself there.  The base
-  /// returns *this; an auto-mode sparse metric at n <=
-  /// kDenseMetricAutoThreshold materialises the APSP matrix on the first call.
+  /// Called by a whole-level consumer before it reads every pair; returns
+  /// *this.  Whole-level consumers are the cover hierarchy (every roundtrip
+  /// row once, for the diameter and every level's balls) and the
+  /// exstretch/polystretch dictionaries (one roundtrip row per node).  The
+  /// base does nothing; an auto-mode sparse metric at n <=
+  /// kDenseMetricAutoThreshold fills its roundtrip table on the first call.
   [[nodiscard]] virtual const RoundtripMetric& whole_levels() const {
     return *this;
   }
@@ -176,15 +178,22 @@ class DenseRoundtripMetric final : public RoundtripMetric {
 /// Concurrent queries share nothing but the hint atomics, and answers never
 /// depend on the query history, so any build schedule (serial, parallel,
 /// any thread count) observes identical results.
+///
+/// The one exception is the roundtrip table R that an auto-mode metric
+/// fills for whole-level consumers: n^2 4-byte entries, R[u][v] = r(u,v),
+/// half the APSP matrix and already summed, so r and rows read it without
+/// gathering a column.  It is filled only when every roundtrip distance
+/// fits: 2(n-1) * max_weight <= INT32_MAX.
 class SparseRoundtripMetric final : public RoundtripMetric {
  public:
   /// Keeps shared ownership of g and materializes its reversal once.  Throws
-  /// if g is not strongly connected.  With `whole_level_matrix`, the first
-  /// whole_levels() call builds the dense APSP matrix (`threads` wide, <= 0
-  /// resolves via default_apsp_threads) and d/r/rows read it from then on;
-  /// without it whole_levels() returns *this.
+  /// if g is not strongly connected.  With `whole_level_table` (and entries
+  /// that fit in 32 bits), the first whole_levels() call fills the roundtrip
+  /// table and r/rows read it from then on.  `threads` (<= 0 resolves via
+  /// default_apsp_threads) is the fan-out of the table fill and of the row
+  /// stream.
   explicit SparseRoundtripMetric(std::shared_ptr<const Digraph> g,
-                                 bool whole_level_matrix = false,
+                                 bool whole_level_table = false,
                                  int threads = 0);
 
   [[nodiscard]] NodeId node_count() const override {
@@ -200,7 +209,16 @@ class SparseRoundtripMetric final : public RoundtripMetric {
                    std::vector<Dist>& nearest_r) const override;
   void prepare_neighborhoods(NodeId want, int threads) const override;
   void roundtrip_row(NodeId v, std::span<Dist> row) const override;
+  /// From the table if it is filled.  Otherwise workers sweep blocks of rows
+  /// (about kStreamBlockBytes each) while the calling thread visits the
+  /// previous block's rows, v ascending.
+  void for_each_roundtrip_row(const RowVisitor& visit) const override;
   [[nodiscard]] const RoundtripMetric& whole_levels() const override;
+
+  /// Whether the roundtrip table has been filled.
+  [[nodiscard]] bool holds_roundtrip_table() const {
+    return table_.load(std::memory_order_acquire) != nullptr;
+  }
 
  private:
   /// Finds a radius whose complete roundtrip ball around v holds at least
@@ -208,15 +226,24 @@ class SparseRoundtripMetric final : public RoundtripMetric {
   /// scratch: doubles the probe radius until enough members appear, then
   /// narrows by binary search while the member count overshoots
   /// kCountSlack * want, so the ball stays near the request even on
-  /// expander-like graphs where ball sizes jump sharply with radius.
-  /// Returns the radius.
+  /// expander-like graphs where ball sizes jump sharply with radius.  With
+  /// the roundtrip table filled, the least such radius is read off row v
+  /// and searched once.  Returns the radius.
   Dist count_ball(NodeId v, NodeId want) const;
+
+  /// Fills the roundtrip table and publishes it to table_.
+  void fill_roundtrip_table() const;
 
   /// The ball count_ball returns may overshoot the request by at most this
   /// factor, unless the member count jumps past it at a single radius.
   static constexpr NodeId kCountSlack = 4;
   /// Pilot sample size for prepare_neighborhoods.
   static constexpr NodeId kHintPilots = 16;
+  /// Side of the square tiles the table's transpose-add walks: two 64 x 64
+  /// tiles of 4-byte entries fit in L1.
+  static constexpr NodeId kTableTile = 64;
+  /// Target bytes of one block of streamed rows.
+  static constexpr std::size_t kStreamBlockBytes = std::size_t{2} << 20;
 
   std::shared_ptr<const Digraph> graph_;
   Digraph reversed_;
@@ -227,27 +254,27 @@ class SparseRoundtripMetric final : public RoundtripMetric {
   /// probed, never which nodes an answer holds.
   mutable std::atomic<Dist> hint_radius_{-1};
   mutable std::atomic<NodeId> hint_want_{0};
-  const bool whole_level_matrix_;
+  const bool table_eligible_;
   const int threads_;
-  /// The matrix whole_levels() materialises (once, under matrix_once_);
-  /// `matrix_` publishes it to d/r/rows without taking the once flag.
-  mutable std::once_flag matrix_once_;
-  mutable std::unique_ptr<const DenseRoundtripMetric> matrix_owner_;
-  mutable std::atomic<const DenseRoundtripMetric*> matrix_{nullptr};
+  /// The roundtrip table whole_levels() fills (once, under table_once_);
+  /// `table_` publishes it to r/rows without taking the once flag.
+  mutable std::once_flag table_once_;
+  mutable std::unique_ptr<std::int32_t[]> table_owner_;
+  mutable std::atomic<const std::int32_t*> table_{nullptr};
 };
 
 /// Which backend BuildContext / the bench harness should materialize.
 enum class MetricMode {
-  kAuto,    // sparse searches; whole-level consumers get the matrix up to the cap
+  kAuto,    // sparse searches; whole-level consumers get the roundtrip table up to the cap
   kDense,   // the APSP matrix, built up front
-  kSparse,  // sparse searches only; whole_levels() never builds a matrix
+  kSparse,  // sparse searches only; rows are always swept
 };
 
-/// Largest node count at which an auto-mode metric's whole_levels()
-/// materialises the APSP matrix.  Up to here the matrix is at most 134 MB and
-/// its O(1) lookups beat per-row sweeps for the cover schemes, which touch
-/// every pair anyway; beyond it they read swept rows.  Consumers that
-/// read only O~(sqrt n) balls (rtz3, stretch6, hashed64) never build it.
+/// Largest node count at which an auto-mode metric's whole_levels() fills
+/// the roundtrip table.  Up to here the table is at most 64 MB, and the
+/// cover schemes, which read every pair anyway, read its rows instead of
+/// sweeping each row twice; beyond it they read swept rows.  Consumers that
+/// read only O~(sqrt n) balls (rtz3, stretch6, hashed64) never fill it.
 inline constexpr NodeId kDenseMetricAutoThreshold = 4096;
 
 /// Parses "auto" / "dense" / "sparse"; throws std::invalid_argument otherwise.
@@ -256,9 +283,9 @@ inline constexpr NodeId kDenseMetricAutoThreshold = 4096;
 
 /// Builds the backend `mode` selects for this graph.  kAuto and kSparse cost
 /// O(m) here (one reversal, one SCC check); kDense pays the APSP.  `threads`
-/// feeds the APSP fan-out, up front for kDense and on the first
-/// whole_levels() call for kAuto (<= 0 resolves via default_apsp_threads);
-/// sparse queries otherwise search on the querying threads.
+/// (<= 0 resolves via default_apsp_threads) feeds the APSP fan-out for
+/// kDense, and the table fill and row stream for kAuto and kSparse; other
+/// sparse queries search on the querying threads.
 [[nodiscard]] std::shared_ptr<const RoundtripMetric> make_roundtrip_metric(
     std::shared_ptr<const Digraph> graph, MetricMode mode = MetricMode::kAuto,
     int threads = 0);

@@ -71,8 +71,8 @@ std::shared_ptr<const Epoch> EpochManager::build_epoch(
   const auto start = std::chrono::steady_clock::now();
   // The metric is made per epoch regardless of the snapshot cache: it is
   // not part of the frozen artifact (stretch denominators are measurement
-  // state, not routing state).  Under kAuto that costs O(m); the APSP
-  // matrix is paid only by a cover scheme's build, so a cache hit skips it.
+  // state, not routing state).  Under kAuto that costs O(m); the roundtrip
+  // table is paid only by a cover scheme's build, so a cache hit skips it.
   std::shared_ptr<const RoundtripMetric> metric =
       make_roundtrip_metric(graph, options_.metric_mode);
   // Under repair the seed is pinned so every epoch draws the same centers;

@@ -92,8 +92,8 @@ struct EpochManagerOptions {
   /// the incremental repair splice).
   std::uint64_t scheme_seed = 1;
   /// Metric backend per epoch: kAuto is sparse bounded searches, and
-  /// only a cover scheme's build (a whole-level consumer) materialises the
-  /// APSP matrix, up to kDenseMetricAutoThreshold nodes.
+  /// only a cover scheme's build (a whole-level consumer) fills the n x n
+  /// 4-byte roundtrip table, up to kDenseMetricAutoThreshold nodes.
   MetricMode metric_mode = MetricMode::kAuto;
   /// Warm-start epochs by mmap'ing cached v2 arena snapshots in place
   /// (O(ms) at any n, payload CRCs unverified) instead of decoding them

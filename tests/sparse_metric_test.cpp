@@ -177,58 +177,136 @@ INSTANTIATE_TEST_SUITE_P(Families, SparsePairSearchTest,
                            return name;
                          });
 
-// whole_levels() hands whole-level consumers the APSP matrix only on an
-// auto-mode metric within the cap, builds it once, and from then on the
-// sparse metric's own d/r read it.  Strict sparse, dense, and auto beyond
-// the cap return the metric itself.
-TEST(AutoMetric, WholeLevelsMaterialisesTheMatrixOnlyUnderAutoWithinTheCap) {
+// Snapshot bytes of a scheme built from a context: the canonical encoding
+// makes byte equality the strongest available "same tables" check.
+std::vector<std::uint8_t> scheme_snapshot_bytes(const std::string& name,
+                                                const BuildContext& ctx) {
+  const std::shared_ptr<const Scheme> scheme =
+      SchemeRegistry::global().build(name, ctx);
+  return testing::scheme_arena_bytes(name, *scheme);
+}
+
+// On the sweep path the row stream fills blocks of rows on the ticket pool
+// and visits them v ascending on the calling thread.  At n = 640 the rows
+// span two blocks, the second partial; every thread count streams exactly
+// the dense rows (TSAN watches this test in CI).
+TEST(SparseRowStream, BlocksEqualDenseRowsAtAnyThreadCount) {
+  const auto inst = shared_instance(Family::kRandom, 640, 8, 47);
+  const RoundtripMetric& dense = *inst->metric;
+  const auto graph = std::make_shared<const Digraph>(inst->graph);
+  const NodeId n = inst->n();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<Dist> dense_row(static_cast<std::size_t>(n));
+  for (const int threads : {1, 2, 3, 8}) {
+    const auto sparse =
+        make_roundtrip_metric(graph, MetricMode::kSparse, threads);
+    NodeId next = 0;
+    std::int64_t wrong = 0;
+    std::int64_t off_thread = 0;
+    sparse->for_each_roundtrip_row([&](NodeId v, std::span<const Dist> row) {
+      wrong += v != next++;
+      off_thread += std::this_thread::get_id() != caller;
+      dense.roundtrip_row(v, dense_row);
+      wrong += !std::equal(row.begin(), row.end(), dense_row.begin(),
+                           dense_row.end());
+    });
+    EXPECT_EQ(next, n) << "threads=" << threads;
+    EXPECT_EQ(wrong, 0) << "threads=" << threads;
+    EXPECT_EQ(off_thread, 0) << "threads=" << threads;
+  }
+}
+
+// On an auto-mode metric within the cap, whole_levels() returns the metric
+// itself and fills its 4-byte roundtrip table once; from then on r, every
+// roundtrip_row and the row stream read the table, and they equal the dense
+// rows, also at n = 97 and 130, which end in a partial transpose tile.
+// Strict sparse, dense, and auto beyond the cap hold no table.
+TEST(AutoMetric, WholeLevelsTableRowsEqualDenseRows) {
+  for (const auto& [family, n] :
+       {std::pair{Family::kRandom, NodeId{97}},
+        std::pair{Family::kScaleFree, NodeId{97}},
+        std::pair{Family::kRing, NodeId{97}},
+        std::pair{Family::kRandom, NodeId{130}},
+        std::pair{Family::kScaleFree, NodeId{64}}}) {
+    SCOPED_TRACE(family_name(family) + " n=" + std::to_string(n));
+    const auto inst = shared_instance(family, n, 8, 19);
+    const RoundtripMetric& dense = *inst->metric;
+    const auto graph = std::make_shared<const Digraph>(inst->graph);
+    const auto autom = make_roundtrip_metric(graph, MetricMode::kAuto, 3);
+    const auto* sparse =
+        dynamic_cast<const SparseRoundtripMetric*>(autom.get());
+    ASSERT_NE(sparse, nullptr);
+    EXPECT_FALSE(sparse->holds_roundtrip_table());
+    EXPECT_EQ(&autom->whole_levels(), autom.get());
+    ASSERT_TRUE(sparse->holds_roundtrip_table());
+
+    std::vector<Dist> row(static_cast<std::size_t>(n));
+    std::vector<Dist> dense_row(row.size());
+    for (NodeId v = 0; v < n; ++v) {
+      autom->roundtrip_row(v, row);
+      dense.roundtrip_row(v, dense_row);
+      ASSERT_EQ(row, dense_row) << "v=" << v;
+      for (NodeId u = 0; u < n; u += 5) {
+        ASSERT_EQ(autom->r(v, u), dense.r(v, u)) << v << "<->" << u;
+        ASSERT_EQ(autom->d(v, u), dense.d(v, u)) << v << "->" << u;
+      }
+    }
+    NodeId next = 0;
+    autom->for_each_roundtrip_row([&](NodeId v, std::span<const Dist> got) {
+      ASSERT_EQ(v, next++);
+      dense.roundtrip_row(v, dense_row);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), dense_row.begin(),
+                             dense_row.end()))
+          << "v=" << v;
+    });
+    EXPECT_EQ(next, n);
+    EXPECT_EQ(autom->rt_diameter(), dense.rt_diameter());
+  }
+
   const auto inst = shared_instance(Family::kRandom, 96, 8, 19);
   const auto graph = std::make_shared<const Digraph>(inst->graph);
   const auto sparse = make_roundtrip_metric(graph, MetricMode::kSparse);
   EXPECT_EQ(&sparse->whole_levels(), sparse.get());
+  EXPECT_FALSE(dynamic_cast<const SparseRoundtripMetric&>(*sparse)
+                   .holds_roundtrip_table());
   const auto dense = make_roundtrip_metric(graph, MetricMode::kDense);
   EXPECT_EQ(&dense->whole_levels(), dense.get());
 
-  const auto autom = make_roundtrip_metric(graph, MetricMode::kAuto);
-  ASSERT_NE(dynamic_cast<const SparseRoundtripMetric*>(autom.get()), nullptr);
-  const RoundtripMetric& whole = autom->whole_levels();
-  EXPECT_NE(dynamic_cast<const DenseRoundtripMetric*>(&whole), nullptr);
-  EXPECT_EQ(&autom->whole_levels(), &whole);
-  EXPECT_EQ(whole.rt_diameter(), inst->metric->rt_diameter());
-  for (NodeId u = 0; u < inst->n(); u += 7) {
-    for (NodeId v = 0; v < inst->n(); v += 5) {
-      EXPECT_EQ(autom->r(u, v), inst->metric->r(u, v));
-      EXPECT_EQ(autom->d(u, v), inst->metric->d(u, v));
-    }
-  }
-
-  // Past the cap the matrix is never built (a ring keeps this cheap).
+  // Past the cap the table is never filled (a ring keeps this cheap).
   Rng rng(3);
   const auto big = std::make_shared<const Digraph>(
       make_family(Family::kRing, kDenseMetricAutoThreshold + 1, 4, rng)
           .freeze());
   const auto beyond = make_roundtrip_metric(big, MetricMode::kAuto);
   EXPECT_EQ(&beyond->whole_levels(), beyond.get());
+  EXPECT_FALSE(dynamic_cast<const SparseRoundtripMetric&>(*beyond)
+                   .holds_roundtrip_table());
 }
 
-// Concurrent first calls build one matrix, and d/r racing the build answer
-// exactly, from rows and point-to-point searches or from the matrix (TSAN
-// watches this test in CI).
-TEST(AutoMetric, ConcurrentWholeLevelsCallsShareOneMatrix) {
+// Concurrent first calls fill one table, and d/r racing the fill answer
+// exactly, from point-to-point searches or from the table (TSAN watches
+// this test in CI).
+TEST(AutoMetric, ConcurrentWholeLevelsCallsShareOneTable) {
   const auto inst = shared_instance(Family::kScaleFree, 96, 8, 23);
   const auto autom = make_roundtrip_metric(
-      std::make_shared<const Digraph>(inst->graph), MetricMode::kAuto, 1);
+      std::make_shared<const Digraph>(inst->graph), MetricMode::kAuto, 2);
   constexpr int kThreads = 4;
   std::vector<const RoundtripMetric*> seen(kThreads, nullptr);
   std::vector<std::int64_t> wrong(kThreads, 0);
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
+      std::vector<Dist> row(static_cast<std::size_t>(inst->n()));
       for (NodeId u = static_cast<NodeId>(t); u < inst->n(); u += kThreads) {
         for (NodeId v = 0; v < inst->n(); v += 3) {
           wrong[static_cast<std::size_t>(t)] +=
               autom->r(u, v) != inst->metric->r(u, v) ||
               autom->d(u, v) != inst->metric->d(u, v);
+        }
+        autom->roundtrip_row(u, row);
+        for (NodeId v = 0; v < inst->n(); ++v) {
+          wrong[static_cast<std::size_t>(t)] +=
+              row[static_cast<std::size_t>(v)] != inst->metric->r(u, v);
         }
         if (u == t + 2 * kThreads) {
           seen[static_cast<std::size_t>(t)] = &autom->whole_levels();
@@ -239,17 +317,37 @@ TEST(AutoMetric, ConcurrentWholeLevelsCallsShareOneMatrix) {
   for (std::thread& w : workers) w.join();
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(wrong[static_cast<std::size_t>(t)], 0) << "thread " << t;
-    EXPECT_EQ(seen[static_cast<std::size_t>(t)], &autom->whole_levels());
+    EXPECT_EQ(seen[static_cast<std::size_t>(t)], autom.get());
   }
+  EXPECT_TRUE(dynamic_cast<const SparseRoundtripMetric&>(*autom)
+                  .holds_roundtrip_table());
 }
 
-// Snapshot bytes of a scheme built from a context: the canonical encoding
-// makes byte equality the strongest available "same tables" check.
-std::vector<std::uint8_t> scheme_snapshot_bytes(const std::string& name,
-                                                const BuildContext& ctx) {
-  const std::shared_ptr<const Scheme> scheme =
-      SchemeRegistry::global().build(name, ctx);
-  return testing::scheme_arena_bytes(name, *scheme);
+// A graph whose roundtrip distances may not fit in 4 bytes -- 2(n-1) *
+// max_weight > INT32_MAX -- gets no table: its auto-mode metric keeps
+// sweeping rows, and the cover schemes built on it equal the dense builds.
+TEST(AutoMetric, OverflowingWeightsGetNoTable) {
+  const auto inst = shared_instance(Family::kRing, 16, Weight{1} << 29, 41);
+  const RoundtripMetric& dense = *inst->metric;
+  ASSERT_GT(2 * Dist{inst->n() - 1} * inst->graph.max_weight(), INT32_MAX);
+  ASSERT_GT(dense.rt_diameter(), INT32_MAX);
+  const auto graph = std::make_shared<const Digraph>(inst->graph);
+  const auto autom = make_roundtrip_metric(graph, MetricMode::kAuto, 2);
+  EXPECT_EQ(&autom->whole_levels(), autom.get());
+  EXPECT_FALSE(dynamic_cast<const SparseRoundtripMetric&>(*autom)
+                   .holds_roundtrip_table());
+  EXPECT_EQ(autom->rt_diameter(), dense.rt_diameter());
+  for (const std::string scheme : {"polystretch", "exstretch"}) {
+    const BuildContext dense_ctx =
+        BuildContext::wrap(graph, inst->metric, inst->names, 43);
+    const BuildContext auto_ctx =
+        BuildContext::wrap(graph, autom, inst->names, 43);
+    EXPECT_EQ(scheme_snapshot_bytes(scheme, auto_ctx),
+              scheme_snapshot_bytes(scheme, dense_ctx))
+        << scheme << ": auto-metric build diverged from the dense build";
+  }
+  EXPECT_FALSE(dynamic_cast<const SparseRoundtripMetric&>(*autom)
+                   .holds_roundtrip_table());
 }
 
 class SparseSchemeDifferentialTest
@@ -284,7 +382,7 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, SparseSchemeDifferentialTest,
                          });
 
 // kAuto changes no bytes: a build on the auto-mode metric (sparse rows,
-// with the matrix materialised only for the cover schemes) equals the build
+// with the roundtrip table filled only for the cover schemes) equals the build
 // on the dense metric, for every registered scheme on all five families.
 class AutoSchemeDifferentialTest
     : public ::testing::TestWithParam<std::string> {};

@@ -73,10 +73,10 @@ report "dense masked tree outside graph/dijkstra and rt/metric (test oracles)" \
 
 # --- rule: no n x n matrix on build paths ----------------------------------
 # The APSP matrix is n^2 8-byte distances (134 MB at n = 4096).  Only
-# rt/metric.cpp builds it: for MetricMode::kDense, and in whole_levels() for
-# the cover schemes under kAuto.  graph/apsp.* defines it; rt/metric.h
-# declares DenseRoundtripMetric.  spanner/roundtrip_spanner.cpp runs APSP on
-# its extracted subgraph to measure stretch; only benches and tests call it.
+# rt/metric.cpp builds it, for MetricMode::kDense (the dense backend and
+# test oracle); graph/apsp.* defines it; rt/metric.h declares
+# DenseRoundtripMetric.  spanner/roundtrip_spanner.cpp runs APSP on its
+# extracted subgraph to measure stretch; only benches and tests call it.
 # Every other builder reads the metric's rows, balls and nearest sweeps.
 dense_matrix=$(grep -rnE 'all_pairs_shortest_paths\(|DenseRoundtripMetric[[:space:]]*[({]|<(const[[:space:]]+)?DenseRoundtripMetric>|DenseRoundtripMetric[[:space:]]+[A-Za-z_][A-Za-z_0-9]*[[:space:]]*[({]' \
   src --include='*.cpp' --include='*.h' 2>/dev/null |
@@ -84,6 +84,26 @@ dense_matrix=$(grep -rnE 'all_pairs_shortest_paths\(|DenseRoundtripMetric[[:spac
   grep -vE '//.*(all_pairs_shortest_paths|DenseRoundtripMetric)')
 report "APSP matrix outside rt/metric, graph/apsp and the spanner check" \
   "$dense_matrix"
+# Within rt/metric, the sparse backend -- what kAuto and kSparse builds read
+# -- neither calls all_pairs_shortest_paths nor names DenseRoundtripMetric:
+# whole-level consumers read its 4-byte roundtrip table or swept rows.  Its
+# code is the `class SparseRoundtripMetric` declaration in metric.h and the
+# "SparseRoundtripMetric" section of metric.cpp (up to the next `// ---`
+# banner); comments are not checked.
+sparse_dense=$( {
+  awk '/^class SparseRoundtripMetric/ { on = 1 }
+       on { code = $0; sub(/\/\/.*/, "", code)
+            if (code ~ /all_pairs_shortest_paths|DenseRoundtripMetric/)
+              print FILENAME ":" FNR ":" $0 }
+       on && /^};/ { on = 0 }' src/rt/metric.h
+  awk '/^\/\/ -+ SparseRoundtripMetric --/ { on = 1; next }
+       /^\/\/ -+ / { on = 0 }
+       on { code = $0; sub(/\/\/.*/, "", code)
+            if (code ~ /all_pairs_shortest_paths|DenseRoundtripMetric/)
+              print FILENAME ":" FNR ":" $0 }' src/rt/metric.cpp
+} 2>/dev/null)
+report "APSP matrix in the sparse metric (read the roundtrip table or rows)" \
+  "$sparse_dense"
 
 # --- rule: no per-node metric scans in the covers --------------------------
 # The cover hierarchy reads the whole metric once, through
